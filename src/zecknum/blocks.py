@@ -18,11 +18,10 @@ Both scans yield the successor/predecessor rules and hence enumeration.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .coeff import INFINITE, ZERO, CoeffFn, IndexInterval, basis
+from .coeff import DIGIT_LIMIT, INFINITE, ZERO, CoeffFn, IndexInterval, basis
 
 
 class FamilyError(ValueError):
@@ -41,35 +40,80 @@ class AtMaximumError(ValueError):
     """The horizon-restricted maximum has no successor."""
 
 
-class PredecessorFamily:
-    """Memoized, lazily-validated table n -> immediate predecessor of basis(n).
+@dataclass(frozen=True)
+class RowShape:
+    """Rows of a structural family, described instead of stored.
 
-    ``row_fn(n)`` is consulted once per index (n >= 2) under a lock, and the
-    result must have order exactly n-1.  Rows with bounded domain (explicit
-    tables) raise FamilyError past their last row.
+    Row n carries the pairs ``head(n)`` (zero digits allowed, indices above
+    ``top(n)``) and, at every index j <= top(n), the digit ``tail(j, n % period)``.
     """
 
-    def __init__(self, row_fn: Callable[[int], CoeffFn], name: str = "family"):
-        self._row_fn = row_fn
+    tail: Callable[[int, int], int]
+    period: int = 1
+    head: Callable[[int], Iterable[tuple[int, int]]] = lambda n: ()
+    top: Callable[[int], int] = lambda n: n - 1
+
+
+class PredecessorFamily:
+    """Lazily-validated table n -> immediate predecessor of basis(n), n >= 2.
+
+    Rows come from a RowShape, or from ``row_fn(n)`` wrapped as a shape whose
+    head is the whole row; each is built once, and row n must have order n-1
+    and digits in [0, DIGIT_LIMIT).  Bounded tables raise FamilyError past
+    their last row.
+    """
+
+    def __init__(
+        self,
+        row_fn: Callable[[int], CoeffFn] | None = None,
+        name: str = "family",
+        shape: RowShape | None = None,
+    ):
+        if row_fn is not None:
+            shape = RowShape(lambda j, r: 0, head=lambda n: row_fn(n).items(), top=lambda n: 0)
         self.name = name
-        self._rows: dict[int, CoeffFn] = {}
-        self._lock = threading.Lock()
+        self.shape = shape
+        self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
+        self._tails = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
+        """Row n as a CoeffFn, built from parts(n) on each call."""
+        return CoeffFn(self.digits_desc(n))
+
+    def digits_desc(self, n: int) -> Iterator[tuple[int, int]]:
+        """Row n's nonzero (index, digit) pairs in descending index order."""
+        head, top, tail, _ = self.parts(n)
+        yield from head.items()
+        yield from ((j, tail[j]) for j in range(top, 0, -1) if tail[j])
+
+    def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
+        """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
+        k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
+        index order; tail is shared by the rows of residue n % period.  Besides
+        digits_desc, _scan_asc and FundamentalSeq.from_family read this inline."""
+        p = self._parts.get(n)
+        if p is None:
+            p = self._parts[n] = self._make_parts(n)
+        return p
+
+    def _make_parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         if n < 2:
             raise FamilyError(f"{self.name}: predecessor rows start at n=2, got {n}")
-        r = self._rows.get(n)
-        if r is None:
-            with self._lock:
-                r = self._rows.get(n)
-                if r is None:
-                    r = self._row_fn(n)
-                    if r.order_asc != n - 1:
-                        raise FamilyError(
-                            f"{self.name}: row {n} has order {r.order_asc}, expected {n - 1}"
-                        )
-                    self._rows[n] = r
-        return r
+        s = self.shape
+        r, top = n % s.period, s.top(n)
+        tail = self._tails[r]
+        for j in range(len(tail), top + 1):
+            tail.append(self._checked(j, s.tail(j, r)))
+        head = {k: self._checked(k, d) for k, d in sorted(s.head(n), reverse=True) if d}
+        order = next(iter(head), 0) or next((j for j in range(top, 0, -1) if tail[j]), 0)
+        if order != n - 1:
+            raise FamilyError(f"{self.name}: row {n} has order {order}, expected {n - 1}")
+        return head, top, tail, r
+
+    def _checked(self, k: int, d: int) -> int:
+        if not 0 <= d < DIGIT_LIMIT:
+            raise FamilyError(f"{self.name}: digit {d} at index {k} is out of range")
+        return d
 
     def __repr__(self) -> str:
         return f"PredecessorFamily({self.name!r})"
@@ -113,7 +157,6 @@ class MaximalFamily:
         self._support_fn = support_fn or self._scan_support
         self.name = name
         self._checked: set[int] = set()
-        self._lock = threading.Lock()
 
     def _scan_support(self, n: int, start: int) -> Iterator[tuple[int, int]]:
         k = max(start, n)
@@ -127,11 +170,9 @@ class MaximalFamily:
         if n < 1:
             raise FamilyError(f"{self.name}: rows start at n=1, got {n}")
         if n not in self._checked:
-            with self._lock:
-                if n not in self._checked:
-                    if self._digit_fn(n, n) < 1:
-                        raise FamilyError(f"{self.name}: row {n} has digit 0 at its own index")
-                    self._checked.add(n)
+            if self._digit_fn(n, n) < 1:
+                raise FamilyError(f"{self.name}: row {n} has digit 0 at its own index")
+            self._checked.add(n)
         return MaximalRow(self, n)
 
     def __repr__(self) -> str:
@@ -179,13 +220,14 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
     necessarily the bottom one.
     """
     spans: list[tuple[int, int, bool]] = []
+    digit, parts = mu.digit, fam.parts
     n = mu.order_asc
     while n >= 1:
-        row = fam.row(n + 1)
+        head, top, tail, _ = parts(n + 1)
         k = n
         while True:
-            mk = mu.digit(k)
-            dk = row.digit(k)
+            mk = digit(k)
+            dk = tail[k] if k <= top else head.get(k, 0)
             if mk > dk:
                 raise NotMemberError(k)
             if mk < dk:

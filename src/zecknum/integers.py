@@ -13,6 +13,7 @@ the members in lex order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -61,10 +62,19 @@ class FundamentalSeq:
 
     @classmethod
     def from_family(cls, fam: PredecessorFamily, name: str | None = None) -> "FundamentalSeq":
-        """Derived sequence: Q_1 = 1, Q_n = 1 + sum of row(n) digits times Q."""
+        """Derived sequence: Q_1 = 1, Q_n = 1 + sum of row(n) digits times Q; the tail
+        part is a running sum per residue, so a term costs O(head) while tops grow."""
+        running: dict[int, tuple[int, int]] = {}  # residue -> (top, tail sum)
 
         def ext(n: int, seq: "FundamentalSeq") -> int:
-            return 1 + sum(d * seq.value(k) for k, d in fam.row(n).items())
+            head, top, tail, r = fam.parts(n)
+            j, acc = running.get(r, (0, 0))
+            if top < j:
+                j, acc = 0, 0
+            for i in range(j + 1, top + 1):
+                acc += tail[i] * seq.value(i)
+            running[r] = (top, acc)
+            return 1 + sum(d * seq.value(k) for k, d in head.items()) + acc
 
         return cls([1], ext, name or f"Q[{fam.name}]")
 
@@ -110,41 +120,15 @@ class FundamentalSeq:
     def find_top(self, x: int) -> int:
         """Largest n with Q_n <= x for an increasing sequence (0 if none).
 
-        Terms materialized during the search can reveal a decreasing step,
-        which invalidates the search; that raises like a non-increasing
-        sequence would at entry.
-        """
+        Extends one term at a time until a term exceeds x (or a bounded table
+        ends), then bisects.  A lazy term that breaks monotonicity raises like
+        a non-increasing sequence would at entry."""
+        vals = self._vals
+        while self._increasing and self._extend is not None and (not vals or vals[-1] <= x):
+            self.value(len(vals) + 1)
         if not self._increasing:
             raise FamilyError(f"{self.name}: find_top needs an increasing sequence")
-        result = self._search_top(x)
-        if not self._increasing:
-            raise FamilyError(f"{self.name}: find_top needs an increasing sequence")
-        return result
-
-    def _search_top(self, x: int) -> int:
-        if x < self.value(1):
-            return 0
-        lo = 1
-        hi = 2
-        while True:
-            try:
-                if self.value(hi) > x:
-                    break
-            except IndexError:
-                hi = len(self._vals)
-                if self._vals[hi - 1] <= x:
-                    return hi
-                break
-            lo = hi
-            hi *= 2
-        # Q_lo <= x < Q_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.value(mid) <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(vals, x)
 
     def top_below(self, x: int, window: int = LOOKAHEAD_WINDOW) -> int:
         """Largest n with Q_n <= x, by forward scan with a miss window.
@@ -213,8 +197,7 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
             return _encode_by_walk(x, fam, seq)
         if n == 0:
             raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
-        row = fam.row(n + 1)
-        for k, d in sorted(row.items(), reverse=True):
+        for k, d in fam.digits_desc(n + 1):
             q = seq.value(k)
             c = min(d, rem // q)
             if c:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .blocks import FamilyError, MaximalFamily, PredecessorFamily
+from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
 from .coeff import CoeffFn
 from .integers import FundamentalSeq
 
@@ -51,15 +51,9 @@ class MultiplicityList:
 
     def predecessor_family(self, name: str | None = None) -> PredecessorFamily:
         """Rows delta^n: reduced digits repeating downward from index n-1."""
-        ehat = self.reduced
-        N = self.period
-
-        def row(n: int) -> CoeffFn:
-            return CoeffFn(
-                (n - k, ehat[(k - 1) % N]) for k in range(1, n) if ehat[(k - 1) % N]
-            )
-
-        return PredecessorFamily(row, name or f"L{self.e}")
+        ehat, N = self.reduced, self.period
+        shape = RowShape(lambda j, r: ehat[(r - 1 - j) % N], period=N)
+        return PredecessorFamily(name=name or f"L{self.e}", shape=shape)
 
     def maximal_family(self, name: str | None = None) -> MaximalFamily:
         """Rows: reduced digits repeating upward from index n, forever."""
@@ -88,22 +82,11 @@ def family_from_tail_rule(
     every remaining absolute index j in [1, n-1-len(head)], independent of n.
     """
 
-    def row(n: int) -> CoeffFn:
-        pairs = []
-        for i, h in enumerate(head):
-            idx = n - 1 - i
-            if idx < 1:
-                break
-            d = h(n) if callable(h) else h
-            if d:
-                pairs.append((idx, d))
-        for j in range(1, n - len(head)):
-            d = tail(j)
-            if d:
-                pairs.append((j, d))
-        return CoeffFn(pairs)
+    def head_pairs(n: int) -> list[tuple[int, int]]:
+        return [(n - 1 - i, h(n) if callable(h) else h) for i, h in enumerate(head[: n - 1])]
 
-    return PredecessorFamily(row, name)
+    shape = RowShape(lambda j, _: tail(j), head=head_pairs, top=lambda n: max(n - 1 - len(head), 0))
+    return PredecessorFamily(name=name, shape=shape)
 
 
 def neg_recurrence_params(coeffs: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -143,10 +126,8 @@ def index_bounded_family() -> PredecessorFamily:
     j = n-1, n-3, ...
     """
 
-    def row(n: int) -> CoeffFn:
-        return CoeffFn((j, j) for j in range(n - 1, 0, -2))
-
-    return PredecessorFamily(row, "index-bounded")
+    shape = RowShape(lambda j, r: j if (r - 1 - j) % 2 == 0 else 0, period=2)
+    return PredecessorFamily(name="index-bounded", shape=shape)
 
 
 def factorial_family() -> PredecessorFamily:
@@ -282,16 +263,14 @@ def family_from_blocks(
         )
     b_max = next(b for b, v in vals.items() if v == base - 1)
 
-    def row(n: int) -> CoeffFn:
-        j = n - 1
-        r, t0 = divmod(j - 1, width)
-        top = tops[t0]
-        pairs = [(width * r + p + 1, d) for p, d in enumerate(top) if d]
-        for i in range(r):
-            pairs.extend((width * i + p + 1, d) for p, d in enumerate(b_max) if d)
-        return CoeffFn(pairs)
+    def head(n: int) -> list[tuple[int, int]]:
+        r, t0 = divmod(n - 2, width)
+        return [(width * r + p + 1, d) for p, d in enumerate(tops[t0])]
 
-    fam = PredecessorFamily(row, name)
+    shape = RowShape(
+        lambda j, _: b_max[(j - 1) % width], head=head, top=lambda n: width * ((n - 2) // width)
+    )
+    fam = PredecessorFamily(name=name, shape=shape)
     return FixedBlockSystem(fam, base, width, tuple(sorted(vals.items(), key=lambda kv: kv[1])))
 
 

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -269,9 +272,68 @@ class TestConfigFile:
         rc, _, err = run(capsys, "encode", "-c", "/does/not/exist.json", "10")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            (None, "missing key family"),
+            ({"type": "multiplicity", "e": 3}, "family.e must be a list of integers"),
+            ({"type": "blocks", "blocks": [1, 2]}, "family.blocks must be a list of integer lists"),
+            ({"type": "neg-recurrence", "c": [[2], [1]]}, "family.c must be a list of integers"),
+            ({"type": "table", "rows": [3]}, "family.rows must be a list of integer lists"),
+            ({"type": "pin", "j": "three"}, "family.j must be an integer"),
+        ],
+    )
+    def test_bad_schema_names_the_key(self, capsys, tmp_path, family, message):
+        doc = {"name": "bad", "kind": "integer", "sequence": {"type": "derived"}}
+        if family is not None:
+            doc["family"] = family
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, "encode", "-c", str(path), "10")
+        assert rc == 2
+        assert lines == []
+        assert err.count("\n") == 1 and message in err
+
+
+    def test_integer_keys_accept_numeric_strings(self, capsys, tmp_path):
+        doc = {"kind": "integer", "family": {"type": "pin", "j": "3"}, "sequence": {"type": "derived"}}
+        path = tmp_path / "pin.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, _ = run(capsys, "encode", "-c", str(path), "4")
+        assert rc == 0 and lines[-1].startswith("4\t")
+
+
+    @pytest.mark.parametrize("unit,rc", [("4", 0), ([4], 2)])
+    def test_padic_integer_keys(self, capsys, tmp_path, unit, rc):
+        doc = {
+            "kind": "padic",
+            "p": "5",
+            "prec": 4,
+            "family": {"type": "multiplicity", "e": [4, 5]},
+            "sequence": {"type": "power", "unit": unit},
+        }
+        path = tmp_path / "padic.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, _, err = run(capsys, "padic-expand", "-c", str(path), "3")
+        assert got == rc
+        assert rc == 0 or "sequence.unit must be an integer" in err
+
 
 @pytest.mark.skipif(shutil.which("zecknum") is None, reason="entry point not on PATH")
 def test_installed_entry_point():
     proc = subprocess.run(["zecknum", "fixtures"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fib" in proc.stdout.split()
+
+
+def test_cold_module_run_matches_readme():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zecknum.cli", "encode", "-f", "fib", "100", "144"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "# fib: value\tdigits\n100\t3:1,5:1,10:1\n144\t11:1\n"

@@ -75,6 +75,12 @@ class TestFindTop:
         with pytest.raises(FamilyError):
             FundamentalSeq([5, 3]).find_top(4)
 
+    def test_lazy_dip_stops_the_search(self):
+        seq = FundamentalSeq([1, 2], lambda n, s: 1 if n == 6 else 10 * n)
+        with pytest.raises(FamilyError):
+            seq.find_top(50)
+        assert len(seq) == 6  # extension stopped at the first decreasing term
+
     @given(st.integers(0, 10**6))
     def test_against_scan(self, x):
         seq = FundamentalSeq.from_linear([1, 2], [1, 1])
