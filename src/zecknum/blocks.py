@@ -19,9 +19,10 @@ Both scans yield the successor/predecessor rules and hence enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable, Iterable, Iterator
 
-from .coeff import DIGIT_LIMIT, INFINITE, ZERO, CoeffFn, IndexInterval, basis
+from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
 
 
 class FamilyError(ValueError):
@@ -292,18 +293,34 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
         cur = successor_asc(cur, fam)
 
 
-def members_upto_order(fam: PredecessorFamily, k: int) -> list[CoeffFn]:
-    """All members of order <= k in ascending lex order, zero included.
+def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
+    """Members of order <= k in ascending lex order, zero included, lazily.
 
-    Walks successors until the first member of order k+1 shows up; in
-    ascending lex every member of order <= k precedes it.
+    The one bounded walk: it stops at the first member of order k+1, which in
+    ascending lex comes after every member of order <= k.
     """
-    out = []
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > k:
-            break
-        out.append(mu)
-    return out
+    if k < 0:
+        raise ValueError(f"order cap must be nonnegative, got {k}")
+    return takewhile(lambda mu: mu.order_asc <= k, enumerate_asc(fam))
+
+
+def first_collision(
+    pairs: Iterable[tuple[CoeffFn, object]], stop: bool = True
+) -> tuple[int, int, tuple[object, CoeffFn, CoeffFn] | None, bool]:
+    """(members seen, distinct values, first collision (value, earlier, later)
+    or None, whether the pairs ran out) for a stream of (member, value) pairs;
+    ``stop`` ends the scan at the collision, counting only that prefix."""
+    first_by_value: dict[object, CoeffFn] = {}
+    collision = None
+    seen = 0
+    for mu, v in pairs:
+        seen += 1
+        earlier = first_by_value.setdefault(v, mu)
+        if earlier is not mu and collision is None:
+            collision = (v, earlier, mu)
+            if stop:
+                return seen, len(first_by_value), collision, False
+    return seen, len(first_by_value), collision, True
 
 
 # -- descending world --------------------------------------------------------

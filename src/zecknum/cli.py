@@ -15,6 +15,8 @@ import os
 import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .blocks import (
     AtMaximumError,
@@ -23,20 +25,21 @@ from .blocks import (
     decompose_asc,
     enumerate_asc,
     enumerate_desc,
+    first_collision,
+    members_upto_order,
 )
 from .coeff import CoeffFn
 from .config import System, fixture_names, load_config, load_fixture
-from .integers import NotRepresentableError, decode_int, encode_int, enumerate_subset, shift_value
-from .padic import check_unique_padic, decode_padic, eval_padic, weak_converse_probe
+from .integers import NotRepresentableError, encode_int, enumerate_subset, shift_value
+from .padic import decode_padic, weak_converse_probe
 from .real import (
     dominance_criterion,
-    eval_expansion,
     expand_real,
     multiplicity_list_dominant,
     verify_maximal_identity,
 )
 from .recurrences import verify_recurrence
-from .uniqueness import check_unique
+from .uniqueness import UniquenessReport, default_order_cap
 
 
 def _precision() -> int:
@@ -51,19 +54,17 @@ def _precision() -> int:
 
 
 def _system(args) -> System:
+    """The system named by -f or -c, if the verb's wiring accepts its kind."""
     if args.fixture:
-        return load_fixture(args.fixture, precision=_precision())
-    if args.config:
-        return load_config(args.config, precision=_precision())
-    raise FamilyError("pass --fixture NAME or --config PATH (see 'zecknum fixtures')")
-
-
-def _seq(sys_: System, label: str):
-    if label not in sys_.sequences:
-        raise FamilyError(
-            f"system {sys_.name!r} has no sequence {label!r}; it has {sorted(sys_.sequences)}"
-        )
-    return sys_.sequences[label]
+        sys_ = load_fixture(args.fixture, precision=_precision())
+    elif args.config:
+        sys_ = load_config(args.config, precision=_precision())
+    else:
+        raise FamilyError("pass --fixture NAME or --config PATH (see 'zecknum fixtures')")
+    if sys_.kind not in args.kinds:
+        kinds = " and ".join(args.kinds)
+        raise FamilyError(f"{args.verb} works on {kinds} systems, {sys_.name} is {sys_.kind}")
+    return sys_
 
 
 def _tokens(values: list[str]) -> list[str]:
@@ -87,9 +88,7 @@ def cmd_fixtures(args) -> int:
 
 def cmd_encode(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "integer":
-        raise FamilyError(f"encode works on integer systems, {sys_.name} is {sys_.kind}")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     print(f"# {sys_.name}: value\tdigits")
     for tok in _tokens(args.values):
         mu = encode_int(int(tok), sys_.family, seq)
@@ -99,25 +98,17 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     sys_ = _system(args)
-    seq = _seq(sys_, args.seq)
+    sys_.seq(args.seq)  # an unknown label fails before the header
     print(f"# {sys_.name}: digits\tvalue")
     for tok in _tokens(args.values):
         fn = CoeffFn.parse(tok)
-        if sys_.kind == "integer":
-            v = decode_int(fn, seq)
-        elif sys_.kind == "padic":
-            v = eval_padic(fn, seq)
-        else:
-            v = eval_expansion(fn, seq)
-        print(f"{tok}\t{v}")
+        print(f"{tok}\t{sys_.value(fn, args.seq)}")
     return 0
 
 
 def cmd_shift(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "integer":
-        raise FamilyError("shift works on integer systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     print(f"# {sys_.name}: digits\tshifted value")
     for tok in _tokens(args.values):
         fn = CoeffFn.parse(tok)
@@ -125,37 +116,29 @@ def cmd_shift(args) -> int:
     return 0
 
 
+def _walk(sys_: System, args) -> tuple[str, Iterator[CoeffFn]]:
+    """enumerate's header and walk; on (0,1), increasing value within the horizon."""
+    if sys_.kind != "real":
+        return f"first {args.count} members, lex order", enumerate_asc(sys_.family)
+    title = f"members restricted to [1, {args.horizon}], increasing order"
+    return title, enumerate_desc(sys_.family, args.horizon)
+
+
 def cmd_enumerate(args) -> int:
     sys_ = _system(args)
-    if sys_.kind == "real":
-        fam = sys_.family
-        seq = _seq(sys_, args.seq)
-        print(f"# {sys_.name}: members restricted to [1, {args.horizon}], increasing order")
-        for i, eps in enumerate(enumerate_desc(fam, args.horizon)):
-            if args.count is not None and i >= args.count:
-                break
-            print(f"{i}\t{eps.render()}\t{eval_expansion(eps, seq)}")
-        return 0
-    seq = _seq(sys_, args.seq)
-    print(f"# {sys_.name}: first {args.count} members, lex order")
-    walked = 0
-    for mu in enumerate_asc(sys_.family):
-        if walked >= args.count:
-            break
-        if sys_.kind == "padic":
-            v = eval_padic(mu, seq)
-        else:
-            v = decode_int(mu, seq)
-        print(f"{walked}\t{mu.render()}\t{v}")
-        walked += 1
+    sys_.seq(args.seq)
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
+    title, walk = _walk(sys_, args)
+    print(f"# {sys_.name}: {title}")
+    for i, fn in enumerate(islice(walk, args.count)):
+        print(f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}")
     return 0
 
 
 def cmd_subset(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "integer":
-        raise FamilyError("subset works on integer systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     report = enumerate_subset(sys_.family, seq, args.bound)
     print(f"# {sys_.name}: members with value <= {args.bound} under {args.seq}")
     if args.list:
@@ -173,17 +156,9 @@ def cmd_subset(args) -> int:
 
 def cmd_verify_unique(args) -> int:
     sys_ = _system(args)
-    seq = _seq(sys_, args.seq)
-    if sys_.kind == "real":
-        raise FamilyError("verify-unique works on integer and padic systems")
-    cap = args.cap
-    if cap is None:
-        n = len(sys_.multiplicities or ())
-        cap = (2 if args.shortcut else 4) * n if n else 8
-    if sys_.kind == "padic":
-        report = check_unique_padic(sys_.family, seq, cap, stop_at_collision=not args.full)
-    else:
-        report = check_unique(sys_.family, seq, cap, stop_at_collision=not args.full)
+    cap = default_order_cap(sys_.multiplicities, args.shortcut) if args.cap is None else args.cap
+    pairs = ((mu, sys_.value(mu, args.seq)) for mu in members_upto_order(sys_.family, cap))
+    report = UniquenessReport(cap, *first_collision(pairs, stop=not args.full))
     print(f"# {sys_.name}: members of order <= {cap} under {args.seq}")
     print(f"# seen: {report.members_seen} (nonzero {report.nonzero_members}), distinct values: {report.distinct_values}")
     if report.collision:
@@ -196,11 +171,7 @@ def cmd_verify_unique(args) -> int:
 
 def cmd_converse_probe(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "padic":
-        raise FamilyError("converse-probe works on padic systems")
-    probe = weak_converse_probe(
-        sys_.family, _seq(sys_, args.seq), _seq(sys_, args.other), args.cap
-    )
+    probe = weak_converse_probe(sys_.family, sys_.seq(args.seq), sys_.seq(args.other), args.cap)
     print(f"# {sys_.name}: value sets match: {probe.values_match}")
     print(f"# first differing term: {probe.first_difference}")
     print(f"# max digit seen: {probe.max_digit_seen}, digit bound for the converse: {probe.digit_bound}")
@@ -209,9 +180,7 @@ def cmd_converse_probe(args) -> int:
 
 def cmd_verify_recurrence(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "integer":
-        raise FamilyError("verify-recurrence works on integer systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     coeffs = _parse_int_csv(args.coeffs)
     bad = verify_recurrence(seq, coeffs, args.start, args.stop)
     if bad:
@@ -224,9 +193,7 @@ def cmd_verify_recurrence(args) -> int:
 
 def cmd_verify_maximal(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "real":
-        raise FamilyError("verify-maximal works on real systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     tol = Fraction(args.tol) if "/" in args.tol else Decimal(args.tol)
     report = verify_maximal_identity(sys_.family, seq, args.n, args.horizon, tol)
     print(f"# {sys_.name}: maximal row at {args.n} summed to {args.horizon}")
@@ -240,9 +207,7 @@ def cmd_verify_maximal(args) -> int:
 
 def cmd_real_expand(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "real":
-        raise FamilyError("real-expand works on real systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     print(f"# {sys_.name}: x\tdigits\tresidual\texact")
     for tok in _tokens(args.values):
         x = Fraction(tok) if "/" in tok else Decimal(tok)
@@ -254,9 +219,7 @@ def cmd_real_expand(args) -> int:
 
 def cmd_padic_expand(args) -> int:
     sys_ = _system(args)
-    if sys_.kind != "padic":
-        raise FamilyError("padic-expand works on padic systems")
-    seq = _seq(sys_, args.seq)
+    seq = sys_.seq(args.seq)
     fam = None if args.no_check else sys_.family
     print(f"# {sys_.name}: residue\tdigits")
     for tok in _tokens(args.values):
@@ -281,8 +244,6 @@ def cmd_dominant_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     sys_ = _system(args)
-    if sys_.kind == "real":
-        raise FamilyError("decompose works on integer and padic systems")
     print(f"# {sys_.name}: digits\tblocks")
     for tok in _tokens(args.values):
         fn = CoeffFn.parse(tok)
@@ -315,73 +276,73 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="integer values to digit functions")
     _add_system_args(p)
     p.add_argument("values", nargs="+", help="integers, or - for stdin")
-    p.set_defaults(fn=cmd_encode)
+    p.set_defaults(fn=cmd_encode, kinds=("integer",))
 
     p = sub.add_parser("decode", help="digit functions to values")
     _add_system_args(p)
     p.add_argument("values", nargs="+", help="digit functions like 1:1,3:2, or - for stdin")
-    p.set_defaults(fn=cmd_decode)
+    p.set_defaults(fn=cmd_decode, kinds=("integer", "padic", "real"))
 
     p = sub.add_parser("shift", help="value of digits moved up one index")
     _add_system_args(p)
     p.add_argument("values", nargs="+")
-    p.set_defaults(fn=cmd_shift)
+    p.set_defaults(fn=cmd_shift, kinds=("integer",))
 
     p = sub.add_parser("enumerate", help="members in order")
     _add_system_args(p)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--horizon", type=int, default=6, help="index cap for real systems")
-    p.set_defaults(fn=cmd_enumerate)
+    p.set_defaults(fn=cmd_enumerate, kinds=("integer", "padic", "real"))
 
     p = sub.add_parser("decompose", help="split digit functions into blocks")
     _add_system_args(p)
     p.add_argument("values", nargs="+")
-    p.set_defaults(fn=cmd_decompose)
+    p.set_defaults(fn=cmd_decompose, kinds=("integer", "padic"))
 
     p = sub.add_parser("subset", help="members under a value bound, with collision check")
     _add_system_args(p)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--list", action="store_true", help="print every member")
-    p.set_defaults(fn=cmd_subset)
+    p.set_defaults(fn=cmd_subset, kinds=("integer",))
 
     p = sub.add_parser("verify-unique", help="walk members looking for a repeated value")
     _add_system_args(p)
     p.add_argument("--cap", type=int, default=None, help="order cap (default: 4 periods)")
     p.add_argument("--shortcut", action="store_true", help="2 periods instead of 4")
     p.add_argument("--full", action="store_true", help="keep walking past a collision")
-    p.set_defaults(fn=cmd_verify_unique)
+    p.set_defaults(fn=cmd_verify_unique, kinds=("integer", "padic"))
 
     p = sub.add_parser("converse-probe", help="compare two sequences through one family")
     _add_system_args(p)
     p.add_argument("--other", default="alt", help="second sequence label (default: alt)")
     p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(fn=cmd_converse_probe)
+    p.set_defaults(fn=cmd_converse_probe, kinds=("padic",))
 
     p = sub.add_parser("verify-recurrence", help="check Q against a linear recurrence")
     _add_system_args(p)
     p.add_argument("--coeffs", required=True, help="comma-separated, may be negative")
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--stop", type=int, required=True)
-    p.set_defaults(fn=cmd_verify_recurrence)
+    p.set_defaults(fn=cmd_verify_recurrence, kinds=("integer",))
 
     p = sub.add_parser("verify-maximal", help="maximal row mass against Q_{n-1}")
     _add_system_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--tol", default="1e-30")
-    p.set_defaults(fn=cmd_verify_maximal)
+    p.set_defaults(fn=cmd_verify_maximal, kinds=("real",))
 
     p = sub.add_parser("real-expand", help="greedy expansion of numbers in (0,1)")
     _add_system_args(p)
     p.add_argument("--max-blocks", type=int, default=8)
     p.add_argument("values", nargs="+", help="decimals or fractions, or - for stdin")
-    p.set_defaults(fn=cmd_real_expand)
+    p.set_defaults(fn=cmd_real_expand, kinds=("real",))
 
     p = sub.add_parser("padic-expand", help="digit extraction for residues")
     _add_system_args(p)
     p.add_argument("--no-check", action="store_true", help="skip the family membership check")
     p.add_argument("values", nargs="+", help="integer residues, or - for stdin")
-    p.set_defaults(fn=cmd_padic_expand)
+    p.set_defaults(fn=cmd_padic_expand, kinds=("padic",))
 
     p = sub.add_parser("dominant-check", help="root dominance tests")
     p.add_argument("--coeffs", help="a0,...,an of a_n z^n - ... - a_0")

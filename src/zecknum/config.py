@@ -15,11 +15,13 @@ from importlib import resources
 from pathlib import Path
 
 from .blocks import FamilyError
-from .integers import FundamentalSeq
-from .padic import PadicSeq, golden_padic_seq, power_padic_seq
+from .coeff import CoeffFn
+from .integers import FundamentalSeq, decode_int
+from .padic import PadicSeq, eval_padic, golden_padic_seq, power_padic_seq
 from .real import (
     BlockGeometricSeq,
     HarmonicSeq,
+    eval_expansion,
     geometric_fundamental,
     harmonic_maximal_family,
     periodic_maximal_family,
@@ -52,6 +54,24 @@ class System:
     @property
     def sequence(self):
         return self.sequences["main"]
+
+    def seq(self, label: str = "main"):
+        """The sequence named ``label``, or a FamilyError listing the labels."""
+        if label not in self.sequences:
+            raise FamilyError(
+                f"system {self.name!r} has no sequence {label!r}; it has {sorted(self.sequences)}"
+            )
+        return self.sequences[label]
+
+    def value(self, fn: CoeffFn, label: str = "main"):
+        """Value of ``fn`` under sequence ``label`` on this system's carrier: an
+        integer, a residue mod p**prec, or an exact or decimal number in (0,1)."""
+        seq = self.seq(label)
+        if self.kind == "integer":
+            return decode_int(fn, seq)
+        if self.kind == "padic":
+            return eval_padic(fn, seq)
+        return eval_expansion(fn, seq)
 
 
 def _ints(v) -> bool:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .blocks import PredecessorFamily, FamilyError, enumerate_asc, members_upto_order
+from .blocks import PredecessorFamily, FamilyError, first_collision, members_upto_order
 from .coeff import CoeffFn
 
 EXTENSION_LIMIT = 10**6
@@ -214,9 +214,7 @@ def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> Coef
     m_max = seq.top_below(x)
     if m_max == 0:
         raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > m_max:
-            break
+    for mu in members_upto_order(fam, m_max):
         if decode_int(mu, seq) == x:
             return mu
     raise NotRepresentableError(f"no admissible function of order <= {m_max} has value {x}")
@@ -248,21 +246,9 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     m_max = seq.top_below(bound)
-    pairs: list[tuple[CoeffFn, int]] = []
-    first_by_value: dict[int, CoeffFn] = {}
-    collision: tuple[int, CoeffFn, CoeffFn] | None = None
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > m_max:
-            break
-        v = decode_int(mu, seq)
-        if v > bound:
-            continue
-        pairs.append((mu, v))
-        if collision is None:
-            if v in first_by_value:
-                collision = (v, first_by_value[v], mu)
-            else:
-                first_by_value[v] = mu
+    walk = members_upto_order(fam, m_max)
+    pairs = [(mu, v) for mu in walk if (v := decode_int(mu, seq)) <= bound]
+    _, _, collision, _ = first_collision(pairs)
     return SubsetReport(bound, pairs, collision)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
 
-from .blocks import FamilyError, PredecessorFamily, _scan_asc, enumerate_asc
+from .blocks import FamilyError, PredecessorFamily, _scan_asc, first_collision, members_upto_order
 from .coeff import CoeffFn
 from .integers import NotRepresentableError
 from .uniqueness import UniquenessReport
@@ -150,22 +150,8 @@ def check_unique_padic(
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
     """Collision walk over members of order <= order_cap, by residue."""
-    first_by_value: dict[int, CoeffFn] = {}
-    collision = None
-    seen = 0
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > order_cap:
-            break
-        seen += 1
-        v = eval_padic(mu, seq)
-        if collision is None:
-            if v in first_by_value:
-                collision = (v, first_by_value[v], mu)
-                if stop_at_collision:
-                    return UniquenessReport(order_cap, seen, len(first_by_value), collision, False)
-            else:
-                first_by_value[v] = mu
-    return UniquenessReport(order_cap, seen, len(first_by_value), collision, True)
+    pairs = ((mu, eval_padic(mu, seq)) for mu in members_upto_order(fam, order_cap))
+    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
 
 
 # -- roots and specific sequences --------------------------------------------
@@ -269,9 +255,7 @@ def weak_converse_probe(
     vals_a: set[int] = set()
     vals_b: set[int] = set()
     max_digit = 0
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > order_cap:
-            break
+    for mu in members_upto_order(fam, order_cap):
         if mu:
             max_digit = max(max_digit, max(d for _, d in mu.items()))
         vals_a.add(eval_padic(mu, seq_a))

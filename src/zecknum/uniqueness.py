@@ -2,7 +2,8 @@
 
 A family paired with an arbitrary positive sequence need not represent
 values uniquely.  The probe walks the members in ascending lex order up to
-an order cap, evaluates each, and reports the first value hit twice; for a
+an order cap, evaluates each, and reports the first value hit twice (the
+walk and the check live in ``blocks``, shared with the p-adic probe); for a
 multiplicity-list system with the matching linear recurrence, a cap of a
 few periods is the interesting regime (four by default, two with the
 shortcut flag).
@@ -11,9 +12,9 @@ shortcut flag).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .blocks import PredecessorFamily, enumerate_asc, members_upto_order
+from .blocks import PredecessorFamily, first_collision, members_upto_order
 from .coeff import CoeffFn
 from .integers import FundamentalSeq, decode_int
 from .recurrences import MultiplicityList
@@ -25,7 +26,8 @@ class UniquenessReport:
 
     ``members_seen`` counts the zero function; when a collision stops the
     walk early, ``complete`` is False and the counts cover only the prefix
-    up to and including the colliding member.
+    up to and including the colliding member.  A walk that goes on past a
+    collision counts every member and every distinct value up to the cap.
     """
 
     order_cap: int
@@ -50,22 +52,14 @@ def check_unique(
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
     """Walk members of order <= order_cap and look for a repeated value."""
-    first_by_value: dict[int, CoeffFn] = {}
-    collision: tuple[int, CoeffFn, CoeffFn] | None = None
-    seen = 0
-    for mu in enumerate_asc(fam):
-        if mu.order_asc > order_cap:
-            break
-        seen += 1
-        v = decode_int(mu, seq)
-        if collision is None:
-            if v in first_by_value:
-                collision = (v, first_by_value[v], mu)
-                if stop_at_collision:
-                    return UniquenessReport(order_cap, seen, len(first_by_value), collision, False)
-            else:
-                first_by_value[v] = mu
-    return UniquenessReport(order_cap, seen, len(first_by_value), collision, True)
+    pairs = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, order_cap))
+    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+
+
+def default_order_cap(multiplicities: Sequence[int] | None, shortcut: bool = False) -> int:
+    """Four periods of the multiplicity list, two with ``shortcut``; 8 without one."""
+    n = len(multiplicities or ())
+    return (2 if shortcut else 4) * n if n else 8
 
 
 def check_unique_multiplicity(
@@ -79,8 +73,7 @@ def check_unique_multiplicity(
     ml = MultiplicityList(tuple(e))
     fam = ml.predecessor_family()
     seq = FundamentalSeq.from_linear(tuple(seeds), ml.recurrence_coeffs(), name=f"Q{tuple(seeds)}")
-    cap = (2 if shortcut else 4) * ml.period
-    return check_unique(fam, seq, cap, stop_at_collision)
+    return check_unique(fam, seq, default_order_cap(ml.e, shortcut), stop_at_collision)
 
 
 def count_upto_order(
@@ -90,6 +83,4 @@ def count_upto_order(
 ) -> int:
     """Number of members of order <= order_cap, zero function included,
     optionally filtered."""
-    if pred is None:
-        return len(members_upto_order(fam, order_cap))
-    return sum(1 for mu in members_upto_order(fam, order_cap) if pred(mu))
+    return sum(1 for mu in members_upto_order(fam, order_cap) if pred is None or pred(mu))

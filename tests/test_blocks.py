@@ -16,6 +16,7 @@ from zecknum.blocks import (
     decompose_desc,
     enumerate_asc,
     enumerate_desc,
+    first_collision,
     is_member_asc,
     is_member_desc,
     members_upto_order,
@@ -160,10 +161,24 @@ class TestAscendingOrder:
         assert [next(walk).render() for _ in want] == want
 
     def test_members_upto_order(self):
-        members = members_upto_order(FIB, 4)
+        members = list(members_upto_order(FIB, 4))
         assert len(members) == 8
         assert members[0] == ZERO
         assert all(mu.order_asc <= 4 for mu in members)
+
+    def test_members_upto_order_is_lazy_and_rejects_negative_caps(self):
+        walk = members_upto_order(FIB, 10**6)
+        assert iter(walk) is walk
+        assert [next(walk).render() for _ in range(3)] == ["0", "1:1", "2:1"]
+        with pytest.raises(ValueError, match="order cap"):
+            members_upto_order(FIB, -1)
+
+    def test_first_collision(self):
+        a, b, c = CoeffFn.parse("1:1"), CoeffFn.parse("2:1"), CoeffFn.parse("3:1")
+        pairs = [(ZERO, 0), (a, 1), (b, 1), (c, 2)]
+        assert first_collision([]) == (0, 0, None, True)
+        assert first_collision(pairs) == (3, 2, (1, a, b), False)
+        assert first_collision(pairs, stop=False) == (4, 3, (1, a, b), True)
 
     def test_successor_clears_maximal_bottom(self):
         assert successor_asc(CoeffFn.parse("2:2,4:4,6:6,7:3,8:2"), IB).render() == "7:4,8:2"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from zecknum.cli import main
+from zecknum.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -119,6 +122,12 @@ class TestVerifyUnique:
         rc, lines, _ = run(capsys, "verify-unique", "-f", "golden-41", "--cap", "8")
         assert rc == 0
         assert "# seen: 55 (nonzero 54), distinct values: 55" in lines
+
+    def test_full_counts_past_the_collision(self, capsys):
+        rc, lines, _ = run(capsys, "verify-unique", "-f", "mult-11-3", "--cap", "3", "--full")
+        assert rc == 1
+        assert "# seen: 1521 (nonzero 1520), distinct values: 1086" in lines
+        assert "# collision at value 114: 1:6 then 2:8,3:1" in lines
 
 
 class TestConverseProbe:
@@ -247,6 +256,58 @@ class TestErrors:
         rc, _, err = run(capsys, "encode", "-f", "fib", "5")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify-unique", "-f", "fib", "--cap", "-1"], "order cap must be nonnegative, got -1"),
+            (["converse-probe", "-f", "padic-5-20", "--cap", "-1"], "order cap must be nonnegative"),
+            (["enumerate", "-f", "fib", "--count", "-1"], "--count must be nonnegative, got -1"),
+            (["enumerate", "-f", "sevenths", "--count", "-1"], "--count must be nonnegative"),
+        ],
+    )
+    def test_negative_cap_or_count(self, capsys, argv, message):
+        rc, lines, err = run(capsys, *argv)
+        assert rc == 2
+        assert lines == []
+        assert err.count("\n") == 1 and err.startswith("config error") and message in err
+
+
+# every verb bound to a system, run on a fixture of a kind its wiring rejects
+WRONG_KIND = [
+    (["encode", "-f", "sevenths", "5"], "real"),
+    (["shift", "-f", "sevenths", "1:1"], "real"),
+    (["decompose", "-f", "harmonic", "1:1"], "real"),
+    (["subset", "-f", "golden-41", "--bound", "5"], "padic"),
+    (["verify-unique", "-f", "sevenths"], "real"),
+    (["converse-probe", "-f", "fib", "--cap", "4"], "integer"),
+    (["verify-recurrence", "-f", "golden-41", "--coeffs", "1,1", "--start", "3", "--stop", "5"], "padic"),
+    (["verify-maximal", "-f", "fib", "--n", "2", "--horizon", "5"], "integer"),
+    (["real-expand", "-f", "golden-41", "1/2"], "padic"),
+    (["padic-expand", "-f", "fib", "3"], "integer"),
+]
+
+
+def _verb_kinds() -> dict[str, tuple[str, ...]]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {verb: p.get_default("kinds") for verb, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("argv,kind", WRONG_KIND, ids=[a[0] for a, _ in WRONG_KIND])
+def test_wrong_kind_names_verb_and_kind(capsys, argv, kind):
+    rc, lines, err = run(capsys, *argv)
+    assert rc == 2
+    assert lines == []
+    assert err.count("\n") == 1 and err.startswith("config error")
+    assert f"{argv[0]} works on " in err and f"is {kind}" in err
+    assert kind not in _verb_kinds()[argv[0]]
+
+
+def test_wrong_kind_cases_cover_every_restricted_verb():
+    kinds = _verb_kinds()
+    assert {v for v, k in kinds.items() if k is None} == {"fixtures", "dominant-check"}
+    restricted = {v for v, k in kinds.items() if k is not None and len(k) < 3}
+    assert restricted == {argv[0] for argv, _ in WRONG_KIND}
+
 
 class TestConfigFile:
     def test_load_from_path(self, capsys, tmp_path):
@@ -337,3 +398,51 @@ def test_cold_module_run_matches_readme():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "# fib: value\tdigits\n100\t3:1,5:1,10:1\n144\t11:1\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ORDINALS = ("first", "second", "third", "fourth", "fifth")
+
+
+def readme_transcripts() -> list[tuple[str, list[str], int]]:
+    """(command, expected stdout lines, exit code) for every `$ zecknum` line
+    in README.md's text blocks.  A command exits 0 unless the prose after its
+    block says "The <ordinal> command exits with status N"."""
+    found = []
+    text = README.read_text(encoding="utf-8")
+    for block, prose in re.findall(r"```text\n(.*?)```\n(.*?)(?=```|\Z)", text, re.S):
+        codes = re.findall(r"The (\w+) command exits with status (\d)", prose)
+        codes = {ORDINALS.index(word): int(code) for word, code in codes}
+        for i, chunk in enumerate(re.split(r"^\$ ", block, flags=re.M)[1:]):
+            command, *lines = chunk.rstrip("\n").split("\n")
+            found.append((command, lines, codes.get(i, 0)))
+    return found
+
+
+def _matches(want: str, got: str) -> bool:
+    """'...' inside a README line stands for a run of non-space characters."""
+    return re.fullmatch(r"\S*".join(map(re.escape, want.split("..."))), got) is not None
+
+
+README_TRANSCRIPTS = readme_transcripts()
+
+
+def test_readme_transcripts_found():
+    assert len(README_TRANSCRIPTS) == 15
+    failing = [c for c, _, code in README_TRANSCRIPTS if code]
+    assert failing == ["zecknum subset -f mult-11-3 --bound 200"]
+
+
+@pytest.mark.parametrize("command,want,code", README_TRANSCRIPTS, ids=[c for c, _, _ in README_TRANSCRIPTS])
+def test_readme_transcript(capsys, monkeypatch, command, want, code):
+    monkeypatch.delenv("ZECKNUM_PRECISION", raising=False)
+    prog, *argv = shlex.split(command)
+    assert prog == "zecknum"
+    rc, got, _ = run(capsys, *argv)
+    assert rc == code
+    if "..." in want:  # a '...' line cuts the listing short
+        want = want[: want.index("...")]
+        got = got[: len(want)]
+    assert len(got) == len(want)
+    for w, g in zip(want, got):
+        assert _matches(w, g), (w, g)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zecknum.blocks import members_upto_order
 from zecknum.coeff import CoeffFn
-from zecknum.integers import FundamentalSeq
+from zecknum.integers import FundamentalSeq, decode_int
 from zecknum.recurrences import MultiplicityList
 from zecknum.uniqueness import (
     check_unique,
@@ -40,6 +42,15 @@ class TestCheckUnique:
         )
         assert report.complete
         assert report.collision is None or report.collision[0] >= 114
+
+    def test_full_walk_counts_every_distinct_value(self, mult_11_3):
+        fam, seq = mult_11_3.family, mult_11_3.sequence
+        report = check_unique(fam, seq, 3, stop_at_collision=False)
+        values = [decode_int(mu, seq) for mu in members_upto_order(fam, 3)]
+        assert report.complete
+        assert report.members_seen == len(values) == 1521
+        assert report.distinct_values == len(set(values)) == 1086
+        assert report.collision[0] == 114
 
 
 class TestCheckUniqueMultiplicity:
@@ -87,3 +98,7 @@ class TestCountUptoOrder:
     def test_filtered(self, fib):
         exactly_4 = count_upto_order(fib.family, 4, pred=lambda mu: mu.order_asc == 4)
         assert exactly_4 == 3
+
+    def test_negative_cap_rejected(self, fib):
+        with pytest.raises(ValueError, match="order cap"):
+            count_upto_order(fib.family, -1)
