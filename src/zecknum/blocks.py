@@ -19,7 +19,7 @@ Both scans yield the successor/predecessor rules and hence enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
@@ -76,6 +76,8 @@ class PredecessorFamily:
         self.shape = shape
         self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
         self._tails = [[0] for _ in range(shape.period)]
+        # beside each tail: _nonzero[r][j] is the largest i <= j with tail[i] != 0, or 0
+        self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
         """Row n as a CoeffFn, built from parts(n) on each call."""
@@ -83,15 +85,19 @@ class PredecessorFamily:
 
     def digits_desc(self, n: int) -> Iterator[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs in descending index order."""
-        head, top, tail, _ = self.parts(n)
+        head, top, tail, r = self.parts(n)
         yield from head.items()
-        yield from ((j, tail[j]) for j in range(top, 0, -1) if tail[j])
+        nonzero, j = self._nonzero[r], top
+        while j := nonzero[j]:
+            yield j, tail[j]
+            j -= 1
 
     def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits_desc, _scan_asc and FundamentalSeq.from_family read this inline."""
+        digits_desc, _scan_asc, enumerate_asc and FundamentalSeq.from_family
+        read this inline."""
         p = self._parts.get(n)
         if p is None:
             p = self._parts[n] = self._make_parts(n)
@@ -102,11 +108,12 @@ class PredecessorFamily:
             raise FamilyError(f"{self.name}: predecessor rows start at n=2, got {n}")
         s = self.shape
         r, top = n % s.period, s.top(n)
-        tail = self._tails[r]
+        tail, nonzero = self._tails[r], self._nonzero[r]
         for j in range(len(tail), top + 1):
             tail.append(self._checked(j, s.tail(j, r)))
+            nonzero.append(j if tail[j] else nonzero[j - 1])
         head = {k: self._checked(k, d) for k, d in sorted(s.head(n), reverse=True) if d}
-        order = next(iter(head), 0) or next((j for j in range(top, 0, -1) if tail[j]), 0)
+        order = next(iter(head), 0) or nonzero[top]
         if order != n - 1:
             raise FamilyError(f"{self.name}: row {n} has order {order}, expected {n - 1}")
         return head, top, tail, r
@@ -286,22 +293,73 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
 
 
 def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[CoeffFn]:
-    """Members from ``start`` on, in ascending lex order (never ends)."""
-    cur = start
+    """Members from ``start`` on, in ascending lex order (never ends).
+
+    The members successor_asc chains to, at amortized O(1) scan work each:
+    ``start`` is scanned once (a non-member is yielded, then NotMemberError
+    raised), and from then on the walker keeps the decomposition itself, so a
+    step touches only the bottom block.  ``blocks`` holds the spans
+    [lo, hi, maximal] except the all-zero singletons, ``digits`` the support
+    pairs, both top first so that every edit happens at their ends.
+    """
+    yield start
+    blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
+    digits = list(reversed(start.items()))
+    parts, nonzero, trusted = fam.parts, fam._nonzero, CoeffFn._trusted
     while True:
-        yield cur
-        cur = successor_asc(cur, fam)
+        # carry: a maximal bottom block [1, hi] clears into hi + 1, else index 1 goes up
+        if blocks and blocks[-1][2]:
+            hi = blocks.pop()[1]
+            while digits and digits[-1][0] <= hi:
+                digits.pop()
+            n = hi + 1
+        else:
+            n = 1
+        # n is the low end of the block above, or an all-zero singleton against row(n+1)
+        if blocks and blocks[-1][0] == n:
+            block = blocks[-1]
+        else:
+            block = [n, n, False]
+            blocks.append(block)
+        if digits and digits[-1][0] == n:
+            d = digits[-1][1] + 1
+            digits[-1] = (n, d)
+        else:
+            d = 1
+            digits.append((n, 1))
+        # digits stay under validated row digits, so the member needs no checks
+        yield trusted(tuple(reversed(digits)))
+        # a digit that reaches its row digit extends the block down to the row's
+        # next nonzero index, or, with none left, to 1 as the maximal block
+        head, top, tail, r = parts(block[1] + 1)
+        if d == (tail[n] if n <= top else head.get(n, 0)):
+            lo = next((k for k in head if k < n), 0) if n - 1 > top else 0
+            lo = lo or nonzero[r][min(n - 1, top)]
+            block[0], block[2] = (lo, False) if lo else (1, True)
+
+
+# Most members one bounded walk may yield; a cap past it is refused part way
+# instead of running for hours (mult-11-3 has about 14^8 members of order <= 8).
+MEMBER_LIMIT = 10**6
 
 
 def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
     """Members of order <= k in ascending lex order, zero included, lazily.
 
     The one bounded walk: it stops at the first member of order k+1, which in
-    ascending lex comes after every member of order <= k.
+    ascending lex comes after every member of order <= k.  Reaching member
+    MEMBER_LIMIT + 1 raises ValueError instead.
     """
     if k < 0:
         raise ValueError(f"order cap must be nonnegative, got {k}")
-    return takewhile(lambda mu: mu.order_asc <= k, enumerate_asc(fam))
+    walk = takewhile(lambda mu: mu.order_asc <= k, enumerate_asc(fam))
+    return chain(islice(walk, MEMBER_LIMIT), _refuse_more(walk, k))
+
+
+def _refuse_more(walk: Iterator[CoeffFn], k: int) -> Iterator[CoeffFn]:
+    for _ in walk:
+        raise ValueError(f"order cap {k} walks more than {MEMBER_LIMIT:,} members; lower the cap")
+    yield from ()
 
 
 def first_collision(
@@ -326,6 +384,12 @@ def first_collision(
 # -- descending world --------------------------------------------------------
 
 
+def check_horizon(horizon: int) -> None:
+    """Reject a horizon below 1: no index lies under it, so nothing is decided."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+
+
 def _scan_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int, int, bool]]:
     """Split ``eps`` into spans (lo, hi, truncated), bottom-up, at the horizon.
 
@@ -333,6 +397,7 @@ def _scan_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int
     index where eps drops below the row closes the block; exceeding it is a
     failure; running out of horizon leaves the last block truncated.
     """
+    check_horizon(horizon)
     if eps.order_asc > horizon:
         raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
     spans: list[tuple[int, int, bool]] = []
@@ -392,11 +457,17 @@ def successor_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> CoeffFn:
 
 
 def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:
-    """All horizon-restricted members in descending lex order, zero first."""
-    cur = ZERO
-    while True:
-        yield cur
-        try:
-            cur = successor_desc(cur, fam, horizon)
-        except AtMaximumError:
-            return
+    """All horizon-restricted members in descending lex order, zero first;
+    a horizon below 1 is rejected here, before the first member."""
+    check_horizon(horizon)
+
+    def walk() -> Iterator[CoeffFn]:
+        cur = ZERO
+        while True:
+            yield cur
+            try:
+                cur = successor_desc(cur, fam, horizon)
+            except AtMaximumError:
+                return
+
+    return walk()

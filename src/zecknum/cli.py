@@ -22,6 +22,7 @@ from .blocks import (
     AtMaximumError,
     FamilyError,
     NotMemberError,
+    check_horizon,
     decompose_asc,
     enumerate_asc,
     enumerate_desc,
@@ -129,6 +130,7 @@ def cmd_enumerate(args) -> int:
     sys_.seq(args.seq)
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
+    check_horizon(args.horizon)
     title, walk = _walk(sys_, args)
     print(f"# {sys_.name}: {title}")
     for i, fn in enumerate(islice(walk, args.count)):

@@ -120,6 +120,15 @@ class CoeffFn:
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_map", dict(pairs))
 
+    @classmethod
+    def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "CoeffFn":
+        """Wrap support pairs already known to be valid (ascending indices >= 1,
+        digits in [1, DIGIT_LIMIT)) without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_map", dict(pairs))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("CoeffFn is immutable")
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .blocks import FamilyError, MaximalFamily
+from .blocks import FamilyError, MaximalFamily, check_horizon
 from .coeff import CoeffFn
 
 Numeric = Union[Fraction, Decimal]
@@ -212,6 +212,7 @@ class IdentityReport:
 def verify_maximal_identity(fam: MaximalFamily, seq, n: int, horizon: int, tol) -> IdentityReport:
     """Check that the maximal row at n, summed against Q up to the horizon,
     lands within tol of Q_{n-1}."""
+    check_horizon(horizon)
     total = seq.value(n) * 0  # zero of the sequence's numeric type
     for k, d in fam.row(n).support_iter():
         if k > horizon:

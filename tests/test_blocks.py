@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-from itertools import product
+from collections import deque
+from itertools import islice, product
 
 import pytest
+from conftest import INTEGER_FIXTURES, get_system
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zecknum.blocks import (
+    MEMBER_LIMIT,
     AtMaximumError,
     FamilyError,
     MaximalFamily,
@@ -25,7 +28,8 @@ from zecknum.blocks import (
     successor_desc,
 )
 from zecknum.coeff import INFINITE, ZERO, CoeffFn, basis, from_dense
-from zecknum.recurrences import MultiplicityList, index_bounded_family
+from zecknum.integers import encode_int
+from zecknum.recurrences import MultiplicityList, family_from_table, index_bounded_family
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
 FIB_MAX = MultiplicityList((1, 1)).maximal_family()
@@ -197,6 +201,88 @@ class TestAscendingOrder:
         assert next(walk).render() == "1:1,4:1"
 
 
+# rows 2..40 with digits 0..2 below a top digit of 1 or 2: far more members
+# below order 40 than the walks below take
+TABLE = family_from_table(
+    [[(n + 2 * j) % 3 for j in range(1, n - 1)] + [1 + n % 2] for n in range(2, 41)], name="table"
+)
+WALKED = (*INTEGER_FIXTURES, "golden-41", "padic-5-20", "table")
+
+
+def walked_family(name: str):
+    return TABLE if name == "table" else get_system(name).family
+
+
+def successor_chain(fam, start, count):
+    chain = [start]
+    while len(chain) < count:
+        chain.append(successor_asc(chain[-1], fam))
+    return chain
+
+
+class TestWalkerAgainstSuccessor:
+    """enumerate_asc keeps its own block stack; successor_asc rescans each
+    member and is the reference."""
+
+    @pytest.mark.parametrize("name", WALKED)
+    def test_first_members(self, name):
+        fam = walked_family(name)
+        chain = successor_chain(fam, ZERO, 10**4)
+        assert list(islice(enumerate_asc(fam), 10**4)) == chain
+        for i in (1234, 5000, 8765):
+            assert list(islice(enumerate_asc(fam, chain[i]), 10**4 - i)) == chain[i:]
+
+    # fixtures whose greedy encoder reaches every integer
+    @given(
+        st.sampled_from(["fib", "index-bounded", "rec-3-1", "rec-8-2-3", "blocks7", "factorial"]),
+        st.integers(0, 10**12),
+    )
+    def test_from_encoded_start(self, name, x):
+        s = get_system(name)
+        start = encode_int(x, s.family, s.sequence)
+        assert list(islice(enumerate_asc(s.family, start), 200)) == successor_chain(s.family, start, 200)
+
+    def test_table_end(self):
+        # both read row 5 first when stepping past basis(4), the table's last member
+        fam = family_from_table([[1], [0, 1], [1, 0, 1]])
+
+        def until_family_error(walk):
+            seen = []
+            with pytest.raises(FamilyError):
+                seen.extend(walk)
+            return seen
+
+        def chain_walk():
+            cur = ZERO
+            while True:
+                yield cur
+                cur = successor_asc(cur, fam)
+
+        walked = until_family_error(enumerate_asc(fam))
+        assert walked == until_family_error(chain_walk())
+        assert walked[-1] == basis(4)
+
+    def test_non_member_start(self):
+        walk = enumerate_asc(FIB, CoeffFn.parse("1:1,2:1,9:1"))
+        assert next(walk).render() == "1:1,2:1,9:1"
+        with pytest.raises(NotMemberError) as exc:
+            next(walk)
+        assert exc.value.witness == 1
+
+    @pytest.mark.parametrize("name", ["fib", "factorial", "pin-3", "blocks7"])
+    def test_members_are_ordinary(self, name):
+        for mu in islice(enumerate_asc(get_system(name).family), 3000):
+            same = CoeffFn.parse(mu.render())
+            assert mu == same and hash(mu) == hash(same)
+            indices = [i for i, _ in mu.items()]
+            assert indices == sorted(set(indices)) and all(d >= 1 for _, d in mu.items())
+
+    def test_member_limit(self):
+        walk = members_upto_order(get_system("mult-11-3").family, 8)
+        with pytest.raises(ValueError, match=f"order cap 8 walks more than {MEMBER_LIMIT:,} members; lower the cap"):
+            deque(walk, maxlen=0)
+
+
 def no_adjacent(bits: list[int]) -> CoeffFn:
     out = []
     prev = 0
@@ -259,6 +345,14 @@ class TestDescendingScan:
             decompose_desc(CoeffFn.parse("1:1,2:1"), FIB_MAX, 3)
         assert exc.value.witness == 2
         assert not is_member_desc(CoeffFn.parse("1:1,2:1"), FIB_MAX, 3)
+
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_horizon_below_one(self, horizon):
+        message = f"horizon must be positive, got {horizon}"
+        with pytest.raises(ValueError, match=message):
+            enumerate_desc(FIB_MAX, horizon)
+        with pytest.raises(ValueError, match=message):
+            decompose_desc(ZERO, FIB_MAX, horizon)
 
     def test_support_beyond_horizon(self):
         with pytest.raises(ValueError):

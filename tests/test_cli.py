@@ -271,6 +271,36 @@ class TestErrors:
         assert lines == []
         assert err.count("\n") == 1 and err.startswith("config error") and message in err
 
+    @pytest.mark.parametrize(
+        "argv,horizon",
+        [
+            (["enumerate", "-f", "sevenths"], "0"),
+            (["enumerate", "-f", "sevenths"], "-2"),
+            (["enumerate", "-f", "fib"], "0"),
+            (["verify-maximal", "-f", "golden-real", "--n", "2"], "0"),
+            (["verify-maximal", "-f", "golden-real", "--n", "2"], "-2"),
+        ],
+    )
+    def test_horizon_below_one(self, capsys, argv, horizon):
+        rc, lines, err = run(capsys, *argv, "--horizon", horizon)
+        assert rc == 2
+        assert lines == []
+        assert err == f"config error: horizon must be positive, got {horizon}\n"
+
+    def test_walk_past_member_limit(self, capsys, monkeypatch):
+        # the default cap 8 has about 14^8 members; cap 3 has exactly 1521
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1000)
+        rc, lines, err = run(capsys, "verify-unique", "-f", "mult-11-3", "--full")
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: order cap 8 walks more than 1,000 members; lower the cap\n"
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1520)
+        rc, lines, err = run(capsys, "verify-unique", "-f", "mult-11-3", "--cap", "3", "--full")
+        assert rc == 2 and "order cap 3 walks more than 1,520 members" in err
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1521)
+        rc, lines, _ = run(capsys, "verify-unique", "-f", "mult-11-3", "--cap", "3", "--full")
+        assert rc == 1 and lines[1].startswith("# seen: 1521 ")
+
 
 # every verb bound to a system, run on a fixture of a kind its wiring rejects
 WRONG_KIND = [
