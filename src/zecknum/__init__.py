@@ -33,8 +33,6 @@ from .coeff import (
     IndexInterval,
     basis,
     from_dense,
-    lex_compare_asc,
-    lex_compare_desc,
     to_dense,
 )
 from .config import System, build_system, fixture_names, load_config, load_fixture
@@ -62,7 +60,6 @@ from .padic import (
     weak_converse_probe,
 )
 from .real import (
-    PI_100,
     BlockGeometricSeq,
     DominanceResult,
     Expansion,

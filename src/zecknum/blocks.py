@@ -41,6 +41,10 @@ class AtMaximumError(ValueError):
     """The horizon-restricted maximum has no successor."""
 
 
+class WalkLimitError(ValueError):
+    """A bounded walk reached more than MEMBER_LIMIT members."""
+
+
 @dataclass(frozen=True)
 class RowShape:
     """Rows of a structural family, described instead of stored.
@@ -348,7 +352,7 @@ def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
 
     The one bounded walk: it stops at the first member of order k+1, which in
     ascending lex comes after every member of order <= k.  Reaching member
-    MEMBER_LIMIT + 1 raises ValueError instead.
+    MEMBER_LIMIT + 1 raises WalkLimitError instead.
     """
     if k < 0:
         raise ValueError(f"order cap must be nonnegative, got {k}")
@@ -358,7 +362,7 @@ def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
 
 def _refuse_more(walk: Iterator[CoeffFn], k: int) -> Iterator[CoeffFn]:
     for _ in walk:
-        raise ValueError(f"order cap {k} walks more than {MEMBER_LIMIT:,} members; lower the cap")
+        raise WalkLimitError(f"order cap {k} walks more than {MEMBER_LIMIT:,} members; lower the cap")
     yield from ()
 
 

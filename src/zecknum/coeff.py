@@ -116,9 +116,7 @@ class CoeffFn:
                 acc[i] = acc.get(i, 0) + d
                 if acc[i] >= DIGIT_LIMIT:
                     raise ValueError(f"digit overflow at index {i}")
-        pairs = tuple(sorted(acc.items()))
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_map", dict(pairs))
+        object.__setattr__(self, "_pairs", tuple(sorted(acc.items())))
 
     @classmethod
     def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "CoeffFn":
@@ -126,7 +124,6 @@ class CoeffFn:
         digits in [1, DIGIT_LIMIT)) without checking them again."""
         self = object.__new__(cls)
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_map", dict(pairs))
         return self
 
     def __setattr__(self, name, value):
@@ -135,7 +132,11 @@ class CoeffFn:
     # -- basic access ------------------------------------------------------
 
     def digit(self, i: int) -> int:
-        return self._map.get(i, 0)
+        try:
+            return self._map.get(i, 0)
+        except AttributeError:  # built on first use: most are only read through items()
+            object.__setattr__(self, "_map", dict(self._pairs))
+            return self._map.get(i, 0)
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Support pairs (index, digit) in ascending index order."""
@@ -245,29 +246,3 @@ def to_dense(f: CoeffFn, length: int | None = None) -> tuple[int, ...]:
     """Dense low-to-high digit tuple, padded/truncated to ``length`` if given."""
     n = f.order_asc if length is None else length
     return tuple(f.digit(i) for i in range(1, n + 1))
-
-
-def lex_compare_asc(a: CoeffFn, b: CoeffFn) -> int:
-    """-1/0/+1 comparing at the largest index where ``a`` and ``b`` differ."""
-    if a == b:
-        return 0
-    for i in sorted(set(a.support) | set(b.support), reverse=True):
-        da, db = a.digit(i), b.digit(i)
-        if da != db:
-            return -1 if da < db else 1
-    return 0
-
-
-def lex_compare_desc(a: CoeffFn, b: CoeffFn) -> int:
-    """-1/0/+1 comparing at the smallest index where ``a`` and ``b`` differ.
-
-    The function with the larger digit at that index is the larger one (low
-    indices carry the large weights in decreasing systems).
-    """
-    if a == b:
-        return 0
-    for i in sorted(set(a.support) | set(b.support)):
-        da, db = a.digit(i), b.digit(i)
-        if da != db:
-            return -1 if da < db else 1
-    return 0

@@ -17,7 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .blocks import PredecessorFamily, FamilyError, first_collision, members_upto_order
+from . import blocks
+from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, members_upto_order
 from .coeff import CoeffFn
 
 EXTENSION_LIMIT = 10**6
@@ -214,9 +215,13 @@ def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> Coef
     m_max = seq.top_below(x)
     if m_max == 0:
         raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
-    for mu in members_upto_order(fam, m_max):
-        if decode_int(mu, seq) == x:
-            return mu
+    try:
+        for mu in members_upto_order(fam, m_max):
+            if decode_int(mu, seq) == x:
+                return mu
+    except WalkLimitError:  # name the value, not the order cap derived from it
+        limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
+        raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
     raise NotRepresentableError(f"no admissible function of order <= {m_max} has value {x}")
 
 

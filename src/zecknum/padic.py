@@ -21,13 +21,20 @@ from .uniqueness import UniquenessReport
 
 
 def padic_valuation(x: int, p: int, cap: int) -> int:
-    """Largest v <= cap with p**v dividing x, with the zero residue capped."""
+    """Largest v <= cap with p**v dividing x, with the zero residue capped.
+
+    Divides by p, p**2, p**4, ... while they divide, then by the same powers
+    downwards: O(log v) big divisions."""
     if x == 0:
         return cap
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
+    v, powers = 0, [(p, 1)]
+    while v + powers[-1][1] <= cap and x % powers[-1][0] == 0:
+        q, n = powers[-1]
+        x, v = x // q, v + n
+        powers.append((q * q, 2 * n))
+    for q, n in reversed(powers[:-1]):
+        if v + n <= cap and x % q == 0:
+            x, v = x // q, v + n
     return v
 
 
@@ -84,6 +91,11 @@ class PadicSeq:
             raise FamilyError(f"{name}: no visible terms at precision {prec}")
         self.terms = tuple(terms)
         self.valuations = tuple(vals)
+        # decode's per-term step p**(v_k - v_k-1), unit Q_k / p**v_k, its inverse mod p
+        # and the remainder's modulus p**(prec - v_k)
+        units = [t // p**v for t, v in zip(terms, vals)]
+        self._layers = tuple((p ** (v - below), u, pow(u, -1, p), p ** (prec - v))
+                             for u, v, below in zip(units, vals, (0, *vals)))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -108,34 +120,33 @@ def eval_padic(fn: CoeffFn, seq: PadicSeq) -> int:
 
 
 def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) -> CoeffFn:
-    """Digits of the residue ``x``, one valuation layer at a time.
+    """Digits of the residue ``x``, one valuation layer at a time: the remainder
+    is kept divided by p**v of the last layer, so a term costs one small division.
 
     Raises NotRepresentableError when the remainder's valuation drops below
     every remaining term or survives past the last one; with a family given,
     also rejects digit functions outside it (NotMemberError, with witness).
     """
-    p, prec, m = seq.p, seq.prec, seq.modulus
-    rem = x % m
+    p = seq.p
+    r, s = x % seq.modulus, 0
     pairs: list[tuple[int, int]] = []
-    for k, (q, vk) in enumerate(zip(seq.terms, seq.valuations), start=1):
-        if rem == 0:
+    for k, ((step, unit, inv, mod), vk) in enumerate(zip(seq._layers, seq.valuations), start=1):
+        if r == 0:
             break
-        rv = padic_valuation(rem, p, prec)
-        if rv < vk:
+        r, low = divmod(r, step)
+        if low:
+            rv = s + padic_valuation(low, p, seq.prec)
             raise NotRepresentableError(
                 f"remainder valuation {rv} below term {k} valuation {vk}"
             )
-        if rv > vk:
-            continue
-        unit_r = rem // p**rv
-        unit_q = q // p**vk
-        d = unit_r * pow(unit_q, -1, p) % p
+        s = vk
+        d = r % p * inv % p
         if d:
             pairs.append((k, d))
-            rem = (rem - d * q) % m
-    if rem:
+            r = (r - d * unit) % mod
+    if r:
         raise NotRepresentableError(
-            f"residue {rem} left after the last visible term of {seq.name}"
+            f"residue {r * p**s} left after the last visible term of {seq.name}"
         )
     fn = CoeffFn(pairs)
     if fam is not None:

@@ -24,9 +24,6 @@ from .coeff import CoeffFn
 
 Numeric = Union[Fraction, Decimal]
 
-# first 100 decimal digits; enough to make greedy index traces exact
-PI_100 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"
-
 
 class GeometricSeq:
     """Q_n = omega^n for a fixed omega in (0, 1)."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, load_fixture
+from zecknum.coeff import CoeffFn
 
 settings.register_profile(
     "suite",
@@ -11,6 +12,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# first 100 decimal digits of pi; enough to make greedy index traces exact
+PI_100 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"
 
 _CACHE: dict[str, System] = {}
 
@@ -107,3 +111,32 @@ def golden_41() -> System:
 @pytest.fixture(scope="session")
 def padic_5_20() -> System:
     return get_system("padic-5-20")
+
+
+# -- lexicographic orders, the oracles for the walks' member order -----------
+
+
+def lex_compare_asc(a: CoeffFn, b: CoeffFn) -> int:
+    """-1/0/+1 comparing at the largest index where ``a`` and ``b`` differ."""
+    if a == b:
+        return 0
+    for i in sorted(set(a.support) | set(b.support), reverse=True):
+        da, db = a.digit(i), b.digit(i)
+        if da != db:
+            return -1 if da < db else 1
+    return 0
+
+
+def lex_compare_desc(a: CoeffFn, b: CoeffFn) -> int:
+    """-1/0/+1 comparing at the smallest index where ``a`` and ``b`` differ.
+
+    The function with the larger digit at that index is the larger one (low
+    indices carry the large weights in decreasing systems).
+    """
+    if a == b:
+        return 0
+    for i in sorted(set(a.support) | set(b.support)):
+        da, db = a.digit(i), b.digit(i)
+        if da != db:
+            return -1 if da < db else 1
+    return 0

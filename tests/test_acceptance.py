@@ -17,7 +17,7 @@ from random import Random
 
 import numpy as np
 
-from conftest import INTEGER_FIXTURES, get_system
+from conftest import INTEGER_FIXTURES, PI_100, get_system
 from zecknum.blocks import (
     decompose_asc,
     enumerate_asc,
@@ -28,7 +28,6 @@ from zecknum.coeff import CoeffFn, from_dense, to_dense
 from zecknum.integers import FundamentalSeq, decode_int, encode_int, enumerate_subset
 from zecknum.padic import check_unique_padic, eval_padic, weak_converse_probe
 from zecknum.real import (
-    PI_100,
     HarmonicSeq,
     eval_expansion,
     expand_real,

@@ -4,7 +4,7 @@ from collections import deque
 from itertools import islice, product
 
 import pytest
-from conftest import INTEGER_FIXTURES, get_system
+from conftest import INTEGER_FIXTURES, get_system, lex_compare_asc, lex_compare_desc
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -228,6 +228,7 @@ class TestWalkerAgainstSuccessor:
     def test_first_members(self, name):
         fam = walked_family(name)
         chain = successor_chain(fam, ZERO, 10**4)
+        assert all(lex_compare_asc(a, b) < 0 for a, b in zip(chain[:2000], chain[1:2000]))
         assert list(islice(enumerate_asc(fam), 10**4)) == chain
         for i in (1234, 5000, 8765):
             assert list(islice(enumerate_asc(fam, chain[i]), 10**4 - i)) == chain[i:]
@@ -368,7 +369,9 @@ class TestDescendingScan:
             assert sum(1 for _ in enumerate_desc(FIB_MAX, horizon)) == count
 
     def test_enumeration_hits_every_member(self):
-        got = set(enumerate_desc(FIB_MAX, 4))
+        members = list(enumerate_desc(FIB_MAX, 4))
+        assert all(lex_compare_desc(a, b) < 0 for a, b in zip(members, members[1:]))
+        got = set(members)
         want = {
             from_dense(v)
             for v in product(range(2), repeat=4)

@@ -301,6 +301,19 @@ class TestErrors:
         rc, lines, _ = run(capsys, "verify-unique", "-f", "mult-11-3", "--cap", "3", "--full")
         assert rc == 1 and lines[1].startswith("# seen: 1521 ")
 
+    def test_encode_past_member_limit_names_the_value(self, capsys, monkeypatch):
+        # pin-3's sequence is not increasing, so encode walks the members
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1000)
+        rc, lines, err = run(capsys, "encode", "-f", "pin-3", "5000")
+        assert rc == 2
+        assert err == (
+            "config error: pin-3: encoding 5000 walks more than 1,000 members"
+            " (sequence is not increasing)\n"
+        )
+        assert "order cap" not in err and "lower the cap" not in err
+        rc, lines, err = run(capsys, "encode", "-f", "pin-3", "200")
+        assert rc == 0 and err == "" and lines[1].startswith("200\t")
+
 
 # every verb bound to a system, run on a fixture of a kind its wiring rejects
 WRONG_KIND = [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import lex_compare_asc, lex_compare_desc
 from zecknum.coeff import (
     DIGIT_LIMIT,
     INFINITE,
@@ -14,8 +15,6 @@ from zecknum.coeff import (
     IndexInterval,
     basis,
     from_dense,
-    lex_compare_asc,
-    lex_compare_desc,
     to_dense,
 )
 
@@ -83,6 +82,52 @@ class TestAccess:
         assert f.order_desc == 2
         assert ZERO.order_asc == 0
         assert ZERO.order_desc is INFINITE
+
+
+def _digits_agree(f):
+    top = f.order_asc + 2
+    return all(f.digit(i) == dict(f.items()).get(i, 0) for i in range(1, top))
+
+
+class TestLazyMap:
+    """``digit`` builds its index map on first use; ``items`` never needs it."""
+
+    BUILT = {
+        "init": lambda: CoeffFn({7: 2, 1: 3, 4: 1}),
+        "trusted": lambda: CoeffFn._trusted(((1, 3), (4, 1), (7, 2))),
+        "parse": lambda: CoeffFn.parse("1:3,4:1,7:2"),
+        "plus_basis": lambda: CoeffFn({1: 3, 7: 2}).plus_basis(4),
+    }
+
+    @pytest.mark.parametrize("how", sorted(BUILT))
+    def test_digit_agrees_with_items(self, how):
+        f = self.BUILT[how]()
+        assert f.items() == ((1, 3), (4, 1), (7, 2))
+        assert _digits_agree(f)
+        assert _digits_agree(f)  # again, with the map built
+
+    @pytest.mark.parametrize("how", sorted(BUILT))
+    def test_hash_and_eq_before_and_after_digit(self, how):
+        fresh, read = self.BUILT[how](), self.BUILT[how]()
+        read.digit(4)
+        assert fresh == read and hash(fresh) == hash(read)
+        assert len({fresh, read, *(b() for b in self.BUILT.values())}) == 1
+        assert _digits_agree(fresh) and _digits_agree(read)
+
+    @given(fns)
+    def test_digit_agrees_after_hash(self, f):
+        hash(f)
+        assert f == CoeffFn._trusted(f.items())
+        assert _digits_agree(f)
+
+    def test_map_stays_private_and_immutable(self):
+        f = CoeffFn({2: 5})
+        assert f.digit(2) == 5
+        for name in ("_map", "_pairs", "digits"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, {})
+        assert f.digit(2) == 5 and f.items() == ((2, 5),)
+        assert not any(hasattr(f, name) for name in ("map", "digits", "__dict__"))
 
 
 class TestInfinite:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from zecknum.blocks import FamilyError, NotMemberError, enumerate_asc
+from zecknum.blocks import FamilyError, NotMemberError, _scan_asc, enumerate_asc, members_upto_order
 from zecknum.coeff import CoeffFn
+from zecknum.config import build_system
 from zecknum.integers import NotRepresentableError
 from zecknum.padic import (
     ConverseProbe,
@@ -26,6 +29,61 @@ def seq_from_terms(p, prec, terms):
     return PadicSeq(p, prec, lambda k: table[k - 1] if k <= len(table) else 0)
 
 
+def _valuation_ref(x, p, cap):
+    """One division by p per unit of valuation."""
+    if x == 0:
+        return cap
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _decode_padic_ref(x, seq, fam=None):
+    """Recount the remainder's valuation for every term."""
+    p, prec, m = seq.p, seq.prec, seq.modulus
+    rem = x % m
+    pairs = []
+    for k, (q, vk) in enumerate(zip(seq.terms, seq.valuations), start=1):
+        if rem == 0:
+            break
+        rv = _valuation_ref(rem, p, prec)
+        if rv < vk:
+            raise NotRepresentableError(
+                f"remainder valuation {rv} below term {k} valuation {vk}"
+            )
+        if rv > vk:
+            continue
+        unit_r = rem // p**rv
+        unit_q = q // p**vk
+        d = unit_r * pow(unit_q, -1, p) % p
+        if d:
+            pairs.append((k, d))
+            rem = (rem - d * q) % m
+    if rem:
+        raise NotRepresentableError(
+            f"residue {rem} left after the last visible term of {seq.name}"
+        )
+    fn = CoeffFn(pairs)
+    if fam is not None:
+        _scan_asc(fn, fam)
+    return fn
+
+
+def _outcome(decode, x, seq, fam=None):
+    """The decoded function, or the exception's type, message and witness."""
+    try:
+        return decode(x, seq, fam)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def assert_decodes_like_ref(residues, seq, fam=None):
+    for x in residues:
+        assert _outcome(decode_padic, x, seq, fam) == _outcome(_decode_padic_ref, x, seq, fam), x
+
+
 class TestValuation:
     def test_frozen(self):
         assert padic_valuation(7, 5, 10) == 0
@@ -38,6 +96,14 @@ class TestValuation:
 
     def test_cap_limits(self):
         assert padic_valuation(625, 5, 2) == 2
+
+    def test_large_valuations_match_repeated_division(self):
+        rng = Random(5)
+        for p in (2, 3, 5, 41):
+            for v in (0, 1, 2, 3, 7, 8, 63, 64, 65, 299, 300, 511, 512, 1000):
+                x = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p**v
+                for cap in (-1, 0, 1, v - 1, v, v + 1, 2 * v + 3, 1100):
+                    assert padic_valuation(x, p, cap) == _valuation_ref(x, p, cap), (x, p, cap)
 
 
 class TestApprox:
@@ -123,6 +189,47 @@ class TestDecode:
     def test_zero(self):
         seq = power_padic_seq(5, 4)
         assert decode_padic(0, seq) == CoeffFn()
+
+
+P5_300 = {
+    "name": "p5-300", "kind": "padic", "p": 5, "prec": 300,
+    "family": {"type": "multiplicity", "e": [4, 5]},
+    "sequence": {"type": "power", "unit": 1},
+}
+
+
+class TestDecodeAgainstReference:
+    """The one-division-per-layer decode against the valuation recount."""
+
+    def test_padic_5_20_all_residues(self, padic_5_20):
+        for seq in padic_5_20.sequences.values():
+            assert_decodes_like_ref(range(625), seq)
+            assert_decodes_like_ref(range(625), seq, padic_5_20.family)
+
+    def test_golden_41_random_residues(self, golden_41):
+        rng = Random(41)
+        seq = golden_41.sequence
+        residues = [rng.randrange(seq.modulus) for _ in range(3000)]
+        residues += [eval_padic(mu, seq) for mu in members_upto_order(golden_41.family, 8)]
+        assert_decodes_like_ref(residues, seq)
+        assert_decodes_like_ref(residues, seq, golden_41.family)
+
+    @pytest.mark.parametrize("terms", [(2, 9 * 5, 3**5 * 4), (3 * 2, 3**4)])
+    def test_gapped_valuations(self, terms):
+        # steps p**2 and p**3 between layers, and a first layer above valuation 0
+        seq = seq_from_terms(3, 7, terms)
+        assert seq.valuations == tuple(_valuation_ref(t, 3, 7) for t in terms)
+        assert_decodes_like_ref(range(3**7), seq)
+
+    def test_p5_300_dense_round_trips(self):
+        sys_ = build_system(P5_300)
+        seq, fam = sys_.sequence, sys_.family
+        rng = Random(300)
+        for _ in range(50):
+            mu = CoeffFn((k, rng.randrange(5)) for k in range(1, 301))
+            x = eval_padic(mu, seq)
+            assert decode_padic(x, seq, fam) == mu
+            assert _outcome(decode_padic, x, seq, fam) == _outcome(_decode_padic_ref, x, seq, fam)
 
 
 class TestHensel:

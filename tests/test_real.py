@@ -4,11 +4,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from conftest import PI_100
 
 from zecknum.blocks import FamilyError, is_member_desc
 from zecknum.coeff import CoeffFn
 from zecknum.real import (
-    PI_100,
     BlockGeometricSeq,
     GeometricSeq,
     HarmonicSeq,
