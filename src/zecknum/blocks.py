@@ -18,8 +18,9 @@ Both scans yield the successor/predecessor rules and hence enumeration.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
@@ -100,7 +101,7 @@ class PredecessorFamily:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits_desc, _scan_asc, enumerate_asc and FundamentalSeq.from_family
+        digits_desc, _scan_asc, walk_values and FundamentalSeq.from_family
         read this inline."""
         p = self._parts.get(n)
         if p is None:
@@ -296,29 +297,55 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
     return fam.row(n) + mu.minus_basis(n)
 
 
-def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[CoeffFn]:
-    """Members from ``start`` on, in ascending lex order (never ends).
+# Most members one bounded walk may yield; a cap past it is refused part way
+# instead of running for hours (mult-11-3 has about 14^8 members of order <= 8).
+MEMBER_LIMIT = 10**6
 
-    The members successor_asc chains to, at amortized O(1) scan work each:
-    ``start`` is scanned once (a non-member is yielded, then NotMemberError
-    raised), and from then on the walker keeps the decomposition itself, so a
-    step touches only the bottom block.  ``blocks`` holds the spans
-    [lo, hi, maximal] except the all-zero singletons, ``digits`` the support
-    pairs, both top first so that every edit happens at their ends.
+
+def _check_cap(k: int) -> int:
+    if k < 0:
+        raise ValueError(f"order cap must be nonnegative, got {k}")
+    return k
+
+
+def walk_values(
+    fam: PredecessorFamily, q: Callable[[int], int] | None = None, start: CoeffFn = ZERO, cap: int | None = None
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(value, digits) of the members from ``start`` on, in ascending lex order.
+
+    The one member walker, amortized O(1) per member: ``start`` is scanned once
+    (a non-member is yielded, then NotMemberError raised); then the walker keeps
+    its decomposition's spans [lo, hi, maximal], bar all-zero singletons, and
+    ``digits``, the support pairs top first, one list edited in place at its low
+    end.  The value sum(d * q(k)) rides along (0 without ``q``): a carry takes
+    off the pairs it clears, the raised digit adds q(n).  An order ``cap`` (not
+    below the start's order) ends the walk at the first member past it, and
+    member MEMBER_LIMIT + 1 raises WalkLimitError, both before its q is read.
     """
-    yield start
-    blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
+    # members left before the limit (never 0 uncapped), and a cap no index passes
+    left, cap = (-1, sys.maxsize) if cap is None else (MEMBER_LIMIT, _check_cap(cap))
     digits = list(reversed(start.items()))
-    parts, nonzero, trusted = fam.parts, fam._nonzero, CoeffFn._trusted
+    value = sum(d * q(k) for k, d in start.items()) if q else 0
+    yield value, digits
+    blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
+    built, parts, nonzero = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
     while True:
         # carry: a maximal bottom block [1, hi] clears into hi + 1, else index 1 goes up
         if blocks and blocks[-1][2]:
             hi = blocks.pop()[1]
             while digits and digits[-1][0] <= hi:
-                digits.pop()
+                k, d = digits.pop()
+                if q:
+                    value -= d * q(k)
             n = hi + 1
         else:
             n = 1
+        # the pairs above n are an earlier member's: the order passes the cap iff n does
+        if n > cap:
+            return
+        left -= 1
+        if not left:
+            raise WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
         # n is the low end of the block above, or an all-zero singleton against row(n+1)
         if blocks and blocks[-1][0] == n:
             block = blocks[-1]
@@ -331,58 +358,74 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
         else:
             d = 1
             digits.append((n, 1))
-        # digits stay under validated row digits, so the member needs no checks
-        yield trusted(tuple(reversed(digits)))
+        if q:
+            value += q(n)
+        yield value, digits
         # a digit that reaches its row digit extends the block down to the row's
         # next nonzero index, or, with none left, to 1 as the maximal block
-        head, top, tail, r = parts(block[1] + 1)
+        head, top, tail, r = built.get(block[1] + 1) or parts(block[1] + 1)
         if d == (tail[n] if n <= top else head.get(n, 0)):
             lo = next((k for k in head if k < n), 0) if n - 1 > top else 0
             lo = lo or nonzero[r][min(n - 1, top)]
             block[0], block[2] = (lo, False) if lo else (1, True)
 
 
-# Most members one bounded walk may yield; a cap past it is refused part way
-# instead of running for hours (mult-11-3 has about 14^8 members of order <= 8).
-MEMBER_LIMIT = 10**6
+def member(digits: list[tuple[int, int]]) -> CoeffFn:
+    """A walk_values member; its digits stay under validated row digits."""
+    return CoeffFn._trusted(tuple(digits[::-1]))
+
+
+def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[CoeffFn]:
+    """Members from ``start`` on, in ascending lex order (never ends)."""
+    trusted = CoeffFn._trusted  # member() inlined: one call less per member
+    return (trusted(tuple(digits[::-1])) for _, digits in walk_values(fam, start=start))
 
 
 def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
-    """Members of order <= k in ascending lex order, zero included, lazily.
-
-    The one bounded walk: it stops at the first member of order k+1, which in
-    ascending lex comes after every member of order <= k.  Reaching member
-    MEMBER_LIMIT + 1 raises WalkLimitError instead.
-    """
-    if k < 0:
-        raise ValueError(f"order cap must be nonnegative, got {k}")
-    walk = takewhile(lambda mu: mu.order_asc <= k, enumerate_asc(fam))
-    return chain(islice(walk, MEMBER_LIMIT), _refuse_more(walk, k))
-
-
-def _refuse_more(walk: Iterator[CoeffFn], k: int) -> Iterator[CoeffFn]:
-    for _ in walk:
-        raise WalkLimitError(f"order cap {k} walks more than {MEMBER_LIMIT:,} members; lower the cap")
-    yield from ()
+    """Members of order <= k in ascending lex order, zero included, lazily."""
+    return (member(digits) for _, digits in walk_values(fam, cap=_check_cap(k)))
 
 
 def first_collision(
-    pairs: Iterable[tuple[CoeffFn, object]], stop: bool = True
-) -> tuple[int, int, tuple[object, CoeffFn, CoeffFn] | None, bool]:
+    pairs: Iterable[tuple[object, object]], stop: bool = True
+) -> tuple[int, int, tuple[object, object, object] | None, bool]:
     """(members seen, distinct values, first collision (value, earlier, later)
-    or None, whether the pairs ran out) for a stream of (member, value) pairs;
+    or None, whether the pairs ran out) for a stream of (key, value) pairs;
     ``stop`` ends the scan at the collision, counting only that prefix."""
-    first_by_value: dict[object, CoeffFn] = {}
+    first_by_value: dict[object, object] = {}
     collision = None
     seen = 0
-    for mu, v in pairs:
+    for key, v in pairs:
         seen += 1
-        earlier = first_by_value.setdefault(v, mu)
-        if earlier is not mu and collision is None:
-            collision = (v, earlier, mu)
+        earlier = first_by_value.setdefault(v, key)
+        if earlier is not key and collision is None:
+            collision = (v, earlier, key)
             if stop:
                 return seen, len(first_by_value), collision, False
     return seen, len(first_by_value), collision, True
+
+
+def value_collision(
+    fam: PredecessorFamily, q: Callable[[int], int], cap: int, stop: bool = True, modulus: int | None = None
+) -> tuple[int, int, tuple[int, CoeffFn, CoeffFn] | None, bool]:
+    """first_collision on the members of order <= cap, keyed by rank, by their
+    walk_values value (mod ``modulus`` if given).  Only the two colliding
+    members are built: the earlier by a re-walk to its rank, the later from
+    the stopped walk's own digits (or by a re-walk, if the walk went on)."""
+    walk = walk_values(fam, q, cap=cap)
+    v0, live = next(walk)
+    values = chain((v0,), (v for v, _ in walk))
+    if modulus:
+        values = (v % modulus for v in values)
+    seen, distinct, collision, done = first_collision(enumerate(values), stop)
+    if collision:
+        v, i, j = collision
+        collision = (v, _member_at(fam, i), _member_at(fam, j) if done else member(live))
+    return seen, distinct, collision, done
+
+
+def _member_at(fam: PredecessorFamily, rank: int) -> CoeffFn:
+    return member(next(islice(walk_values(fam), rank, None))[1])
 
 
 # -- descending world --------------------------------------------------------

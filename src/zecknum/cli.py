@@ -26,13 +26,11 @@ from .blocks import (
     decompose_asc,
     enumerate_asc,
     enumerate_desc,
-    first_collision,
-    members_upto_order,
 )
 from .coeff import CoeffFn
 from .config import System, fixture_names, load_config, load_fixture
 from .integers import NotRepresentableError, encode_int, enumerate_subset, shift_value
-from .padic import decode_padic, weak_converse_probe
+from .padic import check_unique_padic, decode_padic, weak_converse_probe
 from .real import (
     dominance_criterion,
     expand_real,
@@ -40,7 +38,7 @@ from .real import (
     verify_maximal_identity,
 )
 from .recurrences import verify_recurrence
-from .uniqueness import UniquenessReport, default_order_cap
+from .uniqueness import check_unique, default_order_cap
 
 
 def _precision() -> int:
@@ -159,8 +157,8 @@ def cmd_subset(args) -> int:
 def cmd_verify_unique(args) -> int:
     sys_ = _system(args)
     cap = default_order_cap(sys_.multiplicities, args.shortcut) if args.cap is None else args.cap
-    pairs = ((mu, sys_.value(mu, args.seq)) for mu in members_upto_order(sys_.family, cap))
-    report = UniquenessReport(cap, *first_collision(pairs, stop=not args.full))
+    check = {"integer": check_unique, "padic": check_unique_padic}[sys_.kind]
+    report = check(sys_.family, sys_.seq(args.seq), cap, stop_at_collision=not args.full)
     print(f"# {sys_.name}: members of order <= {cap} under {args.seq}")
     print(f"# seen: {report.members_seen} (nonzero {report.nonzero_members}), distinct values: {report.distinct_values}")
     if report.collision:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import blocks
-from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, members_upto_order
+from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, walk_values
 from .coeff import CoeffFn
 
 EXTENSION_LIMIT = 10**6
@@ -216,9 +216,9 @@ def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> Coef
     if m_max == 0:
         raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
     try:
-        for mu in members_upto_order(fam, m_max):
-            if decode_int(mu, seq) == x:
-                return mu
+        for v, digits in walk_values(fam, seq.value, cap=m_max):
+            if v == x:
+                return member(digits)
     except WalkLimitError:  # name the value, not the order cap derived from it
         limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
         raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
@@ -251,8 +251,7 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     m_max = seq.top_below(bound)
-    walk = members_upto_order(fam, m_max)
-    pairs = [(mu, v) for mu in walk if (v := decode_int(mu, seq)) <= bound]
+    pairs = [(member(digits), v) for v, digits in walk_values(fam, seq.value, cap=m_max) if v <= bound]
     _, _, collision, _ = first_collision(pairs)
     return SubsetReport(bound, pairs, collision)
 
@@ -269,12 +268,8 @@ def reconstruct_sequence(
     """
     values = sorted(set(value_set))
     rebuilt: list[int] = []
-
-    def dec(mu: CoeffFn) -> int:
-        return sum(d * rebuilt[k - 1] for k, d in mu.items())
-
     for n in range(1, count + 1):
-        used = {dec(mu) for mu in members_upto_order(fam, n - 1)}
+        used = {v for v, _ in walk_values(fam, lambda k: rebuilt[k - 1], cap=n - 1)}
         rest = [v for v in values if v not in used]
         if not rest:
             raise NotRepresentableError(

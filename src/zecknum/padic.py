@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
 
-from .blocks import FamilyError, PredecessorFamily, _scan_asc, first_collision, members_upto_order
+from .blocks import FamilyError, PredecessorFamily, _scan_asc, value_collision, walk_values
 from .coeff import CoeffFn
 from .integers import NotRepresentableError
 from .uniqueness import UniquenessReport
@@ -161,8 +161,8 @@ def check_unique_padic(
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
     """Collision walk over members of order <= order_cap, by residue."""
-    pairs = ((mu, eval_padic(mu, seq)) for mu in members_upto_order(fam, order_cap))
-    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+    collision = value_collision(fam, seq.value, order_cap, stop_at_collision, seq.modulus)
+    return UniquenessReport(order_cap, *collision)
 
 
 # -- roots and specific sequences --------------------------------------------
@@ -263,14 +263,15 @@ def weak_converse_probe(
     """
     if (seq_a.p, seq_a.prec) != (seq_b.p, seq_b.prec):
         raise FamilyError("sequences live at different p or precision")
+    m = seq_a.modulus
     vals_a: set[int] = set()
-    vals_b: set[int] = set()
     max_digit = 0
-    for mu in members_upto_order(fam, order_cap):
-        if mu:
-            max_digit = max(max_digit, max(d for _, d in mu.items()))
-        vals_a.add(eval_padic(mu, seq_a))
-        vals_b.add(eval_padic(mu, seq_b))
+    for v, digits in walk_values(fam, seq_a.value, cap=order_cap):
+        vals_a.add(v % m)
+        # the lowest pair is the digit the walker just raised, so this sees every digit
+        if digits and digits[-1][1] > max_digit:
+            max_digit = digits[-1][1]
+    vals_b = {v % m for v, _ in walk_values(fam, seq_b.value, cap=order_cap)}
     diff = None
     for k in range(1, max(len(seq_a), len(seq_b)) + 1):
         if seq_a.value(k) != seq_b.value(k):

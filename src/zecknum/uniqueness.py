@@ -2,11 +2,11 @@
 
 A family paired with an arbitrary positive sequence need not represent
 values uniquely.  The probe walks the members in ascending lex order up to
-an order cap, evaluates each, and reports the first value hit twice (the
-walk and the check live in ``blocks``, shared with the p-adic probe); for a
-multiplicity-list system with the matching linear recurrence, a cap of a
-few periods is the interesting regime (four by default, two with the
-shortcut flag).
+an order cap, carrying each one's value, and reports the first value hit
+twice (the walk and the check live in ``blocks``, shared with the p-adic
+probe); for a multiplicity-list system with the matching linear recurrence,
+a cap of a few periods is the interesting regime (four by default, two with
+the shortcut flag).
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .blocks import PredecessorFamily, first_collision, members_upto_order
+from .blocks import PredecessorFamily, member, value_collision, walk_values
 from .coeff import CoeffFn
-from .integers import FundamentalSeq, decode_int
+from .integers import FundamentalSeq
 from .recurrences import MultiplicityList
 
 
@@ -52,8 +52,7 @@ def check_unique(
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
     """Walk members of order <= order_cap and look for a repeated value."""
-    pairs = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, order_cap))
-    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+    return UniquenessReport(order_cap, *value_collision(fam, seq.value, order_cap, stop_at_collision))
 
 
 def default_order_cap(multiplicities: Sequence[int] | None, shortcut: bool = False) -> int:
@@ -82,5 +81,5 @@ def count_upto_order(
     pred: Callable[[CoeffFn], bool] | None = None,
 ) -> int:
     """Number of members of order <= order_cap, zero function included,
-    optionally filtered."""
-    return sum(1 for mu in members_upto_order(fam, order_cap) if pred is None or pred(mu))
+    optionally filtered; only a filter makes the walk build members."""
+    return sum(1 for _, digits in walk_values(fam, cap=order_cap) if pred is None or pred(member(digits)))

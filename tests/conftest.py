@@ -4,7 +4,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, load_fixture
+from zecknum.blocks import first_collision, members_upto_order
 from zecknum.coeff import CoeffFn
+from zecknum.integers import SubsetReport, decode_int
+from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
+from zecknum.uniqueness import UniquenessReport
 
 settings.register_profile(
     "suite",
@@ -140,3 +144,43 @@ def lex_compare_desc(a: CoeffFn, b: CoeffFn) -> int:
         if da != db:
             return -1 if da < db else 1
     return 0
+
+
+# -- decode-per-member references for the value-carrying walks ----------------
+# Each builds every member and decodes it from scratch, as the probes did
+# before the walker carried values; the walk itself is checked against
+# successor_asc in test_blocks.py.
+
+
+def check_unique_ref(fam, seq, order_cap, stop_at_collision=True) -> UniquenessReport:
+    pairs = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, order_cap))
+    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+
+
+def check_unique_padic_ref(fam, seq, order_cap, stop_at_collision=True) -> UniquenessReport:
+    pairs = ((mu, eval_padic(mu, seq)) for mu in members_upto_order(fam, order_cap))
+    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+
+
+def enumerate_subset_ref(fam, seq, bound) -> SubsetReport:
+    walk = members_upto_order(fam, seq.top_below(bound))
+    pairs = [(mu, v) for mu in walk if (v := decode_int(mu, seq)) <= bound]
+    _, _, collision, _ = first_collision(pairs)
+    return SubsetReport(bound, pairs, collision)
+
+
+def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
+    vals_a: set[int] = set()
+    vals_b: set[int] = set()
+    max_digit = 0
+    for mu in members_upto_order(fam, order_cap):
+        if mu:
+            max_digit = max(max_digit, max(d for _, d in mu.items()))
+        vals_a.add(eval_padic(mu, seq_a))
+        vals_b.add(eval_padic(mu, seq_b))
+    diff = None
+    for k in range(1, max(len(seq_a), len(seq_b)) + 1):
+        if seq_a.value(k) != seq_b.value(k):
+            diff = k
+            break
+    return ConverseProbe(vals_a == vals_b, diff, max_digit, weak_converse_digit_bound(seq_a.p))
