@@ -293,7 +293,6 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
     if mu.digit(1) >= 1:
         return mu.minus_basis(1)
     n = mu.order_desc
-    assert isinstance(n, int)
     return fam.row(n) + mu.minus_basis(n)
 
 

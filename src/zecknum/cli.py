@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
@@ -74,6 +74,17 @@ def _tokens(values: list[str]) -> list[str]:
 
 def _parse_int_csv(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
+
+
+def _number(text: str) -> Fraction | Decimal:
+    """``p/q`` as a Fraction, anything else as a finite Decimal."""
+    try:
+        x = Fraction(text) if "/" in text else Decimal(text)
+        if isinstance(x, Fraction) or x.is_finite():
+            return x
+    except (ArithmeticError, ValueError):
+        pass
+    raise ValueError(f"not a number: {text!r}")
 
 
 # -- verb handlers -----------------------------------------------------------
@@ -194,8 +205,7 @@ def cmd_verify_recurrence(args) -> int:
 def cmd_verify_maximal(args) -> int:
     sys_ = _system(args)
     seq = sys_.seq(args.seq)
-    tol = Fraction(args.tol) if "/" in args.tol else Decimal(args.tol)
-    report = verify_maximal_identity(sys_.family, seq, args.n, args.horizon, tol)
+    report = verify_maximal_identity(sys_.family, seq, args.n, args.horizon, _number(args.tol))
     print(f"# {sys_.name}: maximal row at {args.n} summed to {args.horizon}")
     print(f"# lhs={report.lhs}  rhs={report.rhs}  error={report.error}")
     if not report.ok:
@@ -208,10 +218,11 @@ def cmd_verify_maximal(args) -> int:
 def cmd_real_expand(args) -> int:
     sys_ = _system(args)
     seq = sys_.seq(args.seq)
+    if args.max_blocks < 0:
+        raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
     print(f"# {sys_.name}: x\tdigits\tresidual\texact")
     for tok in _tokens(args.values):
-        x = Fraction(tok) if "/" in tok else Decimal(tok)
-        res = expand_real(x, sys_.family, seq, max_blocks=args.max_blocks,
+        res = expand_real(_number(tok), sys_.family, seq, max_blocks=args.max_blocks,
                           residual_tol=Fraction(1, 10 ** (_precision() // 2)))
         print(f"{tok}\t{res.fn.render()}\t{res.residual}\t{res.exact}")
     return 0
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        getcontext().prec = _precision()
+        _precision()  # a malformed ZECKNUM_PRECISION fails every verb
         return args.fn(args)
     except (NotRepresentableError, NotMemberError, AtMaximumError) as exc:
         print(f"error: {exc}", file=sys.stderr)

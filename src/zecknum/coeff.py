@@ -14,83 +14,31 @@ of these maps and two lexicographic orders on them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 # Digits must fit a signed 64-bit word so the textual wire format stays
 # portable; anything at or above this bound is rejected at construction.
 DIGIT_LIMIT = 1 << 63
 
 
-class _Infinite:
-    """Sentinel for the descending order of the zero function.
-
-    Compares strictly above every int, equal only to itself.  A dedicated
-    singleton (rather than None or a huge int) so that accidental arithmetic
-    fails loudly.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("zecknum.INFINITE")
-
-    def __gt__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, int) or other is self:
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is self
-        return NotImplemented
-
-
-INFINITE = _Infinite()
-
-Order = Union[int, _Infinite]
-
-
 @dataclass(frozen=True)
 class IndexInterval:
-    """Closed index interval [lo, hi]; hi may be INFINITE for [lo, oo)."""
+    """Closed index interval [lo, hi]."""
 
     lo: int
-    hi: Order
+    hi: int
 
     def __post_init__(self):
         if self.lo < 1:
             raise ValueError(f"interval lower end {self.lo} < 1")
-        if isinstance(self.hi, int) and self.hi < self.lo:
+        if self.hi < self.lo:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def __contains__(self, i: int) -> bool:
-        return self.lo <= i and (self.hi is INFINITE or i <= self.hi)
+        return self.lo <= i <= self.hi
 
     def __repr__(self) -> str:
-        hi = "oo" if self.hi is INFINITE else self.hi
-        return f"[{self.lo}, {hi}]"
+        return f"[{self.lo}, {self.hi}]"
 
 
 class CoeffFn:
@@ -172,16 +120,16 @@ class CoeffFn:
         return self._pairs[-1][0] if self._pairs else 0
 
     @property
-    def order_desc(self) -> Order:
-        """Smallest support index; INFINITE for the zero function."""
-        return self._pairs[0][0] if self._pairs else INFINITE
+    def order_desc(self) -> int | None:
+        """Smallest support index; None for the zero function."""
+        return self._pairs[0][0] if self._pairs else None
 
     # -- surgery -----------------------------------------------------------
 
-    def restrict(self, lo: int = 1, hi: Order = INFINITE) -> "CoeffFn":
-        """Digits on [lo, hi], everything else dropped."""
+    def restrict(self, lo: int = 1, hi: int | None = None) -> "CoeffFn":
+        """Digits on [lo, hi] (no upper end when hi is None), everything else dropped."""
         return CoeffFn(
-            (i, d) for i, d in self._pairs if lo <= i and (hi is INFINITE or i <= hi)
+            (i, d) for i, d in self._pairs if lo <= i and (hi is None or i <= hi)
         )
 
     def plus_basis(self, i: int, count: int = 1) -> "CoeffFn":

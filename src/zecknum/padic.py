@@ -38,25 +38,6 @@ def padic_valuation(x: int, p: int, cap: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicApprox:
-    """An integer known modulo p**prec."""
-
-    p: int
-    prec: int
-    residue: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.p**self.prec)
-
-    @property
-    def valuation(self) -> int:
-        return padic_valuation(self.residue, self.p, self.prec)
-
-    def __repr__(self) -> str:
-        return f"{self.residue} (mod {self.p}^{self.prec})"
-
-
 class PadicSeq:
     """Fundamental sequence of p-adic values, materialized while visible.
 
@@ -105,9 +86,6 @@ class PadicSeq:
         if k < 1:
             raise IndexError(f"{self.name}: index {k}")
         return self.terms[k - 1] if k <= len(self.terms) else 0
-
-    def approx(self, k: int) -> PadicApprox:
-        return PadicApprox(self.p, self.prec, self.value(k))
 
     def __repr__(self) -> str:
         return f"PadicSeq({self.name}, p={self.p}, prec={self.prec}, len={len(self.terms)})"
@@ -272,9 +250,6 @@ def weak_converse_probe(
         if digits and digits[-1][1] > max_digit:
             max_digit = digits[-1][1]
     vals_b = {v % m for v, _ in walk_values(fam, seq_b.value, cap=order_cap)}
-    diff = None
-    for k in range(1, max(len(seq_a), len(seq_b)) + 1):
-        if seq_a.value(k) != seq_b.value(k):
-            diff = k
-            break
+    terms = range(1, max(len(seq_a), len(seq_b)) + 1)
+    diff = next((k for k in terms if seq_a.value(k) != seq_b.value(k)), None)
     return ConverseProbe(vals_a == vals_b, diff, max_digit, weak_converse_digit_bound(seq_a.p))

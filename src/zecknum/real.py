@@ -14,7 +14,7 @@ block-geometric sequences constant-ratio per period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -26,12 +26,14 @@ Numeric = Union[Fraction, Decimal]
 
 
 class GeometricSeq:
-    """Q_n = omega^n for a fixed omega in (0, 1)."""
+    """Q_n = omega^n for omega in (0, 1), in the current decimal context; the
+    functions here that read a sequence enter its own ``context`` first."""
 
-    def __init__(self, omega: Numeric):
+    def __init__(self, omega: Numeric, prec: int = 60):
         if not 0 < omega < 1:
             raise FamilyError(f"geometric ratio must lie in (0,1), got {omega}")
         self.omega = omega
+        self.context = Context(prec=prec)
 
     def value(self, n: int) -> Numeric:
         return self.omega ** n
@@ -142,7 +144,7 @@ def positive_root(e: Sequence[int], digits: int = 60) -> Decimal:
 def geometric_fundamental(e: Sequence[int], digits: int = 60) -> GeometricSeq:
     """Geometric sequence on the positive root, exact when the root is rational."""
     r = rational_root(e)
-    return GeometricSeq(r if r is not None else positive_root(e, digits))
+    return GeometricSeq(r if r is not None else positive_root(e, digits), digits)
 
 
 # -- root dominance ----------------------------------------------------------
@@ -189,9 +191,7 @@ def multiplicity_list_dominant(e: Sequence[int]) -> DominanceResult:
     es = tuple(e)
     if not es or es[0] < 1 or es[-1] < 1 or any(v < 0 for v in es):
         raise FamilyError(f"multiplicities {es} must be nonnegative with positive ends")
-    if len(es) == 1:
-        return DominanceResult(True, None)
-    return DominanceResult(True, (1, len(es)))
+    return DominanceResult(True, (1, len(es)) if len(es) > 1 else None)
 
 
 # -- identities and expansions -----------------------------------------------
@@ -210,13 +210,14 @@ def verify_maximal_identity(fam: MaximalFamily, seq, n: int, horizon: int, tol) 
     """Check that the maximal row at n, summed against Q up to the horizon,
     lands within tol of Q_{n-1}."""
     check_horizon(horizon)
-    total = seq.value(n) * 0  # zero of the sequence's numeric type
-    for k, d in fam.row(n).support_iter():
-        if k > horizon:
-            break
-        total += d * seq.value(k)
-    rhs = seq.value(n - 1)
-    err = abs(rhs - total)
+    with localcontext(getattr(seq, "context", None)):
+        total = seq.value(n) * 0  # zero of the sequence's numeric type
+        for k, d in fam.row(n).support_iter():
+            if k > horizon:
+                break
+            total += d * seq.value(k)
+        rhs = seq.value(n - 1)
+        err = abs(rhs - total)
     return IdentityReport(total, rhs, err, tol, err <= tol)
 
 
@@ -244,42 +245,48 @@ def expand_real(
     maximal row upward, taking every digit as fully as the remainder affords;
     the first short digit closes the block, and the next block necessarily
     starts strictly above it.  Stops on an exact zero remainder, a remainder
-    at or under residual_tol, or after max_blocks blocks.
+    at or under residual_tol, or after max_blocks blocks.  ``x`` is read
+    exactly on a sequence of fractions, at the precision of a decimal one.
     """
-    rem = x
     pairs: list[tuple[int, int]] = []
     blocks = 0
     exact = False
-    while True:
-        if rem == 0:
-            exact = True
-            break
-        if residual_tol is not None and rem <= residual_tol:
-            break
-        if blocks >= max_blocks:
-            break
-        n = find_first_below(seq, rem)
-        for k, d in fam.row(n).support_iter():
-            q = seq.value(k)
-            c = int(rem / q)
-            # division may land a hair high at fixed precision
-            while c > 0 and c * q > rem:
-                c -= 1
-            c = min(c, d)
-            if c:
-                pairs.append((k, c))
-                rem -= c * q
-            if c < d:
+    with localcontext(getattr(seq, "context", None)):
+        if not isinstance(seq.value(1), Decimal):
+            rem = Fraction(x)
+        else:
+            rem = Decimal(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+        while True:
+            if rem == 0:
+                exact = True
                 break
-        blocks += 1
+            if residual_tol is not None and rem <= residual_tol:
+                break
+            if blocks >= max_blocks:
+                break
+            n = find_first_below(seq, rem)
+            for k, d in fam.row(n).support_iter():
+                q = seq.value(k)
+                c = int(rem / q)
+                # division may land a hair high at fixed precision
+                while c > 0 and c * q > rem:
+                    c -= 1
+                c = min(c, d)
+                if c:
+                    pairs.append((k, c))
+                    rem -= c * q
+                if c < d:
+                    break
+            blocks += 1
     return Expansion(CoeffFn(pairs), rem, exact, blocks)
 
 
 def eval_expansion(fn, seq) -> Numeric:
     """Value of a digit function against a decreasing sequence."""
-    total = seq.value(1) * 0
-    for k, d in fn.items():
-        total += d * seq.value(k)
+    with localcontext(getattr(seq, "context", None)):
+        total = seq.value(1) * 0
+        for k, d in fn.items():
+            total += d * seq.value(k)
     return total
 
 

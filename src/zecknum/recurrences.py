@@ -57,13 +57,8 @@ class MultiplicityList:
 
     def maximal_family(self, name: str | None = None) -> MaximalFamily:
         """Rows: reduced digits repeating upward from index n, forever."""
-        ehat = self.reduced
-        N = self.period
-
-        def digit(n: int, k: int) -> int:
-            return ehat[(k - n) % N]
-
-        return MaximalFamily(digit, name=name or f"max-L{self.e}")
+        ehat, N = self.reduced, self.period
+        return MaximalFamily(lambda n, k: ehat[(k - n) % N], name=name or f"max-L{self.e}")
 
     def recurrence_coeffs(self) -> tuple[int, ...]:
         """Coefficients of Q_n = e_1 Q_{n-1} + ... + e_N Q_{n-N}."""
@@ -150,11 +145,8 @@ def pinned_radix_seq(j: int) -> FundamentalSeq:
     """
     if j < 1:
         raise FamilyError(f"pinned index must be positive, got {j}")
-
-    def ext(n: int, seq: FundamentalSeq) -> int:
-        return (j + 1) * (n - j)
-
-    return FundamentalSeq([j + 1 + k for k in range(1, j + 1)], ext, name=f"pin-{j}-values")
+    low = [j + 1 + k for k in range(1, j + 1)]
+    return FundamentalSeq(low, lambda n, _: (j + 1) * (n - j), name=f"pin-{j}-values")
 
 
 def family_from_table(rows: Sequence[Sequence[int]], name: str = "table") -> PredecessorFamily:
@@ -290,10 +282,7 @@ def verify_recurrence(
     bad = []
     for n in range(start, stop + 1):
         lhs = seq.value(n)
-        rhs = 0
-        for j, c in enumerate(coeffs, start=1):
-            cv = c(n) if callable(c) else c
-            rhs += cv * seq.value(n - j)
+        rhs = sum((c(n) if callable(c) else c) * seq.value(n - j) for j, c in enumerate(coeffs, start=1))
         if lhs != rhs:
             bad.append((n, lhs, rhs))
     return bad

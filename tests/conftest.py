@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from decimal import Context, localcontext
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -16,6 +18,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def fresh_decimal_context():
+    """Each test starts from a fresh ``decimal.Context()`` and cannot leave its
+    own behind, so no test leans on a precision another test set."""
+    with localcontext(Context()):
+        yield
+
 
 # first 100 decimal digits of pi; enough to make greedy index traces exact
 PI_100 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"

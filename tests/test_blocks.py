@@ -27,7 +27,7 @@ from zecknum.blocks import (
     successor_asc,
     successor_desc,
 )
-from zecknum.coeff import INFINITE, ZERO, CoeffFn, basis, from_dense
+from zecknum.coeff import ZERO, CoeffFn, basis, from_dense
 from zecknum.integers import encode_int
 from zecknum.recurrences import MultiplicityList, family_from_table, index_bounded_family
 

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from decimal import getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,6 +172,16 @@ class TestVerifyMaximal:
         assert rc == 1
         assert any("FAIL" in line for line in lines)
 
+    @pytest.mark.parametrize("ambient", [10, 28, 200])
+    def test_independent_of_the_callers_decimal_context(self, capsys, ambient):
+        argv = ["verify-maximal", "-f", "golden-real", "--n", "2", "--horizon", "200", "--tol", "1e-25"]
+        with localcontext() as ctx:
+            ctx.prec = ambient
+            rc, lines, _ = run(capsys, *argv)
+            assert getcontext().prec == ambient
+        assert rc == 0
+        assert lines[1].endswith("error=9.85109052017255393E-43")
+
 
 class TestRealExpand:
     def test_sevenths_exact(self, capsys):
@@ -185,6 +196,39 @@ class TestRealExpand:
         fields = lines[1].split("\t")
         assert fields[0] == "0.25"
         assert fields[3] == "False"
+
+    @pytest.mark.parametrize(
+        "fixture,x,same_as",
+        [
+            ("sevenths", "0.5", "1/2"),
+            ("harmonic", "0.5", "1/2"),
+            ("golden-real", "1/3", "0." + "3" * 60),  # 1/3 divided out at 60 digits
+        ],
+    )
+    def test_decimal_and_fraction_inputs_mix(self, capsys, fixture, x, same_as):
+        rc, lines, err = run(capsys, "real-expand", "-f", fixture, x, same_as)
+        assert rc == 0 and err == ""
+        got, want = (line.split("\t") for line in lines[1:])
+        assert got[0] == x and got[1:] == want[1:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["real-expand", "-f", "sevenths", "abc"],
+            ["real-expand", "-f", "sevenths", "1/0"],
+            ["real-expand", "-f", "golden-real", "nan"],
+            ["verify-maximal", "-f", "sevenths", "--n", "2", "--horizon", "5", "--tol", "abc"],
+        ],
+    )
+    def test_malformed_number(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err == f"config error: not a number: {argv[-1]!r}\n"
+
+    def test_negative_max_blocks(self, capsys):
+        rc, lines, err = run(capsys, "real-expand", "-f", "sevenths", "--max-blocks", "-1", "1/2")
+        assert rc == 2 and lines == []
+        assert err == "config error: --max-blocks must be nonnegative, got -1\n"
 
 
 class TestPadicExpand:
@@ -489,3 +533,13 @@ def test_readme_transcript(capsys, monkeypatch, command, want, code):
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert _matches(w, g), (w, g)
+
+
+def test_readme_library_block(capsys):
+    """README's "Library use" block runs, and each print gives its `# expected` comment."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    want = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(want) == 5
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

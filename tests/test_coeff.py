@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import lex_compare_asc, lex_compare_desc
 from zecknum.coeff import (
     DIGIT_LIMIT,
-    INFINITE,
     ZERO,
     CoeffFn,
     IndexInterval,
@@ -81,7 +80,7 @@ class TestAccess:
         assert f.order_asc == 9
         assert f.order_desc == 2
         assert ZERO.order_asc == 0
-        assert ZERO.order_desc is INFINITE
+        assert ZERO.order_desc is None
 
 
 def _digits_agree(f):
@@ -130,30 +129,11 @@ class TestLazyMap:
         assert not any(hasattr(f, name) for name in ("map", "digits", "__dict__"))
 
 
-class TestInfinite:
-    def test_compares_above_every_int(self):
-        assert INFINITE > 10**100
-        assert INFINITE >= 0
-        assert not INFINITE < 0
-        assert not INFINITE <= 0
-        assert INFINITE <= INFINITE
-        assert INFINITE == INFINITE
-        assert INFINITE != 5
-
-    def test_singleton(self):
-        assert type(INFINITE)() is INFINITE
-
-
 class TestIndexInterval:
     def test_contains(self):
         iv = IndexInterval(2, 5)
         assert 2 in iv and 5 in iv
         assert 1 not in iv and 6 not in iv
-
-    def test_infinite_hi(self):
-        iv = IndexInterval(3, INFINITE)
-        assert 10**9 in iv
-        assert 2 not in iv
 
     def test_validation(self):
         with pytest.raises(ValueError):

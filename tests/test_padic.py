@@ -10,7 +10,6 @@ from zecknum.config import build_system
 from zecknum.integers import NotRepresentableError
 from zecknum.padic import (
     ConverseProbe,
-    PadicApprox,
     PadicSeq,
     check_unique_padic,
     decode_padic,
@@ -106,19 +105,6 @@ class TestValuation:
                     assert padic_valuation(x, p, cap) == _valuation_ref(x, p, cap), (x, p, cap)
 
 
-class TestApprox:
-    def test_normalizes(self):
-        a = PadicApprox(5, 4, 700)
-        assert a.residue == 75
-        assert a.valuation == 2
-
-    def test_zero(self):
-        assert PadicApprox(5, 4, 0).valuation == 4
-
-    def test_negative_residue(self):
-        assert PadicApprox(5, 2, -1).residue == 24
-
-
 class TestPadicSeq:
     def test_power_unit_one(self):
         seq = power_padic_seq(5, 4)
@@ -126,7 +112,6 @@ class TestPadicSeq:
         assert seq.valuations == (0, 1, 2, 3)
         assert len(seq) == 4
         assert seq.value(6) == 0
-        assert seq.approx(2).residue == 5
 
     def test_power_unit_four(self):
         seq = power_padic_seq(5, 4, unit=4)
