@@ -16,10 +16,9 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Callable
 
 from .blocks import (
-    AtMaximumError,
     FamilyError,
     NotMemberError,
     check_horizon,
@@ -66,12 +65,6 @@ def _system(args) -> System:
     return sys_
 
 
-def _tokens(values: list[str]) -> list[str]:
-    if values == ["-"]:
-        return [line.strip() for line in sys.stdin if line.strip()]
-    return values
-
-
 def _parse_int_csv(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
@@ -82,9 +75,18 @@ def _number(text: str) -> Fraction | Decimal:
         x = Fraction(text) if "/" in text else Decimal(text)
         if isinstance(x, Fraction) or x.is_finite():
             return x
-    except (ArithmeticError, ValueError):
-        pass
+    except (ArithmeticError, ValueError) as exc:
+        _check_digit_limit(text, exc)
     raise ValueError(f"not a number: {text!r}")
+
+
+def _check_digit_limit(tok: str, exc: Exception) -> None:
+    """Turn the ValueError int() and str() raise past Python's int/str
+    conversion limit into one line naming ``tok``, shortened."""
+    if "integer string conversion" in str(exc):
+        shown = repr(tok) if len(tok) <= 40 else f"{tok[:30]!r}... ({len(tok):,} characters)"
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{shown} needs an integer longer than Python's {limit}-digit conversion limit") from None
 
 
 # -- verb handlers -----------------------------------------------------------
@@ -96,60 +98,82 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
-    print(f"# {sys_.name}: value\tdigits")
-    for tok in _tokens(args.values):
-        mu = encode_int(int(tok), sys_.family, seq)
-        print(f"{tok}\t{mu.render()}")
+def _records(sys_: System, header: str, values: list[str], record: Callable[[str], str]) -> int:
+    """The value verbs' output: a header, then one ``token<TAB>record`` line
+    per token; a lone '-' reads the tokens from stdin, one per line."""
+    print(f"# {sys_.name}: {header}")
+    if values == ["-"]:
+        values = [line.strip() for line in sys.stdin if line.strip()]
+    for tok in values:
+        try:
+            print(f"{tok}\t{record(tok)}")
+        except ValueError as exc:
+            _check_digit_limit(tok, exc)
+            raise
     return 0
 
 
-def cmd_decode(args) -> int:
-    sys_ = _system(args)
-    sys_.seq(args.seq)  # an unknown label fails before the header
-    print(f"# {sys_.name}: digits\tvalue")
-    for tok in _tokens(args.values):
-        fn = CoeffFn.parse(tok)
-        print(f"{tok}\t{sys_.value(fn, args.seq)}")
-    return 0
+def cmd_encode(args, sys_: System, seq) -> int:
+    return _records(sys_, "value\tdigits", args.values,
+                    lambda tok: encode_int(int(tok), sys_.family, seq).render())
 
 
-def cmd_shift(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
-    print(f"# {sys_.name}: digits\tshifted value")
-    for tok in _tokens(args.values):
-        fn = CoeffFn.parse(tok)
-        print(f"{tok}\t{shift_value(fn, seq)}")
-    return 0
+def cmd_decode(args, sys_: System, seq) -> int:
+    return _records(sys_, "digits\tvalue", args.values,
+                    lambda tok: sys_.value(CoeffFn.parse(tok), args.seq))
 
 
-def _walk(sys_: System, args) -> tuple[str, Iterator[CoeffFn]]:
-    """enumerate's header and walk; on (0,1), increasing value within the horizon."""
-    if sys_.kind != "real":
-        return f"first {args.count} members, lex order", enumerate_asc(sys_.family)
-    title = f"members restricted to [1, {args.horizon}], increasing order"
-    return title, enumerate_desc(sys_.family, args.horizon)
+def cmd_shift(args, sys_: System, seq) -> int:
+    return _records(sys_, "digits\tshifted value", args.values,
+                    lambda tok: shift_value(CoeffFn.parse(tok), seq))
 
 
-def cmd_enumerate(args) -> int:
-    sys_ = _system(args)
-    sys_.seq(args.seq)
+def cmd_decompose(args, sys_: System, seq) -> int:
+    def record(tok: str) -> str:
+        dec = decompose_asc(CoeffFn.parse(tok), sys_.family)
+        parts = []
+        for b in dec.blocks:
+            tag = "max" if b.maximal else "proper"
+            parts.append(f"[{b.support.lo},{b.support.hi}]{tag}")
+        return " ".join(parts) if parts else "empty"
+
+    return _records(sys_, "digits\tblocks", args.values, record)
+
+
+def cmd_real_expand(args, sys_: System, seq) -> int:
+    if args.max_blocks < 0:
+        raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
+    tol = Fraction(1, 10 ** (_precision() // 2))
+
+    def record(tok: str) -> str:
+        res = expand_real(_number(tok), sys_.family, seq, max_blocks=args.max_blocks, residual_tol=tol)
+        return f"{res.fn.render()}\t{res.residual}\t{res.exact}"
+
+    return _records(sys_, "x\tdigits\tresidual\texact", args.values, record)
+
+
+def cmd_padic_expand(args, sys_: System, seq) -> int:
+    fam = None if args.no_check else sys_.family
+    return _records(sys_, "residue\tdigits", args.values,
+                    lambda tok: decode_padic(int(tok), seq, fam).render())
+
+
+def cmd_enumerate(args, sys_: System, seq) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
     check_horizon(args.horizon)
-    title, walk = _walk(sys_, args)
+    if sys_.kind == "real":  # on (0,1), increasing value within the horizon
+        title = f"members restricted to [1, {args.horizon}], increasing order"
+        walk = enumerate_desc(sys_.family, args.horizon)
+    else:
+        title, walk = f"first {args.count} members, lex order", enumerate_asc(sys_.family)
     print(f"# {sys_.name}: {title}")
     for i, fn in enumerate(islice(walk, args.count)):
         print(f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}")
     return 0
 
 
-def cmd_subset(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
+def cmd_subset(args, sys_: System, seq) -> int:
     report = enumerate_subset(sys_.family, seq, args.bound)
     print(f"# {sys_.name}: members with value <= {args.bound} under {args.seq}")
     if args.list:
@@ -165,11 +189,10 @@ def cmd_subset(args) -> int:
     return 0
 
 
-def cmd_verify_unique(args) -> int:
-    sys_ = _system(args)
+def cmd_verify_unique(args, sys_: System, seq) -> int:
     cap = default_order_cap(sys_.multiplicities, args.shortcut) if args.cap is None else args.cap
     check = {"integer": check_unique, "padic": check_unique_padic}[sys_.kind]
-    report = check(sys_.family, sys_.seq(args.seq), cap, stop_at_collision=not args.full)
+    report = check(sys_.family, seq, cap, stop_at_collision=not args.full)
     print(f"# {sys_.name}: members of order <= {cap} under {args.seq}")
     print(f"# seen: {report.members_seen} (nonzero {report.nonzero_members}), distinct values: {report.distinct_values}")
     if report.collision:
@@ -180,18 +203,15 @@ def cmd_verify_unique(args) -> int:
     return 0
 
 
-def cmd_converse_probe(args) -> int:
-    sys_ = _system(args)
-    probe = weak_converse_probe(sys_.family, sys_.seq(args.seq), sys_.seq(args.other), args.cap)
+def cmd_converse_probe(args, sys_: System, seq) -> int:
+    probe = weak_converse_probe(sys_.family, seq, sys_.seq(args.other), args.cap)
     print(f"# {sys_.name}: value sets match: {probe.values_match}")
     print(f"# first differing term: {probe.first_difference}")
     print(f"# max digit seen: {probe.max_digit_seen}, digit bound for the converse: {probe.digit_bound}")
     return 0
 
 
-def cmd_verify_recurrence(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
+def cmd_verify_recurrence(args, sys_: System, seq) -> int:
     coeffs = _parse_int_csv(args.coeffs)
     bad = verify_recurrence(seq, coeffs, args.start, args.stop)
     if bad:
@@ -202,9 +222,7 @@ def cmd_verify_recurrence(args) -> int:
     return 0
 
 
-def cmd_verify_maximal(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
+def cmd_verify_maximal(args, sys_: System, seq) -> int:
     report = verify_maximal_identity(sys_.family, seq, args.n, args.horizon, _number(args.tol))
     print(f"# {sys_.name}: maximal row at {args.n} summed to {args.horizon}")
     print(f"# lhs={report.lhs}  rhs={report.rhs}  error={report.error}")
@@ -212,30 +230,6 @@ def cmd_verify_maximal(args) -> int:
         print(f"# FAIL: error above {report.tol}")
         return 1
     print(f"# ok within {report.tol}")
-    return 0
-
-
-def cmd_real_expand(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
-    if args.max_blocks < 0:
-        raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
-    print(f"# {sys_.name}: x\tdigits\tresidual\texact")
-    for tok in _tokens(args.values):
-        res = expand_real(_number(tok), sys_.family, seq, max_blocks=args.max_blocks,
-                          residual_tol=Fraction(1, 10 ** (_precision() // 2)))
-        print(f"{tok}\t{res.fn.render()}\t{res.residual}\t{res.exact}")
-    return 0
-
-
-def cmd_padic_expand(args) -> int:
-    sys_ = _system(args)
-    seq = sys_.seq(args.seq)
-    fam = None if args.no_check else sys_.family
-    print(f"# {sys_.name}: residue\tdigits")
-    for tok in _tokens(args.values):
-        fn = decode_padic(int(tok), seq, fam)
-        print(f"{tok}\t{fn.render()}")
     return 0
 
 
@@ -253,27 +247,7 @@ def cmd_dominant_check(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    sys_ = _system(args)
-    print(f"# {sys_.name}: digits\tblocks")
-    for tok in _tokens(args.values):
-        fn = CoeffFn.parse(tok)
-        dec = decompose_asc(fn, sys_.family)
-        parts = []
-        for b in dec.blocks:
-            tag = "max" if b.maximal else "proper"
-            parts.append(f"[{b.support.lo},{b.support.hi}]{tag}")
-        print(f"{tok}\t{' '.join(parts) if parts else 'empty'}")
-    return 0
-
-
 # -- wiring ------------------------------------------------------------------
-
-
-def _add_system_args(p: argparse.ArgumentParser, seq_default: str = "main"):
-    p.add_argument("-f", "--fixture", help="bundled fixture name")
-    p.add_argument("-c", "--config", help="path to a system JSON file")
-    p.add_argument("--seq", default=seq_default, help="sequence label (default: main)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,84 +255,68 @@ def build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("fixtures", help="list bundled fixtures")
-    p.set_defaults(fn=cmd_fixtures)
+    def verb(name: str, fn, summary: str, kinds: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+        """A verb's parser; one wired with ``kinds`` names its system by -f or -c."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn, kinds=kinds)
+        if kinds:
+            p.add_argument("-f", "--fixture", help="bundled fixture name")
+            p.add_argument("-c", "--config", help="path to a system JSON file")
+            p.add_argument("--seq", default="main", help="sequence label (default: main)")
+        return p
 
-    p = sub.add_parser("encode", help="integer values to digit functions")
-    _add_system_args(p)
+    verb("fixtures", cmd_fixtures, "list bundled fixtures")
+
+    p = verb("encode", cmd_encode, "integer values to digit functions", ("integer",))
     p.add_argument("values", nargs="+", help="integers, or - for stdin")
-    p.set_defaults(fn=cmd_encode, kinds=("integer",))
 
-    p = sub.add_parser("decode", help="digit functions to values")
-    _add_system_args(p)
+    p = verb("decode", cmd_decode, "digit functions to values", ("integer", "padic", "real"))
     p.add_argument("values", nargs="+", help="digit functions like 1:1,3:2, or - for stdin")
-    p.set_defaults(fn=cmd_decode, kinds=("integer", "padic", "real"))
 
-    p = sub.add_parser("shift", help="value of digits moved up one index")
-    _add_system_args(p)
+    p = verb("shift", cmd_shift, "value of digits moved up one index", ("integer",))
     p.add_argument("values", nargs="+")
-    p.set_defaults(fn=cmd_shift, kinds=("integer",))
 
-    p = sub.add_parser("enumerate", help="members in order")
-    _add_system_args(p)
+    p = verb("enumerate", cmd_enumerate, "members in order", ("integer", "padic", "real"))
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--horizon", type=int, default=6, help="index cap for real systems")
-    p.set_defaults(fn=cmd_enumerate, kinds=("integer", "padic", "real"))
 
-    p = sub.add_parser("decompose", help="split digit functions into blocks")
-    _add_system_args(p)
+    p = verb("decompose", cmd_decompose, "split digit functions into blocks", ("integer", "padic"))
     p.add_argument("values", nargs="+")
-    p.set_defaults(fn=cmd_decompose, kinds=("integer", "padic"))
 
-    p = sub.add_parser("subset", help="members under a value bound, with collision check")
-    _add_system_args(p)
+    p = verb("subset", cmd_subset, "members under a value bound, with collision check", ("integer",))
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--list", action="store_true", help="print every member")
-    p.set_defaults(fn=cmd_subset, kinds=("integer",))
 
-    p = sub.add_parser("verify-unique", help="walk members looking for a repeated value")
-    _add_system_args(p)
+    p = verb("verify-unique", cmd_verify_unique, "walk members looking for a repeated value", ("integer", "padic"))
     p.add_argument("--cap", type=int, default=None, help="order cap (default: 4 periods)")
     p.add_argument("--shortcut", action="store_true", help="2 periods instead of 4")
     p.add_argument("--full", action="store_true", help="keep walking past a collision")
-    p.set_defaults(fn=cmd_verify_unique, kinds=("integer", "padic"))
 
-    p = sub.add_parser("converse-probe", help="compare two sequences through one family")
-    _add_system_args(p)
+    p = verb("converse-probe", cmd_converse_probe, "compare two sequences through one family", ("padic",))
     p.add_argument("--other", default="alt", help="second sequence label (default: alt)")
     p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(fn=cmd_converse_probe, kinds=("padic",))
 
-    p = sub.add_parser("verify-recurrence", help="check Q against a linear recurrence")
-    _add_system_args(p)
+    p = verb("verify-recurrence", cmd_verify_recurrence, "check Q against a linear recurrence", ("integer",))
     p.add_argument("--coeffs", required=True, help="comma-separated, may be negative")
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--stop", type=int, required=True)
-    p.set_defaults(fn=cmd_verify_recurrence, kinds=("integer",))
 
-    p = sub.add_parser("verify-maximal", help="maximal row mass against Q_{n-1}")
-    _add_system_args(p)
+    p = verb("verify-maximal", cmd_verify_maximal, "maximal row mass against Q_{n-1}", ("real",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--tol", default="1e-30")
-    p.set_defaults(fn=cmd_verify_maximal, kinds=("real",))
 
-    p = sub.add_parser("real-expand", help="greedy expansion of numbers in (0,1)")
-    _add_system_args(p)
+    p = verb("real-expand", cmd_real_expand, "greedy expansion of numbers in (0,1)", ("real",))
     p.add_argument("--max-blocks", type=int, default=8)
     p.add_argument("values", nargs="+", help="decimals or fractions, or - for stdin")
-    p.set_defaults(fn=cmd_real_expand, kinds=("real",))
 
-    p = sub.add_parser("padic-expand", help="digit extraction for residues")
-    _add_system_args(p)
+    p = verb("padic-expand", cmd_padic_expand, "digit extraction for residues", ("padic",))
     p.add_argument("--no-check", action="store_true", help="skip the family membership check")
     p.add_argument("values", nargs="+", help="integer residues, or - for stdin")
-    p.set_defaults(fn=cmd_padic_expand, kinds=("padic",))
 
-    p = sub.add_parser("dominant-check", help="root dominance tests")
+    p = verb("dominant-check", cmd_dominant_check, "root dominance tests")
     p.add_argument("--coeffs", help="a0,...,an of a_n z^n - ... - a_0")
     p.add_argument("--multiplicity", help="e1,...,eN")
-    p.set_defaults(fn=cmd_dominant_check)
 
     return top
 
@@ -367,8 +325,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _precision()  # a malformed ZECKNUM_PRECISION fails every verb
-        return args.fn(args)
-    except (NotRepresentableError, NotMemberError, AtMaximumError) as exc:
+        if args.kinds is None:  # fixtures, dominant-check
+            return args.fn(args)
+        sys_ = _system(args)  # an unknown --seq fails before any output
+        return args.fn(args, sys_, sys_.seq(args.seq))
+    except (NotRepresentableError, NotMemberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FamilyError, json.JSONDecodeError, OSError, ValueError) as exc:

@@ -47,9 +47,7 @@ class System:
     kind: str
     family: object
     sequences: dict[str, object] = field(default_factory=dict)
-    base: int | None = None
     multiplicities: tuple[int, ...] | None = None
-    notes: str = ""
 
     @property
     def sequence(self):
@@ -107,23 +105,22 @@ def _build_integer_family(entry: dict):
     t = entry.get("type")
     if t == "multiplicity":
         ml = MultiplicityList(tuple(_need(entry, "family", "e")))
-        return ml.predecessor_family(), ml.e, None
+        return ml.predecessor_family(), ml.e
     if t == "index-bounded":
-        return index_bounded_family(), None, None
+        return index_bounded_family(), None
     if t == "neg-recurrence":
-        return family_from_neg_recurrence(_need(entry, "family", "c")), None, None
+        return family_from_neg_recurrence(_need(entry, "family", "c")), None
     if t == "factorial":
-        return factorial_family(), None, None
+        return factorial_family(), None
     if t == "pin":
-        return j_plus_family(_need(entry, "family", "j", "int")), None, None
+        return j_plus_family(_need(entry, "family", "j", "int")), None
     if t == "blocks":
         blocks = _need(entry, "family", "blocks", "rows")
-        sysb = family_from_blocks([tuple(b) for b in blocks], entry.get("name", "blocks"))
-        return sysb.family, None, sysb.base
+        return family_from_blocks([tuple(b) for b in blocks], entry.get("name", "blocks")).family, None
     if t == "table":
-        return family_from_table(_need(entry, "family", "rows", "rows")), None, None
+        return family_from_table(_need(entry, "family", "rows", "rows")), None
     if t == "greedy":
-        return family_from_sequence(_need(entry, "family", "values")), None, None
+        return family_from_sequence(_need(entry, "family", "values")), None
     raise FamilyError(f"unknown family type {t!r}")
 
 
@@ -190,19 +187,19 @@ def build_system(doc: dict, precision: int = 60) -> System:
     else:
         entries = {"main": ("sequence", _need(doc, "", "sequence", "object"))}
     family = _need(doc, "", "family", "object")
-    name, notes = doc.get("name", "unnamed"), doc.get("notes", "")
+    name = doc.get("name", "unnamed")
 
     if kind == "real":
         fam, e = _build_real_family(family)
         seqs = {label: _build_real_seq(s, e, precision, path) for label, (path, s) in entries.items()}
-        return System(name, kind, fam, seqs, multiplicities=e, notes=notes)
-    fam, e, base = _build_integer_family(family)
+        return System(name, kind, fam, seqs, multiplicities=e)
+    fam, e = _build_integer_family(family)
     if kind == "integer":
         seqs = {label: _build_integer_seq(s, fam, path) for label, (path, s) in entries.items()}
-        return System(name, kind, fam, seqs, base=base, multiplicities=e, notes=notes)
+        return System(name, kind, fam, seqs, multiplicities=e)
     p, prec = _need(doc, "", "p", "int"), _need(doc, "", "prec", "int")
     seqs = {label: _build_padic_seq(s, p, prec, path) for label, (path, s) in entries.items()}
-    return System(name, kind, fam, seqs, multiplicities=e, notes=notes)
+    return System(name, kind, fam, seqs, multiplicities=e)
 
 
 def load_config(path: str | Path, precision: int = 60) -> System:

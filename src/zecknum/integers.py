@@ -131,22 +131,18 @@ class FundamentalSeq:
             raise FamilyError(f"{self.name}: find_top needs an increasing sequence")
         return bisect_right(vals, x)
 
-    def top_below(self, x: int, window: int = LOOKAHEAD_WINDOW) -> int:
+    def top_below(self, x: int) -> int:
         """Largest n with Q_n <= x, by forward scan with a miss window.
 
         Sound for sequences that eventually stay above x (every fixture here
-        grows at least geometrically along residue classes); the window says
-        how many consecutive terms above x end the search.
+        grows at least geometrically along residue classes); LOOKAHEAD_WINDOW
+        consecutive terms above x end the search.  On an increasing sequence
+        this is ``find_top(x)``.
         """
-        if self._increasing:
-            try:
-                return self.find_top(x)
-            except FamilyError:
-                pass  # a lazy term broke monotonicity; scan instead
         best = 0
         misses = 0
         n = 0
-        while misses < window:
+        while misses < LOOKAHEAD_WINDOW:
             n += 1
             try:
                 v = self.value(n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -26,17 +27,21 @@ Numeric = Union[Fraction, Decimal]
 
 
 class GeometricSeq:
-    """Q_n = omega^n for omega in (0, 1), in the current decimal context; the
-    functions here that read a sequence enter its own ``context`` first."""
+    """Q_n = omega^n for omega in (0, 1): exact for a Fraction, a Decimal
+    rounded in the sequence's own ``context`` whatever the caller's is; the
+    functions here that add up terms enter that context too."""
 
     def __init__(self, omega: Numeric, prec: int = 60):
         if not 0 < omega < 1:
             raise FamilyError(f"geometric ratio must lie in (0,1), got {omega}")
         self.omega = omega
         self.context = Context(prec=prec)
+        # Context.power is slower than ** and an expansion revisits the same
+        # few hundred indices; the bound keeps a long horizon flat in memory
+        self._power = lru_cache(maxsize=1024)(partial(self.context.power, omega))
 
     def value(self, n: int) -> Numeric:
-        return self.omega ** n
+        return self.omega**n if isinstance(self.omega, Fraction) else self._power(n)
 
     def __repr__(self) -> str:
         return f"GeometricSeq({self.omega})"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -229,6 +230,33 @@ class TestRealExpand:
         rc, lines, err = run(capsys, "real-expand", "-f", "sevenths", "--max-blocks", "-1", "1/2")
         assert rc == 2 and lines == []
         assert err == "config error: --max-blocks must be nonnegative, got -1\n"
+
+
+class TestDigitLimit:
+    """A value verb whose token needs an integer past Python's int/str digit
+    limit exits 2 with one line naming the token, shortened, and the limit."""
+
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            # the exact residual's denominator, 10^20000, cannot be printed
+            (["real-expand", "-f", "sevenths", "1e-20000"], "'1e-20000'"),
+            # the denominator cannot be parsed
+            (["real-expand", "-f", "sevenths", "1/1" + "0" * 20000],
+             "'1/1000000000000000000000000000'... (20,003 characters)"),
+            (["decode", "-f", "factorial", "2000:1"], "'2000:1'"),
+            (["encode", "-f", "fib", "9" * 5000], "'999999999999999999999999999999'... (5,000 characters)"),
+            (["verify-maximal", "-f", "sevenths", "--n", "2", "--horizon", "5", "--tol", "1/1" + "0" * 5000],
+             "'1/1000000000000000000000000000'... (5,003 characters)"),
+        ],
+    )
+    def test_names_the_token_and_the_limit(self, capsys, argv, shown):
+        rc, lines, err = run(capsys, *argv)
+        assert rc == 2
+        headers = 0 if argv[0] == "verify-maximal" else 1  # a value verb prints its header first
+        assert len(lines) == headers and all(line.startswith("# ") for line in lines)
+        limit = sys.get_int_max_str_digits()
+        assert err == f"config error: {shown} needs an integer longer than Python's {limit}-digit conversion limit\n"
 
 
 class TestPadicExpand:
@@ -543,3 +571,96 @@ def test_readme_library_block(capsys):
     assert len(want) == 5
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == want
+
+
+# Golden CLI table: each (command, stdin) runs in-process and must give the
+# stdout, stderr and exit code stored at the same position in cli_golden.json,
+# byte for byte.  `PYTHONPATH=src python tests/test_cli.py --record` rewrites
+# that file from the code under src/.
+GOLDEN_JSON = Path(__file__).with_name("cli_golden.json")
+GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_TRANSCRIPTS] + [
+    (" ".join(argv), None) for argv, _ in WRONG_KIND
+] + [
+    # stdin
+    ("encode -f fib -", "100\n144\n\n7\n"),
+    ("decode -f fib -", "3:1,5:1,10:1\n0\n"),
+    ("shift -f fib -", "1:1\n2:1,4:1\n"),
+    ("decompose -f fib -", "1:1,4:1\n0\n3:2\n"),
+    ("real-expand -f sevenths -", "100/343\n0.5\n"),
+    ("padic-expand -f golden-41 -", "6141377528281\n0\n"),
+    # an unknown --seq, or --other
+    ("encode -f fib --seq nope 5", None),
+    ("decode -f fib --seq nope 1:1", None),
+    ("shift -f fib --seq nope 1:1", None),
+    ("enumerate -f fib --seq nope", None),
+    ("decompose -f fib --seq nope 1:1,4:1", None),
+    ("subset -f fib --seq nope --bound 5", None),
+    ("verify-unique -f mult-2-3 --seq nope", None),
+    ("converse-probe -f padic-5-20 --seq nope --cap 4", None),
+    ("converse-probe -f padic-5-20 --other nope --cap 4", None),
+    ("verify-recurrence -f fib --seq nope --coeffs 1,1 --start 3 --stop 5", None),
+    ("verify-maximal -f golden-real --seq nope --n 2 --horizon 5", None),
+    ("real-expand -f sevenths --seq nope 1/2", None),
+    ("padic-expand -f golden-41 --seq nope 3", None),
+    # malformed or negative arguments, and other failures
+    ("encode 5", None),
+    ("encode -f nope 5", None),
+    ("encode -f fib -5", None),
+    ("encode -f fib abc", None),
+    ("encode -f seven-scaled 10", None),
+    ("decode -f fib 3:1,1:1", None),
+    ("decode -f fib 1:x", None),
+    ("shift -f fib 0:1", None),
+    ("enumerate -f fib --count -1", None),
+    ("enumerate -f sevenths --horizon 0", None),
+    ("decompose -f fib 1:1,2:1", None),
+    ("subset -f fib --bound -1", None),
+    ("verify-unique -f fib --cap -1", None),
+    ("converse-probe -f padic-5-20 --cap -1", None),
+    ("verify-recurrence -f fib --coeffs 1,x --start 3 --stop 5", None),
+    ("verify-recurrence -f fib --coeffs 2,1 --start 3 --stop 5", None),
+    ("verify-maximal -f golden-real --n 2 --horizon 0", None),
+    ("verify-maximal -f sevenths --n 2 --horizon 5 --tol abc", None),
+    ("real-expand -f sevenths --max-blocks -1 1/2", None),
+    ("real-expand -f sevenths 1/0", None),
+    ("real-expand -f sevenths 1e-20000", None),
+    ("real-expand -f sevenths -", "1/1" + "0" * 20000 + "\n"),
+    ("padic-expand -f golden-41 -5", None),
+    ("padic-expand -f golden-41 abc", None),
+    ("dominant-check", None),
+    ("dominant-check --coeffs 1,x", None),
+]
+
+
+def golden_run(command: str, stdin: str | None) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(shlex.split(command))
+    finally:
+        sys.stdin = saved
+    return {"command": command, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("i", range(len(GOLDEN)), ids=[c[:60] for c, _ in GOLDEN])
+def test_golden(monkeypatch, i):
+    monkeypatch.delenv("ZECKNUM_PRECISION", raising=False)
+    want = json.loads(GOLDEN_JSON.read_text(encoding="utf-8"))
+    assert len(want) == len(GOLDEN)
+    assert golden_run(*GOLDEN[i]) == want[i]
+
+
+def test_golden_table_has_an_unknown_seq_for_every_system_verb():
+    want = json.loads(GOLDEN_JSON.read_text(encoding="utf-8"))
+    cases = {g["command"].split()[0]: g for g in want if "--seq nope" in g["command"]}
+    assert set(cases) == {verb for verb, kinds in _verb_kinds().items() if kinds}
+    for g in cases.values():
+        assert g["rc"] == 2 and g["stdout"] == "" and "has no sequence 'nope'" in g["stderr"]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    os.environ.pop("ZECKNUM_PRECISION", None)
+    table = [golden_run(command, stdin) for command, stdin in GOLDEN]
+    GOLDEN_JSON.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

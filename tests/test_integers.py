@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zecknum import load_fixture
 from zecknum.blocks import FamilyError, is_member_asc
 from zecknum.coeff import ZERO, CoeffFn
 from zecknum.integers import (
@@ -90,6 +91,23 @@ class TestFindTop:
         else:
             assert seq.value(n) <= x
             assert seq.value(n + 1) > x
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES)
+    def test_top_below_is_find_top_on_increasing_sequences(self, name):
+        seq = load_fixture(name).sequence  # fresh: the samples extend it
+        seq.upto(30)
+        if not seq.increasing:
+            with pytest.raises(FamilyError):
+                seq.find_top(seq.value(1))
+            return
+        samples = {0} | {seq.value(n) + d for n in range(1, 31) for d in (-1, 0, 1)}
+        for x in sorted(samples):
+            assert seq.top_below(x) == seq.find_top(x), x
+
+    def test_top_below_is_find_top_on_a_bounded_table(self):
+        seq = FundamentalSeq([1, 2, 3, 5, 8])
+        for x in range(12):
+            assert seq.top_below(x) == seq.find_top(x), x
 
     def test_top_below_non_monotone(self):
         seq = pinned_radix_seq(3)

@@ -80,6 +80,16 @@ class TestFindFirstBelow:
             x = Fraction(1, 2**n)
             assert find_first_below(seq, x) == n
 
+    @pytest.mark.parametrize("ambient", [5, 28, 100])
+    def test_decimal_geometric_ignores_the_callers_precision(self, golden_real, ambient):
+        seq = GeometricSeq(golden_real.sequence.omega)  # nothing computed yet
+        with localcontext(seq.context):
+            q7, q30 = seq.omega**7, seq.omega**30
+        with localcontext() as ctx:
+            ctx.prec = ambient
+            assert seq.value(7) == q7 and len(seq.value(7).as_tuple().digits) == 60
+            assert find_first_below(seq, q30) == 30
+
 
 class TestRoots:
     def test_rational_root(self):
