@@ -8,19 +8,18 @@ downwards against the rows, with only the bottom block allowed to exhaust a
 whole row ("maximal").
 
 A *descending system* (for numeration of (0,1)) is determined by a maximal
-family: for every n >= 1 a lazily-evaluated row of order n with infinite
-support, the largest member starting at index n.  Membership is decided at a
-finite horizon M by the mirrored scan, upwards from index 1; the last block
-may be cut by the horizon and is flagged as truncated.
-
-Both scans yield the successor/predecessor rules and hence enumeration.
+family: for every n >= 1 a row of order n with infinite support, the largest
+member starting at index n, given by its nonzero digits.  At a finite horizon
+M it is the ascending system of its mirror, index i read as M+1-i: the same
+scan decides membership and blocks (a block cut by the horizon is the
+mirror's maximal one, flagged as truncated), and the same walker enumerates.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
@@ -36,10 +35,6 @@ class NotMemberError(ValueError):
     def __init__(self, witness: int, message: str | None = None):
         self.witness = witness
         super().__init__(message or f"not a member, witness index {witness}")
-
-
-class AtMaximumError(ValueError):
-    """The horizon-restricted maximum has no successor."""
 
 
 class WalkLimitError(ValueError):
@@ -132,61 +127,42 @@ class PredecessorFamily:
         return f"PredecessorFamily({self.name!r})"
 
 
-class MaximalRow:
-    """One lazily-evaluated descending row: the largest member of order n."""
-
-    __slots__ = ("family", "n")
-
-    def __init__(self, family: "MaximalFamily", n: int):
-        self.family = family
-        self.n = n
-
-    def digit(self, k: int) -> int:
-        if k < self.n:
-            return 0
-        return self.family._digit_fn(self.n, k)
-
-    def support_iter(self, start: int | None = None) -> Iterator[tuple[int, int]]:
-        """Nonzero (index, digit) pairs in ascending index order, never ending."""
-        return self.family._support_fn(self.n, start if start is not None else self.n)
-
-
 class MaximalFamily:
     """Descending family n -> maximal row of order n (infinite support).
 
-    ``digit_fn(n, k)`` gives the digit of row n at index k >= n; ``support_fn``
-    may be supplied to iterate nonzero digits directly (defaults to scanning
-    digit_fn index by index, fine for dense patterns, hopeless for sparse
-    ones like the harmonic chain).
+    ``support_fn(n, start)`` yields row n's nonzero (index, digit) pairs at
+    the indices >= start >= n, in ascending order and without end.
     """
 
-    def __init__(
-        self,
-        digit_fn: Callable[[int, int], int],
-        support_fn: Callable[[int, int], Iterator[tuple[int, int]]] | None = None,
-        name: str = "maximal-family",
-    ):
-        self._digit_fn = digit_fn
-        self._support_fn = support_fn or self._scan_support
+    def __init__(self, support_fn: Callable[[int, int], Iterator[tuple[int, int]]], name: str = "maximal-family"):
+        self._support_fn = support_fn
         self.name = name
         self._checked: set[int] = set()
 
-    def _scan_support(self, n: int, start: int) -> Iterator[tuple[int, int]]:
-        k = max(start, n)
-        while True:
-            d = self._digit_fn(n, k)
-            if d:
-                yield (k, d)
-            k += 1
-
-    def row(self, n: int) -> MaximalRow:
-        if n < 1:
-            raise FamilyError(f"{self.name}: rows start at n=1, got {n}")
+    def support(self, n: int, start: int | None = None) -> Iterator[tuple[int, int]]:
+        """Row n's nonzero (index, digit) pairs from ``start`` (default n) on,
+        ascending, never ending; row n must exist and carry a digit at n."""
         if n not in self._checked:
-            if self._digit_fn(n, n) < 1:
+            if n < 1:
+                raise FamilyError(f"{self.name}: rows start at n=1, got {n}")
+            if next(self._support_fn(n, n))[0] != n:
                 raise FamilyError(f"{self.name}: row {n} has digit 0 at its own index")
             self._checked.add(n)
-        return MaximalRow(self, n)
+        return self._support_fn(n, n if start is None else max(start, n))
+
+    def mirror(self, horizon: int) -> PredecessorFamily:
+        """The rows cut at ``horizon``, index i read as horizon + 1 - i: row m
+        of the result, 2 <= m <= horizon + 1, is row horizon + 2 - m flipped.
+        Descending lex order at the horizon is ascending lex order there, a
+        truncated block is a maximal one, and the carry into horizon + 1 steps
+        past the maximum."""
+        check_horizon(horizon)
+        flip = horizon + 1
+
+        def row(m: int) -> CoeffFn:
+            return CoeffFn((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
+
+        return PredecessorFamily(row, name=f"{self.name}@{horizon}")
 
     def __repr__(self) -> str:
         return f"MaximalFamily({self.name!r})"
@@ -427,7 +403,7 @@ def _member_at(fam: PredecessorFamily, rank: int) -> CoeffFn:
     return member(next(islice(walk_values(fam), rank, None))[1])
 
 
-# -- descending world --------------------------------------------------------
+# -- descending world: the ascending one on the mirrored family --------------
 
 
 def check_horizon(horizon: int) -> None:
@@ -436,40 +412,27 @@ def check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon must be positive, got {horizon}")
 
 
-def _scan_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int, int, bool]]:
-    """Split ``eps`` into spans (lo, hi, truncated), bottom-up, at the horizon.
-
-    The mirror scan: a block starting at n matches row(n) upwards; the first
-    index where eps drops below the row closes the block; exceeding it is a
-    failure; running out of horizon leaves the last block truncated.
-    """
+def _spans_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int, int, bool]]:
+    """Spans (lo, hi, truncated) of ``eps`` at the horizon, bottom-up: the
+    _scan_asc spans of its mirror read back, after an all-zero singleton for
+    each index below its lowest (the blocks _scan_asc leaves implicit above
+    the order).  A witness is read back too."""
     check_horizon(horizon)
     if eps.order_asc > horizon:
         raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
-    spans: list[tuple[int, int, bool]] = []
-    n = 1
-    while n <= horizon:
-        row = fam.row(n)
-        i = n
-        while i <= horizon:
-            ei = eps.digit(i)
-            pi = row.digit(i)
-            if ei > pi:
-                raise NotMemberError(i)
-            if ei < pi:
-                spans.append((n, i, False))
-                n = i + 1
-                break
-            i += 1
-        else:
-            spans.append((n, horizon, True))
-            n = horizon + 1
-    return spans
+    flip = horizon + 1
+    mirrored = CoeffFn._trusted(tuple((flip - i, d) for i, d in reversed(eps.items())))
+    try:
+        spans = _scan_asc(mirrored, fam.mirror(horizon))
+    except NotMemberError as exc:
+        raise NotMemberError(flip - exc.witness) from None
+    zeros = [(i, i, False) for i in range(1, eps.order_desc or flip)]
+    return zeros + [(flip - hi, flip - lo, truncated) for lo, hi, truncated in spans]
 
 
 def decompose_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> Decomposition:
     """Block decomposition of a horizon-restricted member (NotMemberError otherwise)."""
-    spans = _scan_desc(eps, fam, horizon)
+    spans = _spans_desc(eps, fam, horizon)
     blocks = tuple(
         Block(IndexInterval(lo, hi), eps.restrict(lo, hi), truncated=tr)
         for lo, hi, tr in spans
@@ -479,41 +442,17 @@ def decompose_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> Decomposit
 
 def is_member_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> bool:
     try:
-        _scan_desc(eps, fam, horizon)
+        _spans_desc(eps, fam, horizon)
         return True
     except NotMemberError:
         return False
 
 
-def successor_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> CoeffFn:
-    """Immediate successor in descending lex order at the horizon.
-
-    If the last block is cut by the horizon, drop it and carry one digit into
-    the index just below its start; if it closes exactly at the horizon, raise
-    the digit there.  The full row(1) restriction is the maximum and has no
-    successor.
-    """
-    spans = _scan_desc(eps, fam, horizon)
-    lo, _, truncated = spans[-1]
-    if truncated:
-        if lo == 1:
-            raise AtMaximumError(f"maximum of the system restricted to [1, {horizon}]")
-        return eps.restrict(1, lo - 1).plus_basis(lo - 1)
-    return eps.plus_basis(horizon)
-
-
 def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:
-    """All horizon-restricted members in descending lex order, zero first;
-    a horizon below 1 is rejected here, before the first member."""
-    check_horizon(horizon)
-
-    def walk() -> Iterator[CoeffFn]:
-        cur = ZERO
-        while True:
-            yield cur
-            try:
-                cur = successor_desc(cur, fam, horizon)
-            except AtMaximumError:
-                return
-
-    return walk()
+    """All horizon-restricted members in descending lex order, zero first: the
+    walk of the mirrored family read back, up to its carry into horizon + 1.
+    A horizon below 1 is rejected here, before the first member."""
+    flip = horizon + 1
+    walk = walk_values(fam.mirror(horizon))
+    below = takewhile(lambda step: not step[1] or step[1][0][0] < flip, walk)  # digits are top first
+    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in digits)) for _, digits in below)

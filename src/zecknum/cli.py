@@ -80,11 +80,12 @@ def _number(text: str) -> Fraction | Decimal:
     raise ValueError(f"not a number: {text!r}")
 
 
-def _check_digit_limit(tok: str, exc: Exception) -> None:
+def _check_digit_limit(tok: str, exc: Exception, shown: str | None = None) -> None:
     """Turn the ValueError int() and str() raise past Python's int/str
-    conversion limit into one line naming ``tok``, shortened."""
+    conversion limit into one line naming ``shown``, or ``tok`` shortened."""
     if "integer string conversion" in str(exc):
-        shown = repr(tok) if len(tok) <= 40 else f"{tok[:30]!r}... ({len(tok):,} characters)"
+        if shown is None:
+            shown = repr(tok) if len(tok) <= 40 else f"{tok[:30]!r}... ({len(tok):,} characters)"
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"{shown} needs an integer longer than Python's {limit}-digit conversion limit") from None
 
@@ -216,7 +217,11 @@ def cmd_verify_recurrence(args, sys_: System, seq) -> int:
     bad = verify_recurrence(seq, coeffs, args.start, args.stop)
     if bad:
         for n, lhs, rhs in bad:
-            print(f"# mismatch at n={n}: Q_n={lhs}, recurrence gives {rhs}")
+            try:
+                print(f"# mismatch at n={n}: Q_n={lhs}, recurrence gives {rhs}")
+            except ValueError as exc:
+                _check_digit_limit("", exc, f"the mismatch at n={n}")
+                raise
         return 1
     print(f"# {sys_.name}: Q_n = {args.coeffs} recurrence holds for n in [{args.start}, {args.stop}]")
     return 0

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache, partial
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .blocks import FamilyError, MaximalFamily, check_horizon
 from .coeff import CoeffFn
@@ -217,7 +218,7 @@ def verify_maximal_identity(fam: MaximalFamily, seq, n: int, horizon: int, tol) 
     check_horizon(horizon)
     with localcontext(getattr(seq, "context", None)):
         total = seq.value(n) * 0  # zero of the sequence's numeric type
-        for k, d in fam.row(n).support_iter():
+        for k, d in fam.support(n):
             if k > horizon:
                 break
             total += d * seq.value(k)
@@ -270,7 +271,7 @@ def expand_real(
             if blocks >= max_blocks:
                 break
             n = find_first_below(seq, rem)
-            for k, d in fam.row(n).support_iter():
+            for k, d in fam.support(n):
                 q = seq.value(k)
                 c = int(rem / q)
                 # division may land a hair high at fixed precision
@@ -302,20 +303,14 @@ def harmonic_maximal_family() -> MaximalFamily:
     """Maximal rows of the 1/(n+1) system: the support chain n, n(n+1), and
     then m -> m(m+1) forever, every digit 1 (a telescoping of 1/n)."""
 
-    def digit(n: int, k: int) -> int:
-        m = n
-        while m < k:
-            m = m * (m + 1)
-        return 1 if m == k else 0
-
-    def support(n: int, start: int):
+    def support(n: int, start: int) -> Iterator[tuple[int, int]]:
         m = n
         while True:
             if m >= start:
                 yield (m, 1)
             m = m * (m + 1)
 
-    return MaximalFamily(digit, support, name="harmonic")
+    return MaximalFamily(support, name="harmonic")
 
 
 def periodic_maximal_family(own_rows: Sequence[Sequence[int]], name: str = "periodic") -> MaximalFamily:
@@ -324,21 +319,25 @@ def periodic_maximal_family(own_rows: Sequence[Sequence[int]], name: str = "peri
     own_rows[t-1] gives the digits of a row starting at position t of its
     period, through that period's end (so its length is N-t+1); past its own
     period every row continues with own_rows[0] repeated period-aligned.
+    Each own row starts with a nonzero digit, the row's digit at its own
+    index; own_rows[0] doing so also keeps every row's support infinite.
     """
     rows = [tuple(r) for r in own_rows]
     N = len(rows)
-    if any(len(r) != N - i for i, r in enumerate(rows)):
+    if not rows or any(len(r) != N - i for i, r in enumerate(rows)):
         raise FamilyError(f"{name}: own-row lengths must be N, N-1, ..., 1")
-    if len(rows[0]) != N or any(d < 0 for r in rows for d in r):
+    if any(d < 0 for r in rows for d in r):
         raise FamilyError(f"{name}: bad own rows {rows}")
+    zero = next((t for t, r in enumerate(rows, start=1) if not r[0]), None)
+    if zero:
+        raise FamilyError(f"{name}: own row {zero} has digit 0 at its own index")
 
-    def digit(n: int, k: int) -> int:
-        if k < n:
-            return 0
-        t0 = (n - 1) % N
-        end = n + (N - 1 - t0)
-        if k <= end:
-            return rows[t0][k - n]
-        return rows[0][(k - end - 1) % N]
+    def support(n: int, start: int) -> Iterator[tuple[int, int]]:
+        own = rows[(n - 1) % N]
+        end = n + len(own) - 1
+        for k in count(start):
+            d = own[k - n] if k <= end else rows[0][(k - end - 1) % N]
+            if d:
+                yield k, d
 
-    return MaximalFamily(digit, name=name)
+    return MaximalFamily(support, name=name)

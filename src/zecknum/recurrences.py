@@ -10,8 +10,8 @@ digits of Q_n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, count
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
 from .coeff import CoeffFn
@@ -58,7 +58,11 @@ class MultiplicityList:
     def maximal_family(self, name: str | None = None) -> MaximalFamily:
         """Rows: reduced digits repeating upward from index n, forever."""
         ehat, N = self.reduced, self.period
-        return MaximalFamily(lambda n, k: ehat[(k - n) % N], name=name or f"max-L{self.e}")
+
+        def support(n: int, start: int) -> Iterator[tuple[int, int]]:
+            return ((k, ehat[(k - n) % N]) for k in count(start) if ehat[(k - n) % N])
+
+        return MaximalFamily(support, name=name or f"max-L{self.e}")
 
     def recurrence_coeffs(self) -> tuple[int, ...]:
         """Coefficients of Q_n = e_1 Q_{n-1} + ... + e_N Q_{n-N}."""

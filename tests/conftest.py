@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 from decimal import Context, localcontext
+from itertools import takewhile
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, load_fixture
-from zecknum.blocks import first_collision, members_upto_order
-from zecknum.coeff import CoeffFn
+from zecknum.blocks import NotMemberError, check_horizon, first_collision, members_upto_order
+from zecknum.coeff import ZERO, CoeffFn
 from zecknum.integers import SubsetReport, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
@@ -155,6 +157,86 @@ def lex_compare_desc(a: CoeffFn, b: CoeffFn) -> int:
         if da != db:
             return -1 if da < db else 1
     return 0
+
+
+# -- the hand-written descending scan and its rescan walk ---------------------
+# The (0,1) side before it became the ascending scan and walker on the
+# mirrored family; kept as the oracle of the mirror in test_blocks.py.  A row
+# is read through MaximalFamily.support instead of the deleted row objects.
+
+
+class AtMaximumError(ValueError):
+    """The horizon-restricted maximum has no successor."""
+
+
+def maximal_row(fam, n: int, horizon: int) -> dict[int, int]:
+    """Maximal row n's nonzero digits up to the horizon, read through support."""
+    return dict(takewhile(lambda p: p[0] <= horizon, fam.support(n)))
+
+
+def scan_desc_ref(eps: CoeffFn, fam, horizon: int) -> list[tuple[int, int, bool]]:
+    """Split ``eps`` into spans (lo, hi, truncated), bottom-up, at the horizon.
+
+    The mirror scan: a block starting at n matches row(n) upwards; the first
+    index where eps drops below the row closes the block; exceeding it is a
+    failure; running out of horizon leaves the last block truncated.
+    """
+    check_horizon(horizon)
+    if eps.order_asc > horizon:
+        raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
+    spans: list[tuple[int, int, bool]] = []
+    n = 1
+    while n <= horizon:
+        row = maximal_row(fam, n, horizon)
+        i = n
+        while i <= horizon:
+            ei = eps.digit(i)
+            pi = row.get(i, 0)
+            if ei > pi:
+                raise NotMemberError(i)
+            if ei < pi:
+                spans.append((n, i, False))
+                n = i + 1
+                break
+            i += 1
+        else:
+            spans.append((n, horizon, True))
+            n = horizon + 1
+    return spans
+
+
+def successor_desc_ref(eps: CoeffFn, fam, horizon: int) -> CoeffFn:
+    """Immediate successor in descending lex order at the horizon.
+
+    If the last block is cut by the horizon, drop it and carry one digit into
+    the index just below its start; if it closes exactly at the horizon, raise
+    the digit there.  The full row(1) restriction is the maximum and has no
+    successor.
+    """
+    spans = scan_desc_ref(eps, fam, horizon)
+    lo, _, truncated = spans[-1]
+    if truncated:
+        if lo == 1:
+            raise AtMaximumError(f"maximum of the system restricted to [1, {horizon}]")
+        return eps.restrict(1, lo - 1).plus_basis(lo - 1)
+    return eps.plus_basis(horizon)
+
+
+def enumerate_desc_ref(fam, horizon: int) -> Iterator[CoeffFn]:
+    """All horizon-restricted members in descending lex order, zero first;
+    a horizon below 1 is rejected here, before the first member."""
+    check_horizon(horizon)
+
+    def walk() -> Iterator[CoeffFn]:
+        cur = ZERO
+        while True:
+            yield cur
+            try:
+                cur = successor_desc_ref(cur, fam, horizon)
+            except AtMaximumError:
+                return
+
+    return walk()
 
 
 # -- decode-per-member references for the value-carrying walks ----------------

@@ -4,13 +4,22 @@ from collections import deque
 from itertools import islice, product
 
 import pytest
-from conftest import INTEGER_FIXTURES, get_system, lex_compare_asc, lex_compare_desc
+from conftest import (
+    INTEGER_FIXTURES,
+    AtMaximumError,
+    enumerate_desc_ref,
+    get_system,
+    lex_compare_asc,
+    lex_compare_desc,
+    maximal_row,
+    scan_desc_ref,
+    successor_desc_ref,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zecknum.blocks import (
     MEMBER_LIMIT,
-    AtMaximumError,
     FamilyError,
     MaximalFamily,
     NotMemberError,
@@ -25,10 +34,10 @@ from zecknum.blocks import (
     members_upto_order,
     predecessor_asc,
     successor_asc,
-    successor_desc,
 )
 from zecknum.coeff import ZERO, CoeffFn, basis, from_dense
 from zecknum.integers import encode_int
+from zecknum.real import harmonic_maximal_family, periodic_maximal_family
 from zecknum.recurrences import MultiplicityList, family_from_table, index_bounded_family
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
@@ -312,23 +321,32 @@ class TestAscendingProperties:
 class TestMaximalFamily:
     def test_rows_start_at_one(self):
         with pytest.raises(FamilyError):
-            FIB_MAX.row(0)
+            FIB_MAX.support(0)
 
     def test_own_digit_validated(self):
-        bad = MaximalFamily(lambda n, k: 0, name="bad")
+        bad = MaximalFamily(lambda n, start: iter([(n + 1, 1)]), name="bad")
         with pytest.raises(FamilyError):
-            bad.row(1)
+            bad.support(1)
 
     def test_golden_row_digits(self):
-        row = FIB_MAX.row(2)
-        assert [row.digit(k) for k in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+        row = maximal_row(FIB_MAX, 2, 6)
+        assert [row.get(k, 0) for k in range(1, 7)] == [0, 1, 0, 1, 0, 1]
 
     def test_support_iter(self):
-        row = FIB_MAX.row(3)
-        it = row.support_iter()
+        it = FIB_MAX.support(3)
         assert [next(it) for _ in range(3)] == [(3, 1), (5, 1), (7, 1)]
-        later = row.support_iter(start=6)
+        later = FIB_MAX.support(3, start=6)
         assert next(later) == (7, 1)
+        assert next(FIB_MAX.support(3, start=1)) == (3, 1)
+
+    @pytest.mark.parametrize("e", [(1, 1), (2, 3), (1, 0, 1), (11, 3)])
+    def test_mirror_of_a_multiplicity_list_is_its_predecessor_family(self, e):
+        ml = MultiplicityList(e)
+        pred = ml.predecessor_family()
+        for horizon in range(1, 9):
+            mirror = ml.maximal_family().mirror(horizon)
+            for m in range(2, horizon + 2):
+                assert mirror.row(m) == pred.row(m), (horizon, m)
 
 
 class TestDescendingScan:
@@ -360,8 +378,10 @@ class TestDescendingScan:
             decompose_desc(basis(9), FIB_MAX, 3)
 
     def test_maximum_has_no_successor(self):
+        top = CoeffFn.parse("1:1,3:1")
         with pytest.raises(AtMaximumError):
-            successor_desc(CoeffFn.parse("1:1,3:1"), FIB_MAX, 3)
+            successor_desc_ref(top, FIB_MAX, 3)
+        assert list(enumerate_desc(FIB_MAX, 3))[-1] == top
 
     def test_counts_against_fibonacci(self):
         # members restricted to [1, M] for the golden system count Q_{M+1}
@@ -378,3 +398,65 @@ class TestDescendingScan:
             if fib_ok(v)
         }
         assert got == want
+
+
+# -- the mirrored scan and walk against the hand-written descending ones -----
+
+DESC_FAMILIES = {
+    "golden": FIB_MAX,
+    "2-3": MultiplicityList((2, 3)).maximal_family(),
+    "1-0-1": MultiplicityList((1, 0, 1)).maximal_family(),
+    "sevenths": get_system("sevenths").family,
+    "harmonic": harmonic_maximal_family(),
+    "periodic-3": periodic_maximal_family([[1, 0, 2], [2, 1], [1]]),
+}
+
+
+def spans_of(eps, fam, horizon):
+    """(lo, hi, truncated) spans of decompose_desc, or the NotMemberError witness."""
+    try:
+        dec = decompose_desc(eps, fam, horizon)
+    except NotMemberError as exc:
+        return exc.witness
+    assert all(b.digits == eps.restrict(b.support.lo, b.support.hi) for b in dec.blocks)
+    return [(b.support.lo, b.support.hi, b.truncated) for b in dec.blocks]
+
+
+def spans_ref(eps, fam, horizon):
+    try:
+        return scan_desc_ref(eps, fam, horizon)
+    except NotMemberError as exc:
+        return exc.witness
+
+
+class TestMirrorAgainstDescendingReference:
+    @pytest.mark.parametrize("horizon", range(1, 8))
+    @pytest.mark.parametrize("name", DESC_FAMILIES)
+    def test_members_and_order(self, name, horizon):
+        fam = DESC_FAMILIES[name]
+        assert list(enumerate_desc(fam, horizon)) == list(enumerate_desc_ref(fam, horizon))
+
+    @pytest.mark.parametrize("horizon", range(1, 8))
+    @pytest.mark.parametrize("name", DESC_FAMILIES)
+    def test_spans_and_witnesses(self, name, horizon):
+        fam = DESC_FAMILIES[name]
+        for v in product(range(4), repeat=horizon):
+            eps = from_dense(v)
+            want = spans_ref(eps, fam, horizon)
+            assert spans_of(eps, fam, horizon) == want, v
+            assert is_member_desc(eps, fam, horizon) == (not isinstance(want, int))
+
+    @pytest.mark.parametrize("name", DESC_FAMILIES)
+    def test_horizon_and_support_errors(self, name):
+        fam = DESC_FAMILIES[name]
+        for horizon in (0, -3):
+            message = f"horizon must be positive, got {horizon}"
+            for call in (enumerate_desc, enumerate_desc_ref):
+                with pytest.raises(ValueError, match=message):
+                    call(fam, horizon)
+            for call in (decompose_desc, scan_desc_ref):
+                with pytest.raises(ValueError, match=message):
+                    call(ZERO, fam, horizon)
+        for call in (decompose_desc, is_member_desc, scan_desc_ref):
+            with pytest.raises(ValueError, match="support reaches 5, beyond horizon 4"):
+                call(CoeffFn.parse("1:1,5:1"), fam, 4)

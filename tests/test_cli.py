@@ -159,6 +159,20 @@ class TestVerifyRecurrence:
         assert rc == 1
         assert any("mismatch at n=3" in line for line in lines)
 
+    def test_mismatch_past_the_digit_limit(self, capsys):
+        # at n = 3063 the recurrence's 2*Q_3062 + Q_3061 is the first value
+        # past a 640-digit conversion limit (Q_3063 has 640 digits)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc, lines, err = run(capsys, "verify-recurrence", "-f", "fib",
+                                 "--coeffs", "2,1", "--start", "2990", "--stop", "3100")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert rc == 2
+        assert err == "config error: the mismatch at n=3063 needs an integer longer than Python's 640-digit conversion limit\n"
+        assert [line.split(":")[0] for line in lines] == [f"# mismatch at n={k}" for k in range(2990, 3063)]
+
 
 class TestVerifyMaximal:
     def test_golden(self, capsys):
@@ -471,6 +485,22 @@ class TestConfigFile:
         assert err.count("\n") == 1 and message in err
 
 
+    @pytest.mark.parametrize("verb", [["real-expand", "1/4"], ["enumerate"], ["verify-maximal", "--n", "2", "--horizon", "9"]])
+    def test_periodic_own_row_one_all_zeros(self, capsys, tmp_path, verb):
+        # rows past their own period repeat own row 1, so their support would
+        # be finite and a scan along it would never end
+        doc = {
+            "kind": "real",
+            "family": {"type": "periodic", "rows": [[0, 0], [1]]},
+            "sequence": {"type": "block-geometric", "seeds": ["1/3", "1/4"], "ratio": "1/9"},
+        }
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, verb[0], "-c", str(path), *verb[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: periodic: own row 1 has digit 0 at its own index\n"
+
     def test_integer_keys_accept_numeric_strings(self, capsys, tmp_path):
         doc = {"kind": "integer", "family": {"type": "pin", "j": "3"}, "sequence": {"type": "derived"}}
         path = tmp_path / "pin.json"
@@ -629,6 +659,10 @@ GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_T
     ("padic-expand -f golden-41 abc", None),
     ("dominant-check", None),
     ("dominant-check --coeffs 1,x", None),
+    # real-side walks at several horizons, and the sparse harmonic row
+    *((f"enumerate -f {name} --horizon {h} --count 40", None)
+      for name in ("sevenths", "golden-real", "harmonic") for h in (1, 5, 8)),
+    ("verify-maximal -f harmonic --n 2 --horizon 2000 --tol 1e-6", None),
 ]
 
 

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from conftest import PI_100
+from conftest import PI_100, maximal_row
 
 from zecknum.blocks import FamilyError, is_member_desc
 from zecknum.coeff import CoeffFn
@@ -238,27 +239,41 @@ class TestExpand:
 class TestFamilies:
     def test_harmonic_digits(self):
         fam = harmonic_maximal_family()
-        row = fam.row(2)
-        assert [k for k, _ in zip((p for p, _ in row.support_iter()), range(4))] == [
-            2, 6, 42, 1806,
-        ]
-        assert row.digit(5) == 0
-        assert row.digit(42) == 1
-        assert fam.row(3).digit(12) == 1
+        assert [k for k, _ in islice(fam.support(2), 4)] == [2, 6, 42, 1806]
+        row = maximal_row(fam, 2, 42)
+        assert row.get(5, 0) == 0
+        assert row.get(42, 0) == 1
+        assert maximal_row(fam, 3, 12).get(12, 0) == 1
 
     def test_periodic_validation(self):
         with pytest.raises(FamilyError):
             periodic_maximal_family([[1], [1]])
         with pytest.raises(FamilyError):
             periodic_maximal_family([[1, -1], [1]])
-        fam = periodic_maximal_family([[1, 0], [0]])
-        with pytest.raises(FamilyError):
-            fam.row(2)  # its own digit is zero
+        with pytest.raises(FamilyError, match="own row 2 has digit 0 at its own index"):
+            periodic_maximal_family([[1, 0], [0]])
+        with pytest.raises(FamilyError, match="own row 1 has digit 0 at its own index"):
+            periodic_maximal_family([[0, 0], [1]])  # row 2's support would end at 2
+        with pytest.raises(FamilyError, match="own-row lengths"):
+            periodic_maximal_family([])
+
+    @pytest.mark.parametrize("own_rows", [[[1, 1, 1], [1, 0], [1]], [[1, 0, 2], [2, 1], [1]], [[2, 0], [1]]])
+    def test_periodic_support_follows_the_digit_rule(self, own_rows):
+        # the rule the family was first written as: the own row through its
+        # period's end, then own row 1 repeated period-aligned
+        N = len(own_rows)
+        fam = periodic_maximal_family(own_rows)
+        for n in range(1, 3 * N + 1):
+            own = own_rows[(n - 1) % N]
+            end = n + len(own) - 1
+            want = [own[k - n] if k <= end else own_rows[0][(k - end - 1) % N] for k in range(n, 40)]
+            row = maximal_row(fam, n, 39)
+            assert [row.get(k, 0) for k in range(n, 40)] == want, n
 
     def test_sevenths_rows_frozen(self, sevenths):
-        row1 = sevenths.family.row(1)
-        assert [row1.digit(k) for k in range(1, 8)] == [1, 1, 1, 1, 1, 1, 1]
-        row2 = sevenths.family.row(2)
-        assert [row2.digit(k) for k in range(2, 8)] == [1, 0, 1, 1, 1, 1]
-        row3 = sevenths.family.row(3)
-        assert [row3.digit(k) for k in range(3, 8)] == [1, 1, 1, 1, 1]
+        row1 = maximal_row(sevenths.family, 1, 7)
+        assert [row1.get(k, 0) for k in range(1, 8)] == [1, 1, 1, 1, 1, 1, 1]
+        row2 = maximal_row(sevenths.family, 2, 7)
+        assert [row2.get(k, 0) for k in range(2, 8)] == [1, 0, 1, 1, 1, 1]
+        row3 = maximal_row(sevenths.family, 3, 7)
+        assert [row3.get(k, 0) for k in range(3, 8)] == [1, 1, 1, 1, 1]

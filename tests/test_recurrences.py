@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import maximal_row
 
 from zecknum.blocks import FamilyError
 from zecknum.coeff import CoeffFn
@@ -47,8 +48,8 @@ class TestMultiplicityList:
         )
 
     def test_maximal_rows_frozen(self):
-        row = MultiplicityList((2, 3)).maximal_family().row(3)
-        assert [row.digit(k) for k in range(1, 8)] == [0, 0, 2, 2, 2, 2, 2]
+        row = maximal_row(MultiplicityList((2, 3)).maximal_family(), 3, 7)
+        assert [row.get(k, 0) for k in range(1, 8)] == [0, 0, 2, 2, 2, 2, 2]
 
     def test_derived_sequence_matches_recurrence(self):
         ml = MultiplicityList((2, 3))
