@@ -18,9 +18,8 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice, takewhile
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
 
@@ -41,8 +40,7 @@ class WalkLimitError(ValueError):
     """A bounded walk reached more than MEMBER_LIMIT members."""
 
 
-@dataclass(frozen=True)
-class RowShape:
+class RowShape(NamedTuple):
     """Rows of a structural family, described instead of stored.
 
     Row n carries the pairs ``head(n)`` (zero digits allowed, indices above
@@ -80,24 +78,21 @@ class PredecessorFamily:
         self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
-        """Row n as a CoeffFn, built from parts(n) on each call."""
-        return CoeffFn(self.digits_desc(n))
-
-    def digits_desc(self, n: int) -> Iterator[tuple[int, int]]:
-        """Row n's nonzero (index, digit) pairs in descending index order."""
+        """Row n as a CoeffFn, built from parts(n) on each call: the head, then
+        the tail's nonzero digits down the _nonzero chain."""
         head, top, tail, r = self.parts(n)
-        yield from head.items()
-        nonzero, j = self._nonzero[r], top
+        pairs, nonzero, j = list(head.items()), self._nonzero[r], top
         while j := nonzero[j]:
-            yield j, tail[j]
+            pairs.append((j, tail[j]))
             j -= 1
+        return CoeffFn(pairs)
 
     def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits_desc, _scan_asc, walk_values and FundamentalSeq.from_family
-        read this inline."""
+        row, the kernels _scan_asc, walk_values, integers.encode_int and
+        FundamentalSeq.from_family read this inline."""
         p = self._parts.get(n)
         if p is None:
             p = self._parts[n] = self._make_parts(n)
@@ -138,6 +133,7 @@ class MaximalFamily:
         self._support_fn = support_fn
         self.name = name
         self._checked: set[int] = set()
+        self._mirrors: dict[int, PredecessorFamily] = {}  # horizon -> mirror(horizon)
 
     def support(self, n: int, start: int | None = None) -> Iterator[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs from ``start`` (default n) on,
@@ -155,21 +151,22 @@ class MaximalFamily:
         of the result, 2 <= m <= horizon + 1, is row horizon + 2 - m flipped.
         Descending lex order at the horizon is ascending lex order there, a
         truncated block is a maximal one, and the carry into horizon + 1 steps
-        past the maximum."""
-        check_horizon(horizon)
-        flip = horizon + 1
+        past the maximum.  Built once per horizon, its rows with it."""
+        if (mirror := self._mirrors.get(horizon)) is None:
+            check_horizon(horizon)
+            flip = horizon + 1
 
-        def row(m: int) -> CoeffFn:
-            return CoeffFn((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
+            def row(m: int) -> CoeffFn:
+                return CoeffFn((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
 
-        return PredecessorFamily(row, name=f"{self.name}@{horizon}")
+            mirror = self._mirrors[horizon] = PredecessorFamily(row, name=f"{self.name}@{horizon}")
+        return mirror
 
     def __repr__(self) -> str:
         return f"MaximalFamily({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One block of a decomposition: digits restricted to a support interval.
 
     ``maximal`` marks an ascending bottom block that exhausts a family row;
@@ -182,8 +179,7 @@ class Block:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Blocks in ascending support order, tiling [1, top] with no gaps."""
 
     blocks: tuple[Block, ...]
@@ -206,28 +202,28 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
     Scanning from the top index n against row(n+1): the first index where mu
     drops below the row closes a block there; exceeding the row anywhere is a
     failure; matching the row all the way down to 1 is the maximal block,
-    necessarily the bottom one.
+    necessarily the bottom one.  mu's digits are read from one dense list.
     """
     spans: list[tuple[int, int, bool]] = []
-    digit, parts = mu.digit, fam.parts
     n = mu.order_asc
+    digits = [0] * (n + 1)
+    for k, d in mu.items():
+        digits[k] = d
+    built, parts = fam._parts, fam.parts  # parts() memoizes into built
     while n >= 1:
-        head, top, tail, _ = parts(n + 1)
-        k = n
-        while True:
-            mk = digit(k)
-            dk = tail[k] if k <= top else head.get(k, 0)
-            if mk > dk:
-                raise NotMemberError(k)
-            if mk < dk:
-                spans.append((k, n, False))
-                n = k - 1
-                break
-            if k == 1:
-                spans.append((1, n, True))
-                n = 0
-                break
+        head, top, tail, _ = built.get(n + 1) or parts(n + 1)
+        k = n  # down to the highest index where mu leaves the row, or 0
+        while k > top and digits[k] == head.get(k, 0):
             k -= 1
+        while 0 < k <= top and digits[k] == tail[k]:
+            k -= 1
+        if not k:
+            spans.append((1, n, True))
+            break
+        if digits[k] > (tail[k] if k <= top else head.get(k, 0)):
+            raise NotMemberError(k)
+        spans.append((k, n, False))
+        n = k - 1
     return spans
 
 

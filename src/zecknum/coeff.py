@@ -13,26 +13,24 @@ of these maps and two lexicographic orders on them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Digits must fit a signed 64-bit word so the textual wire format stays
 # portable; anything at or above this bound is rejected at construction.
 DIGIT_LIMIT = 1 << 63
 
 
-@dataclass(frozen=True)
-class IndexInterval:
+class IndexInterval(NamedTuple("IndexInterval", [("lo", int), ("hi", int)])):
     """Closed index interval [lo, hi]."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 1:
-            raise ValueError(f"interval lower end {self.lo} < 1")
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: int, hi: int):
+        if lo < 1:
+            raise ValueError(f"interval lower end {lo} < 1")
+        if hi < lo:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     def __contains__(self, i: int) -> bool:
         return self.lo <= i <= self.hi

@@ -9,10 +9,10 @@ like "3/7".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .blocks import FamilyError
 from .coeff import CoeffFn
@@ -39,14 +39,13 @@ from .recurrences import (
 )
 
 
-@dataclass
-class System:
+class System(NamedTuple):
     """A loaded numeration system: family plus named sequences."""
 
     name: str
     kind: str
     family: object
-    sequences: dict[str, object] = field(default_factory=dict)
+    sequences: dict[str, object]
     multiplicities: tuple[int, ...] | None = None
 
     @property

@@ -14,8 +14,7 @@ the members in lex order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
 from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, walk_values
@@ -163,7 +162,12 @@ class FundamentalSeq:
 
 def decode_int(mu: CoeffFn, seq: FundamentalSeq) -> int:
     """Value of a coefficient function: sum of digit times Q over the support."""
-    return sum(d * seq.value(k) for k, d in mu.items())
+    try:
+        seq.value(mu.order_asc)  # materializes every term the sum reads
+    except IndexError:  # zero, or past a bounded table: the lowest index past it is named
+        return sum(d * seq.value(k) for k, d in mu.items())
+    vals = seq._vals
+    return sum(d * vals[k - 1] for k, d in mu.items())
 
 
 def shift_value(eps: CoeffFn, seq: FundamentalSeq) -> int:
@@ -184,25 +188,40 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
         raise ValueError(f"cannot encode negative value {x}")
     if not seq.increasing:
         return _encode_by_walk(x, fam, seq)
-    pairs: list[tuple[int, int]] = []
-    rem = x
-    while rem > 0:
-        try:
-            n = seq.find_top(rem)
-        except FamilyError:
-            # the lazy table revealed a decreasing term part way through
-            return _encode_by_walk(x, fam, seq)
-        if n == 0:
+    try:
+        n = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
+    except FamilyError:  # the lazy table revealed a decreasing term
+        return _encode_by_walk(x, fam, seq)
+    vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
+    pairs, rem, ordered = [], x, True  # pairs in the order taken; sorted while ordered
+    while rem:
+        if not n:
             raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
-        for k, d in fam.digits_desc(n + 1):
-            q = seq.value(k)
-            c = min(d, rem // q)
-            if c:
+        head, top, tail, r = built.get(n + 1) or parts(n + 1)
+        for k, d in head.items():  # row(n + 1)'s digits, head then tail, while rem affords them
+            q = vals[k - 1]
+            if rem < (t := d * q):
+                break
+            pairs.append((k, d))
+            rem -= t
+        else:
+            k, chain = top, nonzero[r]
+            while k := chain[k]:
+                d, q = tail[k], vals[k - 1]
+                if rem < (t := d * q):
+                    break
+                pairs.append((k, d))
+                rem -= t
+                k -= 1
+        if k:  # a short digit at k leaves rem < Q_k: the next top lies below k
+            if c := rem // q:
                 pairs.append((k, c))
                 rem -= c * q
-            if c < d:
-                break
-    return CoeffFn(pairs)
+            n = bisect_right(vals, rem, 0, k - 1)
+        else:  # a whole row taken leaves rem > 0 only if the sequence is not derived
+            n = bisect_right(vals, rem)
+            ordered = ordered and n < pairs[-1][0]  # then the next block may not lie below
+    return CoeffFn._trusted(tuple(reversed(pairs))) if ordered else CoeffFn(pairs)
 
 
 def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
@@ -221,8 +240,7 @@ def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> Coef
     raise NotRepresentableError(f"no admissible function of order <= {m_max} has value {x}")
 
 
-@dataclass
-class SubsetReport:
+class SubsetReport(NamedTuple):
     """Members with value under a bound, in lex order, plus the first collision.
 
     ``collision`` is (value, earlier function, later function) or None; values

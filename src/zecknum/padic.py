@@ -10,9 +10,8 @@ valuation reaches the precision are invisible and are not materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .blocks import FamilyError, PredecessorFamily, _scan_asc, value_collision, walk_values
 from .coeff import CoeffFn
@@ -220,8 +219,7 @@ def weak_converse_digit_bound(p: int) -> int:
     return min(isqrt(p), (p - 1) // 2)
 
 
-@dataclass(frozen=True)
-class ConverseProbe:
+class ConverseProbe(NamedTuple):
     """Comparison of two sequences through one family's members."""
 
     values_match: bool

@@ -13,13 +13,12 @@ block-geometric sequences constant-ratio per period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .blocks import FamilyError, MaximalFamily, check_horizon
 from .coeff import CoeffFn
@@ -156,8 +155,7 @@ def geometric_fundamental(e: Sequence[int], digits: int = 60) -> GeometricSeq:
 # -- root dominance ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(NamedTuple):
     """``dominant`` True with a witness pair, or None when the test is silent."""
 
     dominant: bool | None
@@ -203,8 +201,7 @@ def multiplicity_list_dominant(e: Sequence[int]) -> DominanceResult:
 # -- identities and expansions -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     lhs: Numeric
     rhs: Numeric
     error: Numeric
@@ -227,8 +224,7 @@ def verify_maximal_identity(fam: MaximalFamily, seq, n: int, horizon: int, tol) 
     return IdentityReport(total, rhs, err, tol, err <= tol)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Greedy expansion result: the digit function, what is left, and whether
     the remainder is exactly zero."""
 

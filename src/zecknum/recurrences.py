@@ -9,17 +9,15 @@ digits of Q_n - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, count
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
 from .coeff import CoeffFn
 from .integers import FundamentalSeq
 
 
-@dataclass(frozen=True)
-class MultiplicityList:
+class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
     """Digit multiplicities (e_1, ..., e_N) of a linear system.
 
     The reduced list drops one from the last entry; predecessor rows repeat
@@ -27,11 +25,10 @@ class MultiplicityList:
     periodically upwards forever.
     """
 
-    e: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        e = tuple(self.e)
-        object.__setattr__(self, "e", e)
+    def __new__(cls, e: Iterable[int]):
+        e = tuple(e)
         if not e:
             raise FamilyError("multiplicity list is empty")
         if any(not isinstance(v, int) or v < 0 for v in e):
@@ -40,6 +37,7 @@ class MultiplicityList:
             raise FamilyError(f"multiplicity list {e} must start and end positive")
         if len(e) == 1 and e[0] < 2:
             raise FamilyError("a single-entry multiplicity list needs e_1 >= 2")
+        return super().__new__(cls, e)
 
     @property
     def period(self) -> int:
@@ -196,8 +194,7 @@ def family_from_sequence(values: Sequence[int], name: str = "greedy") -> Predece
 # -- fixed block systems -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedBlockSystem:
+class FixedBlockSystem(NamedTuple):
     """A finite block set realized as an admissibility family.
 
     ``base`` is one more than the largest block value; block values are a

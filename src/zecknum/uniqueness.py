@@ -11,8 +11,7 @@ the shortcut flag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .blocks import PredecessorFamily, member, value_collision, walk_values
 from .coeff import CoeffFn
@@ -20,8 +19,7 @@ from .integers import FundamentalSeq
 from .recurrences import MultiplicityList
 
 
-@dataclass
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Outcome of a lex-order collision walk.
 
     ``members_seen`` counts the zero function; when a collision stops the

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, load_fixture
-from zecknum.blocks import NotMemberError, check_horizon, first_collision, members_upto_order
+from zecknum.blocks import FamilyError, NotMemberError, check_horizon, first_collision, members_upto_order
 from zecknum.coeff import ZERO, CoeffFn
-from zecknum.integers import SubsetReport, decode_int
+from zecknum.integers import NotRepresentableError, SubsetReport, _encode_by_walk, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
 
@@ -277,3 +277,60 @@ def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
             diff = k
             break
     return ConverseProbe(vals_a == vals_b, diff, max_digit, weak_converse_digit_bound(seq_a.p))
+
+
+# -- the codec before its kernels ---------------------------------------------
+# encode_int looking up the top for every block and reading each row's digits
+# through a row object, and the member scan reading mu.digit index by index;
+# the kernels in integers.encode_int and blocks._scan_asc must agree with them.
+
+
+def encode_int_ref(x: int, fam, seq) -> CoeffFn:
+    if x < 0:
+        raise ValueError(f"cannot encode negative value {x}")
+    if not seq.increasing:
+        return _encode_by_walk(x, fam, seq)
+    pairs: list[tuple[int, int]] = []
+    rem = x
+    while rem > 0:
+        try:
+            n = seq.find_top(rem)
+        except FamilyError:
+            return _encode_by_walk(x, fam, seq)
+        if n == 0:
+            raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
+        for k, d in reversed(fam.row(n + 1).items()):
+            q = seq.value(k)
+            c = min(d, rem // q)
+            if c:
+                pairs.append((k, c))
+                rem -= c * q
+            if c < d:
+                break
+    return CoeffFn(pairs)
+
+
+def scan_asc_ref(mu: CoeffFn, fam) -> list[tuple[int, int, bool]]:
+    """Spans (lo, hi, maximal), top-down, or NotMemberError at the first index
+    from the top where mu exceeds the row it is scanned against."""
+    spans: list[tuple[int, int, bool]] = []
+    digit, parts = mu.digit, fam.parts
+    n = mu.order_asc
+    while n >= 1:
+        head, top, tail, _ = parts(n + 1)
+        k = n
+        while True:
+            mk = digit(k)
+            dk = tail[k] if k <= top else head.get(k, 0)
+            if mk > dk:
+                raise NotMemberError(k)
+            if mk < dk:
+                spans.append((k, n, False))
+                n = k - 1
+                break
+            if k == 1:
+                spans.append((1, n, True))
+                n = 0
+                break
+            k -= 1
+    return spans

@@ -545,6 +545,23 @@ def test_cold_module_run_matches_readme():
     assert proc.stdout == "# fib: value\tdigits\n100\t3:1,5:1,10:1\n144\t11:1\n"
 
 
+def test_import_leaves_out_dataclasses():
+    """The records are NamedTuples: importing every layer pulls in neither
+    dataclasses nor the inspect, ast and dis modules behind it (about 1 MB
+    of resident memory and 20 ms of start-up)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, zecknum.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 ORDINALS = ("first", "second", "third", "fourth", "fifth")
 
