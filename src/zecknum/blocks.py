@@ -21,23 +21,7 @@ import sys
 from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, IndexInterval
-
-
-class FamilyError(ValueError):
-    """A family row failed validation (wrong order, bad support, bad digit)."""
-
-
-class NotMemberError(ValueError):
-    """Function not admissible; ``witness`` is the index where the scan failed."""
-
-    def __init__(self, witness: int, message: str | None = None):
-        self.witness = witness
-        super().__init__(message or f"not a member, witness index {witness}")
-
-
-class WalkLimitError(ValueError):
-    """A bounded walk reached more than MEMBER_LIMIT members."""
+from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError
 
 
 class RowShape(NamedTuple):

@@ -10,34 +10,16 @@ precision for real systems (default 60 digits).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
-from .blocks import (
-    FamilyError,
-    NotMemberError,
-    check_horizon,
-    decompose_asc,
-    enumerate_asc,
-    enumerate_desc,
-)
-from .coeff import CoeffFn
+from .coeff import CoeffFn, FamilyError, NotMemberError, NotRepresentableError
 from .config import System, fixture_names, load_config, load_fixture
-from .integers import NotRepresentableError, encode_int, enumerate_subset, shift_value
-from .padic import check_unique_padic, decode_padic, weak_converse_probe
-from .real import (
-    dominance_criterion,
-    expand_real,
-    multiplicity_list_dominant,
-    verify_maximal_identity,
-)
-from .recurrences import verify_recurrence
-from .uniqueness import check_unique, default_order_cap
+
+# Each handler imports the layers it calls when it runs, so a command loads
+# only what its verb and its system's kind use.
 
 
 def _precision() -> int:
@@ -69,8 +51,10 @@ def _parse_int_csv(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _number(text: str) -> Fraction | Decimal:
+def _number(text: str):
     """``p/q`` as a Fraction, anything else as a finite Decimal."""
+    from decimal import Decimal
+    from fractions import Fraction
     try:
         x = Fraction(text) if "/" in text else Decimal(text)
         if isinstance(x, Fraction) or x.is_finite():
@@ -115,6 +99,7 @@ def _records(sys_: System, header: str, values: list[str], record: Callable[[str
 
 
 def cmd_encode(args, sys_: System, seq) -> int:
+    from .integers import encode_int
     return _records(sys_, "value\tdigits", args.values,
                     lambda tok: encode_int(int(tok), sys_.family, seq).render())
 
@@ -125,11 +110,14 @@ def cmd_decode(args, sys_: System, seq) -> int:
 
 
 def cmd_shift(args, sys_: System, seq) -> int:
+    from .integers import shift_value
     return _records(sys_, "digits\tshifted value", args.values,
                     lambda tok: shift_value(CoeffFn.parse(tok), seq))
 
 
 def cmd_decompose(args, sys_: System, seq) -> int:
+    from .blocks import decompose_asc
+
     def record(tok: str) -> str:
         dec = decompose_asc(CoeffFn.parse(tok), sys_.family)
         parts = []
@@ -142,6 +130,8 @@ def cmd_decompose(args, sys_: System, seq) -> int:
 
 
 def cmd_real_expand(args, sys_: System, seq) -> int:
+    from fractions import Fraction
+    from .real import expand_real
     if args.max_blocks < 0:
         raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
     tol = Fraction(1, 10 ** (_precision() // 2))
@@ -154,12 +144,14 @@ def cmd_real_expand(args, sys_: System, seq) -> int:
 
 
 def cmd_padic_expand(args, sys_: System, seq) -> int:
+    from .padic import decode_padic
     fam = None if args.no_check else sys_.family
     return _records(sys_, "residue\tdigits", args.values,
                     lambda tok: decode_padic(int(tok), seq, fam).render())
 
 
 def cmd_enumerate(args, sys_: System, seq) -> int:
+    from .blocks import check_horizon, enumerate_asc, enumerate_desc
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
     check_horizon(args.horizon)
@@ -175,6 +167,7 @@ def cmd_enumerate(args, sys_: System, seq) -> int:
 
 
 def cmd_subset(args, sys_: System, seq) -> int:
+    from .integers import enumerate_subset
     report = enumerate_subset(sys_.family, seq, args.bound)
     print(f"# {sys_.name}: members with value <= {args.bound} under {args.seq}")
     if args.list:
@@ -191,8 +184,12 @@ def cmd_subset(args, sys_: System, seq) -> int:
 
 
 def cmd_verify_unique(args, sys_: System, seq) -> int:
+    from .uniqueness import default_order_cap
+    if sys_.kind == "padic":
+        from .padic import check_unique_padic as check
+    else:
+        from .uniqueness import check_unique as check
     cap = default_order_cap(sys_.multiplicities, args.shortcut) if args.cap is None else args.cap
-    check = {"integer": check_unique, "padic": check_unique_padic}[sys_.kind]
     report = check(sys_.family, seq, cap, stop_at_collision=not args.full)
     print(f"# {sys_.name}: members of order <= {cap} under {args.seq}")
     print(f"# seen: {report.members_seen} (nonzero {report.nonzero_members}), distinct values: {report.distinct_values}")
@@ -205,6 +202,7 @@ def cmd_verify_unique(args, sys_: System, seq) -> int:
 
 
 def cmd_converse_probe(args, sys_: System, seq) -> int:
+    from .padic import weak_converse_probe
     probe = weak_converse_probe(sys_.family, seq, sys_.seq(args.other), args.cap)
     print(f"# {sys_.name}: value sets match: {probe.values_match}")
     print(f"# first differing term: {probe.first_difference}")
@@ -213,6 +211,7 @@ def cmd_converse_probe(args, sys_: System, seq) -> int:
 
 
 def cmd_verify_recurrence(args, sys_: System, seq) -> int:
+    from .recurrences import verify_recurrence
     coeffs = _parse_int_csv(args.coeffs)
     bad = verify_recurrence(seq, coeffs, args.start, args.stop)
     if bad:
@@ -228,6 +227,7 @@ def cmd_verify_recurrence(args, sys_: System, seq) -> int:
 
 
 def cmd_verify_maximal(args, sys_: System, seq) -> int:
+    from .real import verify_maximal_identity
     report = verify_maximal_identity(sys_.family, seq, args.n, args.horizon, _number(args.tol))
     print(f"# {sys_.name}: maximal row at {args.n} summed to {args.horizon}")
     print(f"# lhs={report.lhs}  rhs={report.rhs}  error={report.error}")
@@ -239,6 +239,7 @@ def cmd_verify_maximal(args, sys_: System, seq) -> int:
 
 
 def cmd_dominant_check(args) -> int:
+    from .real import dominance_criterion, multiplicity_list_dominant
     if args.multiplicity:
         res = multiplicity_list_dominant(_parse_int_csv(args.multiplicity))
     elif args.coeffs:
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotRepresentableError, NotMemberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FamilyError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (FamilyError, OSError, ValueError) as exc:  # a malformed JSON file raises a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,28 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 DIGIT_LIMIT = 1 << 63
 
 
+# The errors every layer raises live here, at the bottom of the import graph,
+# so the command line can catch them without loading the layers themselves.
+class FamilyError(ValueError):
+    """A family row failed validation (wrong order, bad support, bad digit)."""
+
+
+class NotMemberError(ValueError):
+    """Function not admissible; ``witness`` is the index where the scan failed."""
+
+    def __init__(self, witness: int, message: str | None = None):
+        self.witness = witness
+        super().__init__(message or f"not a member, witness index {witness}")
+
+
+class WalkLimitError(ValueError):
+    """A bounded walk reached more than MEMBER_LIMIT members."""
+
+
+class NotRepresentableError(ValueError):
+    """No admissible function evaluates to the requested value."""
+
+
 class IndexInterval(NamedTuple("IndexInterval", [("lo", int), ("hi", int)])):
     """Closed index interval [lo, hi]."""
 

@@ -3,40 +3,20 @@
 A system file names a kind (integer, real, padic), a family, and one or
 more sequences.  Bundled fixtures live next to this module; user files use
 the same schema via an explicit path.  Fractions appear in JSON as strings
-like "3/7".
+like "3/7".  A kind's layer is imported the first time a system of that kind
+is built, so loading a system pulls in only the modules it uses.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .blocks import FamilyError
-from .coeff import CoeffFn
-from .integers import FundamentalSeq, decode_int
-from .padic import PadicSeq, eval_padic, golden_padic_seq, power_padic_seq
-from .real import (
-    BlockGeometricSeq,
-    HarmonicSeq,
-    eval_expansion,
-    geometric_fundamental,
-    harmonic_maximal_family,
-    periodic_maximal_family,
-)
-from .recurrences import (
-    MultiplicityList,
-    factorial_family,
-    family_from_blocks,
-    family_from_neg_recurrence,
-    family_from_sequence,
-    family_from_table,
-    index_bounded_family,
-    j_plus_family,
-    pinned_radix_seq,
-)
+from .coeff import CoeffFn, FamilyError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class System(NamedTuple):
@@ -63,12 +43,8 @@ class System(NamedTuple):
     def value(self, fn: CoeffFn, label: str = "main"):
         """Value of ``fn`` under sequence ``label`` on this system's carrier: an
         integer, a residue mod p**prec, or an exact or decimal number in (0,1)."""
-        seq = self.seq(label)
-        if self.kind == "integer":
-            return decode_int(fn, seq)
-        if self.kind == "padic":
-            return eval_padic(fn, seq)
-        return eval_expansion(fn, seq)
+        module, name = _BY_KIND[self.kind].value
+        return getattr(import_module(f".{module}", __package__), name)(fn, self.seq(label))
 
 
 def _ints(v) -> bool:
@@ -100,7 +76,9 @@ def _need(entry: dict, path: str, key: str, kind: str = "ints"):
     return v
 
 
-def _build_integer_family(entry: dict):
+def _integer_family(entry: dict):
+    from .recurrences import (MultiplicityList, factorial_family, family_from_blocks, family_from_neg_recurrence,
+                              family_from_sequence, family_from_table, index_bounded_family, j_plus_family)
     t = entry.get("type")
     if t == "multiplicity":
         ml = MultiplicityList(tuple(_need(entry, "family", "e")))
@@ -123,19 +101,23 @@ def _build_integer_family(entry: dict):
     raise FamilyError(f"unknown family type {t!r}")
 
 
-def _build_real_family(entry: dict):
+def _real_family(entry: dict):
+    from .real import harmonic_maximal_family, periodic_maximal_family
     t = entry.get("type")
     if t == "harmonic":
         return harmonic_maximal_family(), None
     if t == "periodic":
         return periodic_maximal_family(_need(entry, "family", "rows", "rows")), None
     if t == "multiplicity":
+        from .recurrences import MultiplicityList
         ml = MultiplicityList(tuple(_need(entry, "family", "e")))
         return ml.maximal_family(), ml.e
     raise FamilyError(f"unknown real family type {t!r}")
 
 
-def _build_integer_seq(entry: dict, fam, path: str) -> FundamentalSeq:
+def _integer_seq(entry: dict, path: str, doc: dict, fam, e, precision: int):
+    from .integers import FundamentalSeq
+    from .recurrences import pinned_radix_seq
     t = entry.get("type")
     if t == "derived":
         return FundamentalSeq.from_family(fam)
@@ -149,7 +131,9 @@ def _build_integer_seq(entry: dict, fam, path: str) -> FundamentalSeq:
     raise FamilyError(f"unknown sequence type {t!r}")
 
 
-def _build_real_seq(entry: dict, e, precision: int, path: str):
+def _real_seq(entry: dict, path: str, doc: dict, fam, e, precision: int):
+    from fractions import Fraction
+    from .real import BlockGeometricSeq, HarmonicSeq, geometric_fundamental
     t = entry.get("type")
     if t == "harmonic":
         return HarmonicSeq()
@@ -164,7 +148,9 @@ def _build_real_seq(entry: dict, e, precision: int, path: str):
     raise FamilyError(f"unknown real sequence type {t!r}")
 
 
-def _build_padic_seq(entry: dict, p: int, prec: int, path: str) -> PadicSeq:
+def _padic_seq(entry: dict, path: str, doc: dict, fam, e, precision: int):
+    from .padic import golden_padic_seq, power_padic_seq
+    p, prec = _need(doc, "", "p", "int"), _need(doc, "", "prec", "int")
     t, entry = entry.get("type"), {"unit": 1, "mix": 3, "seed": 7, **entry}
     if t == "power":
         return power_padic_seq(p, prec, _need(entry, path, "unit", "int"), name=entry.get("name"))
@@ -174,31 +160,38 @@ def _build_padic_seq(entry: dict, p: int, prec: int, path: str) -> PadicSeq:
     raise FamilyError(f"unknown padic sequence type {t!r}")
 
 
+class _Kind(NamedTuple):
+    """How one system kind is built and evaluated.  The builders import the
+    kind's layer when first called; ``value`` names the evaluator in it as
+    (module, function), looked up at each call."""
+
+    family: Callable  # family entry -> (family, multiplicities or None)
+    sequence: Callable  # (entry, key path, document, family, multiplicities, precision) -> sequence
+    value: tuple[str, str]  # a function of (digit function, sequence)
+
+
+_BY_KIND = {
+    "integer": _Kind(_integer_family, _integer_seq, ("integers", "decode_int")),
+    "real": _Kind(_real_family, _real_seq, ("real", "eval_expansion")),
+    "padic": _Kind(_integer_family, _padic_seq, ("padic", "eval_padic")),
+}
+
+
 def build_system(doc: dict, precision: int = 60) -> System:
     """The system a JSON document describes; FamilyError names the key path
     of a missing or mistyped entry."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in ("integer", "real", "padic"):
+    if not isinstance(kind, str) or kind not in _BY_KIND:
         raise FamilyError(f"unknown system kind {kind!r}")
     if "sequences" in doc:
         labels = _need(doc, "", "sequences", "object")
         entries = {k: (f"sequences.{k}", _need(labels, "sequences", k, "object")) for k in labels}
     else:
         entries = {"main": ("sequence", _need(doc, "", "sequence", "object"))}
-    family = _need(doc, "", "family", "object")
-    name = doc.get("name", "unnamed")
-
-    if kind == "real":
-        fam, e = _build_real_family(family)
-        seqs = {label: _build_real_seq(s, e, precision, path) for label, (path, s) in entries.items()}
-        return System(name, kind, fam, seqs, multiplicities=e)
-    fam, e = _build_integer_family(family)
-    if kind == "integer":
-        seqs = {label: _build_integer_seq(s, fam, path) for label, (path, s) in entries.items()}
-        return System(name, kind, fam, seqs, multiplicities=e)
-    p, prec = _need(doc, "", "p", "int"), _need(doc, "", "prec", "int")
-    seqs = {label: _build_padic_seq(s, p, prec, path) for label, (path, s) in entries.items()}
-    return System(name, kind, fam, seqs, multiplicities=e)
+    build = _BY_KIND[kind]
+    fam, e = build.family(_need(doc, "", "family", "object"))
+    seqs = {label: build.sequence(s, path, doc, fam, e, precision) for label, (path, s) in entries.items()}
+    return System(doc.get("name", "unnamed"), kind, fam, seqs, multiplicities=e)
 
 
 def load_config(path: str | Path, precision: int = 60) -> System:
@@ -207,13 +200,11 @@ def load_config(path: str | Path, precision: int = 60) -> System:
 
 
 def fixture_names() -> list[str]:
-    pkg = resources.files("zecknum.fixtures")
-    return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in FIXTURES.glob("*.json"))
 
 
 def load_fixture(name: str, precision: int = 60) -> System:
-    pkg = resources.files("zecknum.fixtures")
-    res = pkg / f"{name}.json"
-    if not res.is_file():
+    path = FIXTURES / f"{name}.json"
+    if not path.is_file():
         raise FamilyError(f"no fixture {name!r}; available: {', '.join(fixture_names())}")
-    return build_system(json.loads(res.read_text(encoding="utf-8")), precision)
+    return load_config(path, precision)

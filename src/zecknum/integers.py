@@ -18,17 +18,13 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
 from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, walk_values
-from .coeff import CoeffFn
+from .coeff import CoeffFn, NotRepresentableError
 
 EXTENSION_LIMIT = 10**6
 
 # misses tolerated past the last hit when searching a possibly non-monotone
 # sequence for its largest term under a bound
 LOOKAHEAD_WINDOW = 16
-
-
-class NotRepresentableError(ValueError):
-    """No admissible function evaluates to the requested value."""
 
 
 class FundamentalSeq:

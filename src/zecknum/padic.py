@@ -14,8 +14,7 @@ from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
 from .blocks import FamilyError, PredecessorFamily, _scan_asc, value_collision, walk_values
-from .coeff import CoeffFn
-from .integers import NotRepresentableError
+from .coeff import CoeffFn, NotRepresentableError
 from .uniqueness import UniquenessReport
 
 

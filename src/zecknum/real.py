@@ -248,8 +248,11 @@ def expand_real(
     the first short digit closes the block, and the next block necessarily
     starts strictly above it.  Stops on an exact zero remainder, a remainder
     at or under residual_tol, or after max_blocks blocks.  ``x`` is read
-    exactly on a sequence of fractions, at the precision of a decimal one.
+    exactly on a sequence of fractions, at the precision of a decimal one;
+    x = 0 is the empty expansion, and x outside [0, 1) a ValueError.
     """
+    if not 0 <= x < 1:
+        raise ValueError(f"need 0 < x < 1, got {x}")
     pairs: list[tuple[int, int]] = []
     blocks = 0
     exact = False

@@ -545,21 +545,62 @@ def test_cold_module_run_matches_readme():
     assert proc.stdout == "# fib: value\tdigits\n100\t3:1,5:1,10:1\n144\t11:1\n"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted("zecknum" if p.stem == "__init__" else f"zecknum.{p.stem}" for p in (SRC / "zecknum").glob("*.py"))
+
+
+def fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter on src/, with no site hooks
+    loading modules of their own."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_import_leaves_out_dataclasses():
     """The records are NamedTuples: importing every layer pulls in neither
     dataclasses nor the inspect, ast and dis modules behind it (about 1 MB
     of resident memory and 20 ms of start-up)."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, zecknum.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
+    probe = f"import sys, {', '.join(MODULES)}; print(sorted({{'dataclasses', 'inspect', 'ast', 'dis'}} & set(sys.modules)))"
+    assert fresh_python(probe) == "[]\n"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    """Each module imports on its own in a new interpreter: the lazy imports
+    leave no cycle that only one import order resolves."""
+    assert fresh_python(f"import {module}; print('ok')") == "ok\n"
+
+
+def _layers(*names: str) -> set[str]:
+    return {f"zecknum.{n}" for n in names}
+
+
+# (command, modules it must leave unloaded): a cold command loads only the
+# layers its verb and its system's kind use
+LOAD_SETS = [
+    (["encode", "-f", "fib", "5"], _layers("real", "padic", "uniqueness") | {"decimal", "fractions"}),
+    (["real-expand", "-f", "sevenths", "1/3"], _layers("padic", "uniqueness", "integers")),
+    (["fixtures"], set(MODULES) - _layers("cli", "config", "coeff") - {"zecknum"}),
+    (["dominant-check", "--multiplicity", "1,1"], _layers("integers", "recurrences", "uniqueness", "padic")),
+]
+
+
+@pytest.mark.parametrize("argv,absent", LOAD_SETS, ids=[" ".join(a) for a, _ in LOAD_SETS])
+def test_command_loads_only_its_layers(argv, absent):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from zecknum.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    rc = main({argv!r})\n"
+        f"print(rc, sorted(set(sys.modules).intersection({sorted(absent)!r})))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert fresh_python(probe) == "0 []\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -672,6 +713,8 @@ GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_T
     ("real-expand -f sevenths 1/0", None),
     ("real-expand -f sevenths 1e-20000", None),
     ("real-expand -f sevenths -", "1/1" + "0" * 20000 + "\n"),
+    ("real-expand -f sevenths -- -1/2", None),
+    ("real-expand -f golden-real 1.5", None),
     ("padic-expand -f golden-41 -5", None),
     ("padic-expand -f golden-41 abc", None),
     ("dominant-check", None),
@@ -680,6 +723,10 @@ GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_T
     *((f"enumerate -f {name} --horizon {h} --count 40", None)
       for name in ("sevenths", "golden-real", "harmonic") for h in (1, 5, 8)),
     ("verify-maximal -f harmonic --n 2 --horizon 2000 --tol 1e-6", None),
+    # the argparse wiring, at 80 columns: every help page and an unknown verb
+    ("--help", None),
+    *((f"{verb} --help", None) for verb in _verb_kinds()),
+    ("nope", None),
 ]
 
 
@@ -689,7 +736,10 @@ def golden_run(command: str, stdin: str | None) -> dict:
     sys.stdin = io.StringIO(stdin or "")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(shlex.split(command))
+            try:
+                rc = main(shlex.split(command))
+            except SystemExit as exc:  # argparse's help pages and usage errors
+                rc = exc.code
     finally:
         sys.stdin = saved
     return {"command": command, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -698,6 +748,7 @@ def golden_run(command: str, stdin: str | None) -> dict:
 @pytest.mark.parametrize("i", range(len(GOLDEN)), ids=[c[:60] for c, _ in GOLDEN])
 def test_golden(monkeypatch, i):
     monkeypatch.delenv("ZECKNUM_PRECISION", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     want = json.loads(GOLDEN_JSON.read_text(encoding="utf-8"))
     assert len(want) == len(GOLDEN)
     assert golden_run(*GOLDEN[i]) == want[i]
@@ -713,5 +764,6 @@ def test_golden_table_has_an_unknown_seq_for_every_system_verb():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     os.environ.pop("ZECKNUM_PRECISION", None)
+    os.environ["COLUMNS"] = "80"
     table = [golden_run(command, stdin) for command, stdin in GOLDEN]
     GOLDEN_JSON.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

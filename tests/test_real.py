@@ -218,6 +218,15 @@ class TestExpand:
         assert res.fn == CoeffFn.parse("2:1,8:1")
         assert res.exact
 
+    @pytest.mark.parametrize("x", [Fraction(-1, 2), Decimal("-0.001"), Fraction(1), Decimal("1.5")])
+    def test_outside_the_unit_interval(self, sevenths, x):
+        with pytest.raises(ValueError, match="need 0 < x < 1"):
+            expand_real(x, sevenths.family, sevenths.sequence)
+
+    def test_zero_is_the_empty_expansion(self, sevenths):
+        res = expand_real(Fraction(0), sevenths.family, sevenths.sequence)
+        assert res.fn == CoeffFn() and res.exact and res.blocks_used == 0
+
     def test_sevenths_members(self, sevenths):
         for k in (1, 6, 49, 113, 342):
             res = expand_real(Fraction(k, 343), sevenths.family, sevenths.sequence,
