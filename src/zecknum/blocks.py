@@ -18,7 +18,7 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 from __future__ import annotations
 
 import sys
-from itertools import chain, islice, takewhile
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError
@@ -62,20 +62,24 @@ class PredecessorFamily:
         self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
-        """Row n as a CoeffFn, built from parts(n) on each call: the head, then
-        the tail's nonzero digits down the _nonzero chain."""
+        """Row n as a CoeffFn, built from digits(n) on each call."""
+        return CoeffFn(self.digits(n))
+
+    def digits(self, n: int) -> list[tuple[int, int]]:
+        """Row n's nonzero (index, digit) pairs, top first, read from parts(n):
+        the head, then the tail's nonzero digits down the _nonzero chain."""
         head, top, tail, r = self.parts(n)
         pairs, nonzero, j = list(head.items()), self._nonzero[r], top
         while j := nonzero[j]:
             pairs.append((j, tail[j]))
             j -= 1
-        return CoeffFn(pairs)
+        return pairs
 
     def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        row, the kernels _scan_asc, walk_values, integers.encode_int and
+        digits, the kernels _scan_asc, walk_values, integers.encode_int and
         FundamentalSeq.from_family read this inline."""
         p = self._parts.get(n)
         if p is None:
@@ -263,6 +267,10 @@ def _check_cap(k: int) -> int:
     return k
 
 
+def _limit_error(cap: int) -> WalkLimitError:
+    return WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
+
+
 def walk_values(
     fam: PredecessorFamily, q: Callable[[int], int] | None = None, start: CoeffFn = ZERO, cap: int | None = None
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -300,7 +308,7 @@ def walk_values(
             return
         left -= 1
         if not left:
-            raise WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
+            raise _limit_error(cap)
         # n is the low end of the block above, or an all-zero singleton against row(n+1)
         if blocks and blocks[-1][0] == n:
             block = blocks[-1]
@@ -341,6 +349,75 @@ def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
     return (member(digits) for _, digits in walk_values(fam, cap=_check_cap(k)))
 
 
+def order_sizes(fam: PredecessorFamily, cap: int, q: Callable[[int], int] | None = None) -> list[int]:
+    """size[j], the number of members of order < j, for j = 0..cap+1, from
+    the rows alone (order_values says how order n's members fall into runs).
+    Failures come where walk_values meets them: past MEMBER_LIMIT members
+    WalkLimitError, checked before Q_n (read only for its failure, if ``q``
+    is given) and again after row n+1 sizes order n; a missing row or Q_n
+    raises when read."""
+    size = [0, 1]
+    for n in range(1, _check_cap(cap) + 1):
+        if size[n] >= MEMBER_LIMIT:
+            raise _limit_error(cap)
+        if q:
+            q(n)
+        size.append(size[n] + 1 + sum((c - (k == n)) * size[k] for k, c in fam.digits(n + 1)))
+        if size[n + 1] > MEMBER_LIMIT:
+            raise _limit_error(cap)
+    return size
+
+
+def order_values(
+    fam: PredecessorFamily, q: Callable[[int], int], cap: int, modulus: int | None = None
+) -> Iterator[list[int]]:
+    """The values of the members of order <= cap, one order at a time.
+
+    Yields one list, grown in place: after step n (n = 0..cap) it holds the
+    values of the members of order <= n in lex order, index = rank, so order
+    n's values are its tail past the previous step's length.  Members of
+    order n are row n+1's lex prefixes: for each nonzero digit c_k of row
+    n+1, top first, and each t < c_k (t >= 1 at k = n), the row's digits
+    above k, t at k and any member of order < k below; then row n+1 itself.
+    So step n appends the list's first size[k] values (order_sizes) shifted
+    by the prefix's value, once per t.  Values are reduced mod ``modulus``.
+
+    Failures come at walk_values' member: past MEMBER_LIMIT members
+    WalkLimitError, after yielding the list cut at the limit; a missing Q_n
+    before order n starts; a missing row n+1 after yielding basis(n)'s value.
+    """
+    values, size, qs = [0], [0, 1], [0]
+    _check_cap(cap)
+    yield values
+    for n in range(1, cap + 1):
+        if len(values) >= MEMBER_LIMIT:
+            raise _limit_error(cap)
+        qn = q(n)
+        qs.append(qn % modulus if modulus else qn)
+        try:
+            digits = fam.digits(n + 1)
+        except Exception:  # whatever the row raises, the walk meets basis(n) first
+            values.append(qs[n])
+            yield values
+            raise
+        runs, prefix = [], 0  # (members of order < k, the shifts they take)
+        for k, c in digits:
+            if shifts := [prefix + t * qs[k] for t in range(k == n, c)]:
+                runs.append((size[k], shifts))
+            prefix += c * qs[k]
+        runs.append((1, [prefix]))  # row n+1: the zero member shifted
+        for s, shifts in runs:
+            base = values[:s]
+            for shift in shifts:
+                values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
+                if len(values) > MEMBER_LIMIT:
+                    del values[MEMBER_LIMIT:]
+                    yield values
+                    raise _limit_error(cap)
+        size.append(len(values))
+        yield values
+
+
 def first_collision(
     pairs: Iterable[tuple[object, object]], stop: bool = True
 ) -> tuple[int, int, tuple[object, object, object] | None, bool]:
@@ -363,20 +440,30 @@ def first_collision(
 def value_collision(
     fam: PredecessorFamily, q: Callable[[int], int], cap: int, stop: bool = True, modulus: int | None = None
 ) -> tuple[int, int, tuple[int, CoeffFn, CoeffFn] | None, bool]:
-    """first_collision on the members of order <= cap, keyed by rank, by their
-    walk_values value (mod ``modulus`` if given).  Only the two colliding
-    members are built: the earlier by a re-walk to its rank, the later from
-    the stopped walk's own digits (or by a re-walk, if the walk went on)."""
-    walk = walk_values(fam, q, cap=cap)
-    v0, live = next(walk)
-    values = chain((v0,), (v for v, _ in walk))
-    if modulus:
-        values = (v % modulus for v in values)
-    seen, distinct, collision, done = first_collision(enumerate(values), stop)
-    if collision:
-        v, i, j = collision
-        collision = (v, _member_at(fam, i), _member_at(fam, j) if done else member(live))
-    return seen, distinct, collision, done
+    """first_collision on the members of order <= cap, keyed by rank, by
+    their order_values value (mod ``modulus`` if given), one order at a
+    time: a set of the values finds the order holding the first repeat, and
+    only that order is scanned for its rank.  Without ``stop`` a cap past
+    MEMBER_LIMIT is refused from order_sizes before any value is summed.
+    Only the two colliding members are built, each by a re-walk to its rank."""
+    if not stop:
+        order_sizes(fam, cap, q)
+    seen: set[int] = set()
+    repeat, start = None, 0
+    for values in order_values(fam, q, cap, modulus):
+        seen.update(islice(values, start, None))
+        if repeat is None and len(seen) < len(values):  # the first repeat lies past start
+            first = dict(zip(values, range(start)))
+            j = next(j for j in range(start, len(values)) if first.setdefault(values[j], j) != j)
+            repeat = values[j], first[values[j]], j
+            if stop:
+                break
+        start = len(values)
+    if repeat is None:
+        return len(values), len(seen), None, True
+    v, i, j = repeat
+    collision = (v, _member_at(fam, i), _member_at(fam, j))
+    return (j + 1, j, collision, False) if stop else (len(values), len(seen), collision, True)
 
 
 def _member_at(fam: PredecessorFamily, rank: int) -> CoeffFn:

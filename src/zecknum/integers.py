@@ -14,10 +14,11 @@ the members in lex order.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
-from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, walk_values
+from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, order_values, walk_values
 from .coeff import CoeffFn, NotRepresentableError
 
 EXTENSION_LIMIT = 10**6
@@ -278,12 +279,19 @@ def reconstruct_sequence(
     """
     values = sorted(set(value_set))
     rebuilt: list[int] = []
+    used: set[int] = set()
+    i = start = 0  # values[i] is the least value not reached; it only moves up
+    # the values of order < n, one order per step; step n - 1 reads Q'_{n-1}
+    orders = order_values(fam, lambda k: rebuilt[k - 1], count - 1)
     for n in range(1, count + 1):
-        used = {v for v, _ in walk_values(fam, lambda k: rebuilt[k - 1], cap=n - 1)}
-        rest = [v for v in values if v not in used]
-        if not rest:
+        reached = next(orders)
+        used.update(islice(reached, start, None))
+        start = len(reached)
+        while i < len(values) and values[i] in used:
+            i += 1
+        if i == len(values):
             raise NotRepresentableError(
                 f"value set exhausted after {n - 1} rebuilt terms"
             )
-        rebuilt.append(rest[0])
+        rebuilt.append(values[i])
     return rebuilt

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .blocks import FamilyError, PredecessorFamily, _scan_asc, value_collision, walk_values
+from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values, value_collision
 from .coeff import CoeffFn, NotRepresentableError
 from .uniqueness import UniquenessReport
 
@@ -227,6 +227,11 @@ class ConverseProbe(NamedTuple):
     digit_bound: int
 
 
+def _value_set(fam: PredecessorFamily, seq: PadicSeq, order_cap: int) -> set[int]:
+    *_, values = order_values(fam, seq.value, order_cap, seq.modulus)
+    return set(values)
+
+
 def weak_converse_probe(
     fam: PredecessorFamily, seq_a: PadicSeq, seq_b: PadicSeq, order_cap: int
 ) -> ConverseProbe:
@@ -238,15 +243,9 @@ def weak_converse_probe(
     """
     if (seq_a.p, seq_a.prec) != (seq_b.p, seq_b.prec):
         raise FamilyError("sequences live at different p or precision")
-    m = seq_a.modulus
-    vals_a: set[int] = set()
-    max_digit = 0
-    for v, digits in walk_values(fam, seq_a.value, cap=order_cap):
-        vals_a.add(v % m)
-        # the lowest pair is the digit the walker just raised, so this sees every digit
-        if digits and digits[-1][1] > max_digit:
-            max_digit = digits[-1][1]
-    vals_b = {v % m for v, _ in walk_values(fam, seq_b.value, cap=order_cap)}
+    vals_a, vals_b = (_value_set(fam, seq, order_cap) for seq in (seq_a, seq_b))
+    # rows 2..cap+1 are members of order <= cap, and every member's digits lie under its rows'
+    max_digit = max((d for n in range(2, order_cap + 2) for _, d in fam.digits(n)), default=0)
     terms = range(1, max(len(seq_a), len(seq_b)) + 1)
     diff = next((k for k in terms if seq_a.value(k) != seq_b.value(k)), None)
     return ConverseProbe(vals_a == vals_b, diff, max_digit, weak_converse_digit_bound(seq_a.p))

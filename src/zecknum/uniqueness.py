@@ -1,19 +1,19 @@
 """Uniqueness and counting probes.
 
 A family paired with an arbitrary positive sequence need not represent
-values uniquely.  The probe walks the members in ascending lex order up to
-an order cap, carrying each one's value, and reports the first value hit
-twice (the walk and the check live in ``blocks``, shared with the p-adic
-probe); for a multiplicity-list system with the matching linear recurrence,
-a cap of a few periods is the interesting regime (four by default, two with
-the shortcut flag).
+values uniquely.  The probe builds the values of the members up to an order
+cap, one order at a time in ascending lex order, and reports the first value
+hit twice (the value builder and the check live in ``blocks``, shared with
+the p-adic probe); for a multiplicity-list system with the matching linear
+recurrence, a cap of a few periods is the interesting regime (four by
+default, two with the shortcut flag).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .blocks import PredecessorFamily, member, value_collision, walk_values
+from .blocks import PredecessorFamily, member, order_sizes, value_collision, walk_values
 from .coeff import CoeffFn
 from .integers import FundamentalSeq
 from .recurrences import MultiplicityList
@@ -49,7 +49,7 @@ def check_unique(
     order_cap: int,
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
-    """Walk members of order <= order_cap and look for a repeated value."""
+    """Look for a repeated value among the members of order <= order_cap."""
     return UniquenessReport(order_cap, *value_collision(fam, seq.value, order_cap, stop_at_collision))
 
 
@@ -79,5 +79,8 @@ def count_upto_order(
     pred: Callable[[CoeffFn], bool] | None = None,
 ) -> int:
     """Number of members of order <= order_cap, zero function included,
-    optionally filtered; only a filter makes the walk build members."""
-    return sum(1 for _, digits in walk_values(fam, cap=order_cap) if pred is None or pred(member(digits)))
+    optionally filtered; only a filter walks the members and builds them,
+    the plain count is read off the rows."""
+    if pred is None:
+        return order_sizes(fam, order_cap)[-1]
+    return sum(1 for _, digits in walk_values(fam, cap=order_cap) if pred(member(digits)))

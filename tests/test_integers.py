@@ -210,6 +210,10 @@ class TestReconstruct:
         values = [v for _, v in enumerate_subset(fib.family, fib.sequence, 100).pairs]
         assert reconstruct_sequence(fib.family, values, 10) == fib.sequence.upto(10)
 
+    def test_fibonacci_20_terms(self, fib):
+        values = range(fib.sequence.value(20) + 1)
+        assert reconstruct_sequence(fib.family, values, 20) == fib.sequence.upto(20)
+
     def test_scaled(self, seven_scaled):
         values = range(0, 701, 7)
         rebuilt = reconstruct_sequence(seven_scaled.family, values, 8)

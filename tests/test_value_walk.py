@@ -1,6 +1,7 @@
 """The value-carrying walk against decoding every member from scratch.
 
-walk_values keeps sum(d * Q_k) up to date as it steps; the probes built on it
+walk_values keeps sum(d * Q_k) up to date as it steps, and order_values
+builds the same values one order at a time; the probes built on them
 (collision checks, subset walks, the converse probe, the walk encoder) must
 answer, and fail, exactly as the decode-per-member references in conftest.
 """
@@ -21,12 +22,20 @@ from conftest import (
 )
 
 from zecknum import blocks
-from zecknum.blocks import FamilyError, WalkLimitError, enumerate_asc, members_upto_order, walk_values
+from zecknum.blocks import (
+    FamilyError,
+    WalkLimitError,
+    enumerate_asc,
+    members_upto_order,
+    order_sizes,
+    order_values,
+    walk_values,
+)
 from zecknum.coeff import CoeffFn
 from zecknum.integers import FundamentalSeq, NotRepresentableError, decode_int, encode_int, enumerate_subset
 from zecknum.padic import check_unique_padic, eval_padic, weak_converse_probe
 from zecknum.recurrences import MultiplicityList, family_from_table
-from zecknum.uniqueness import check_unique
+from zecknum.uniqueness import check_unique, count_upto_order
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
 
@@ -60,6 +69,91 @@ class TestCarriedValue:
 
     def test_without_weight_the_value_is_zero(self):
         assert {v for v, _ in islice(walk_values(FIB), 100)} == {0}
+
+
+def flat(orders):
+    """order_values' steps as one stream: each step's new tail, in order."""
+    start = 0
+    for values in orders:
+        yield from values[start:]
+        start = len(values)
+
+
+class TestOrderValues:
+    """order_values against walk_values: the same values in the same order,
+    each step ending where the walk's next order begins."""
+
+    def steps(self, fam, q, cap, modulus=None):
+        lengths = [len(values) for values in order_values(fam, q, cap, modulus)]
+        *_, values = order_values(fam, q, cap, modulus)
+        return lengths, values
+
+    def walked(self, fam, q, cap):
+        walk = [(v, digits[0][0] if digits else 0) for v, digits in walk_values(fam, q, cap=cap)]
+        return [sum(order <= n for _, order in walk) for n in range(cap + 1)], [v for v, _ in walk]
+
+    @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
+    def test_integer_fixtures(self, name, label):
+        s = get_system(name)
+        fam, q, cap = s.family, s.seq(label).value, CAPS[name]
+        lengths, values = self.steps(fam, q, cap)
+        assert (lengths, values) == self.walked(fam, q, cap)
+        assert order_sizes(fam, cap)[1:] == lengths
+
+    @pytest.mark.parametrize("name,label", labelled(["golden-41", "padic-5-20"]))
+    def test_padic_fixtures(self, name, label):
+        s = get_system(name)
+        fam, seq = s.family, s.seq(label)
+        for cap in range(6):
+            lengths, values = self.steps(fam, seq.value, cap, seq.modulus)
+            walk_lengths, walk_values_ = self.walked(fam, seq.value, cap)
+            assert lengths == walk_lengths
+            assert values == [v % seq.modulus for v in walk_values_]
+
+
+class TestLimitAtLevelBoundaries:
+    """MEMBER_LIMIT on each order's last member and either side of it: the
+    collision checks, stopping or not, and the plain count refuse or answer
+    as the walk does."""
+
+    @staticmethod
+    def limits(fam, cap):
+        return sorted({b + d for b in order_sizes(fam, cap)[1:] for d in (-1, 0, 1)} - {0})
+
+    @staticmethod
+    def outcome(f):
+        try:
+            return f()
+        except WalkLimitError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("name", ["fib", "mult-2-3", "mult-11-3"])
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_check_unique(self, monkeypatch, name, stop):
+        s = get_system(name)
+        fam, seq = s.family, s.sequence
+        for limit in self.limits(fam, 3):
+            monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
+            got = self.outcome(lambda: check_unique(fam, seq, 3, stop))
+            assert got == self.outcome(lambda: check_unique_ref(fam, seq, 3, stop)), limit
+
+    @pytest.mark.parametrize("name", ["golden-41", "padic-5-20"])
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_check_unique_padic(self, monkeypatch, name, stop):
+        s = get_system(name)
+        fam, seq = s.family, s.sequence
+        for limit in self.limits(fam, 3):
+            monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
+            got = self.outcome(lambda: check_unique_padic(fam, seq, 3, stop))
+            assert got == self.outcome(lambda: check_unique_padic_ref(fam, seq, 3, stop)), limit
+
+    @pytest.mark.parametrize("name", ["fib", "mult-11-3"])
+    def test_count_upto_order(self, monkeypatch, name):
+        fam = get_system(name).family
+        for limit in self.limits(fam, 3):
+            monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
+            got = self.outcome(lambda: count_upto_order(fam, 3))
+            assert got == self.outcome(lambda: sum(1 for _ in members_upto_order(fam, 3))), limit
 
 
 class TestProbesAgainstReference:
@@ -131,6 +225,7 @@ class TestFailuresAtTheSameMember:
         ref = until_error(decode_int(mu, seq) for mu in members_upto_order(fam, cap))
         got = until_error(v for v, _ in walk_values(fam, seq.value, cap=cap))
         assert got == ref
+        assert until_error(flat(order_values(fam, seq.value, cap))) == ref
         return ref[1:]
 
     def test_bounded_table_family(self):
@@ -154,6 +249,12 @@ class TestFailuresAtTheSameMember:
         # falls there, is raised before that member's missing Q_5 is read
         monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
         assert self.both(FIB, self.SHORT_Q, 5)[0] is error
+        # a cap past the limit too: refusing from the order sizes still reads Q_5 first
+        for stop in (True, False):
+            with pytest.raises(error) as ref:
+                check_unique_ref(FIB, self.SHORT_Q, 6, stop)
+            with pytest.raises(error, match=re.escape(str(ref.value))):
+                check_unique(FIB, self.SHORT_Q, 6, stop)
 
     def test_negative_cap(self):
         with pytest.raises(ValueError, match="order cap must be nonnegative, got -1"):
