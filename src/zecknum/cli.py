@@ -338,7 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotRepresentableError, NotMemberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FamilyError, OSError, ValueError) as exc:  # a malformed JSON file raises a ValueError
+    except (FamilyError, IndexError, OSError, ValueError) as exc:  # a malformed JSON file raises a ValueError
+        if isinstance(exc, IndexError) and not getattr(exc, "table_end", False):
+            raise  # only a bounded table read past its end is the config's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

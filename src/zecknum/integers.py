@@ -14,7 +14,7 @@ the members in lex order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
@@ -23,16 +23,14 @@ from .coeff import CoeffFn, NotRepresentableError
 
 EXTENSION_LIMIT = 10**6
 
-# misses tolerated past the last hit when searching a possibly non-monotone
-# sequence for its largest term under a bound
-LOOKAHEAD_WINDOW = 16
-
 
 class FundamentalSeq:
     """Lazy, memoized sequence of basis values Q_1, Q_2, ...
 
     ``extend`` is called as extend(n, self) for indices past the seed values;
-    passing None makes the sequence a bounded table.
+    passing None makes the sequence a bounded table.  Growth fact: past the
+    seeds no term falls below the least of the ``_window`` terms before it (0:
+    none).  Constructors derive it; a caller's ``extend`` promises window 1.
     """
 
     def __init__(
@@ -41,21 +39,25 @@ class FundamentalSeq:
         extend: Callable[[int, "FundamentalSeq"], int] | None = None,
         name: str = "Q",
     ):
+        values = list(values)
         self._vals: list[int] = []
         self._extend = extend
         self.name = name
-        self._increasing = True
+        self._increasing, self._seeds, self._window, self._drop = True, len(values), 1, 0  # see _push
         for v in values:
             self._push(v)
         if not self._vals and extend is None:
             raise FamilyError(f"{name}: empty sequence")
 
     def _push(self, v: int) -> None:
+        vals, n = self._vals, len(self._vals)
         if not isinstance(v, int) or v < 1:
-            raise FamilyError(f"{self.name}: term {len(self._vals) + 1} is {v!r}, need a positive integer")
-        if self._vals and v <= self._vals[-1]:
+            raise FamilyError(f"{self.name}: term {n + 1} is {v!r}, need a positive integer")
+        if vals and v <= vals[-1]:
             self._increasing = False
-        self._vals.append(v)
+            if v < vals[-1] and n >= self._seeds and not self._drop:  # the first drop past the seeds
+                self._drop = n + 1
+        vals.append(v)
 
     @classmethod
     def from_family(cls, fam: PredecessorFamily, name: str | None = None) -> "FundamentalSeq":
@@ -79,13 +81,20 @@ class FundamentalSeq:
     def from_linear(
         cls, seeds: Iterable[int], coeffs: Iterable[int], name: str = "Q"
     ) -> "FundamentalSeq":
-        """Q_n = c_1 Q_{n-1} + ... + c_m Q_{n-m} past the seeds."""
+        """Q_n = c_1 Q_{n-1} + ... + c_m Q_{n-m} past the seeds.  Every c_j >= 0 gives
+        Q_n >= (sum c) min(Q_{n-m}..Q_{n-1}), window m.  As Q_n - Q_{n-1} = (sum c - 1) Q_{n-1}
+        - sum_{i<m} T_i (Q_{n-i} - Q_{n-i-1}) with T_i = c_{i+1} + ... + c_m, sum c >= 1,
+        T_i <= 0 and nondecreasing last m seeds give window 1; else there is none."""
         cs = tuple(coeffs)
 
         def ext(n: int, seq: "FundamentalSeq") -> int:
             return sum(c * seq.value(n - 1 - j) for j, c in enumerate(cs))
 
-        return cls(seeds, ext, name)
+        seq = cls(seeds, ext, name)
+        *tails, total = accumulate(reversed(cs), initial=0)  # 0, T_{m-1}, ..., T_1, then sum c
+        rising = seq._vals[-len(cs):] == sorted(seq._vals[-len(cs):])  # the last m seeds
+        seq._window = len(cs) if min(cs, default=-1) >= 0 else int(rising and total >= 1 and max(tails) <= 0)
+        return seq
 
     @property
     def increasing(self) -> bool:
@@ -106,7 +115,9 @@ class FundamentalSeq:
             raise FamilyError(f"{self.name}: refusing to extend past {EXTENSION_LIMIT} terms")
         while len(self._vals) < n:
             if self._extend is None:
-                raise IndexError(f"{self.name}: bounded table of {len(self._vals)} terms, index {n}")
+                end = IndexError(f"{self.name}: bounded table of {len(self._vals)} terms, index {n}")
+                end.table_end = True  # the command line reports this one as a config error
+                raise end
             self._push(self._extend(len(self._vals) + 1, self))
         return self._vals[n - 1]
 
@@ -115,41 +126,31 @@ class FundamentalSeq:
         return self._vals[:n]
 
     def find_top(self, x: int) -> int:
-        """Largest n with Q_n <= x for an increasing sequence (0 if none).
-
-        Extends one term at a time until a term exceeds x (or a bounded table
-        ends), then bisects.  A lazy term that breaks monotonicity raises like
-        a non-increasing sequence would at entry."""
-        vals = self._vals
-        while self._increasing and self._extend is not None and (not vals or vals[-1] <= x):
-            self.value(len(vals) + 1)
-        if not self._increasing:
-            raise FamilyError(f"{self.name}: find_top needs an increasing sequence")
-        return bisect_right(vals, x)
-
-    def top_below(self, x: int) -> int:
-        """Largest n with Q_n <= x, by forward scan with a miss window.
-
-        Sound for sequences that eventually stay above x (every fixture here
-        grows at least geometrically along residue classes); LOOKAHEAD_WINDOW
-        consecutive terms above x end the search.  On an increasing sequence
-        this is ``find_top(x)``.
-        """
-        best = 0
-        misses = 0
-        n = 0
-        while misses < LOOKAHEAD_WINDOW:
-            n += 1
-            try:
-                v = self.value(n)
-            except IndexError:
-                break
+        """Largest n with Q_n <= x (0 if none), exactly: extends the table until it ends or its
+        last ``window`` terms past the seeds exceed x (then, by the growth fact, so does every later
+        one), bisects the terms past the seeds if none drops, else scans forward to ``window`` such
+        misses in a row.  Refuses (``FamilyError``) a sequence with no fact or a term breaking window 1."""
+        vals, s, w = self._vals, self._seeds, self._window
+        if self._extend is not None:
+            if not w:
+                raise FamilyError(f"{self.name}: no growth rule: a negative-coefficient recurrence needs "
+                                  "coefficient sum >= 1, tail sums <= 0 and nondecreasing last seeds")
+            while (len(vals) - s < w or min(vals[-w:]) <= x) and not (w == 1 and self._drop):
+                self.value(len(vals) + 1)
+            if w == 1 and (d := self._drop):
+                raise FamilyError(f"{self.name}: past the seeds, term {d} is {vals[d - 1]}, "
+                                  f"below term {d - 1} ({vals[d - 2]})")
+        if self._increasing:
+            return bisect_right(vals, x)
+        if not self._drop and (n := bisect_right(vals, x, s)) > s:
+            return n
+        top = run = 0  # a top among the seeds, or past them once a term drops
+        for n, v in enumerate(vals, 1):
             if v <= x:
-                best = n
-                misses = 0
-            else:
-                misses += 1
-        return best
+                top, run = n, 0
+            elif n > s and (run := run + 1) == w:
+                break
+        return top
 
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self._vals[:6])
@@ -183,12 +184,9 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
     """
     if x < 0:
         raise ValueError(f"cannot encode negative value {x}")
+    n = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
     if not seq.increasing:
-        return _encode_by_walk(x, fam, seq)
-    try:
-        n = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
-    except FamilyError:  # the lazy table revealed a decreasing term
-        return _encode_by_walk(x, fam, seq)
+        return _encode_by_walk(x, fam, seq, n)
     vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
     pairs, rem, ordered = [], x, True  # pairs in the order taken; sorted while ordered
     while rem:
@@ -221,10 +219,9 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
     return CoeffFn._trusted(tuple(reversed(pairs))) if ordered else CoeffFn(pairs)
 
 
-def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
+def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: int) -> CoeffFn:
     if x == 0:
         return CoeffFn()
-    m_max = seq.top_below(x)
     if m_max == 0:
         raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
     try:
@@ -261,7 +258,7 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
     basis index whose value fits under the bound."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    m_max = seq.top_below(bound)
+    m_max = seq.find_top(bound)
     pairs = [(member(digits), v) for v, digits in walk_values(fam, seq.value, cap=m_max) if v <= bound]
     _, _, collision, _ = first_collision(pairs)
     return SubsetReport(bound, pairs, collision)

@@ -142,12 +142,12 @@ def j_plus_family(j: int) -> PredecessorFamily:
 def pinned_radix_seq(j: int) -> FundamentalSeq:
     """Values pairing with the pinned family to cover {j+1, j+2, ...}.
 
-    Q_k = j+1+k up to k = j, then Q_n = (j+1)(n-j): non-monotone on purpose,
-    the low indices carry the j+1 residues the radix part skips.
+    Q_k = j+1+k up to k = j, then Q_n = (j+1)(n-j) from the last seed Q_{j+1} on:
+    non-monotone on purpose, the low indices carry the residues the radix part skips.
     """
     if j < 1:
         raise FamilyError(f"pinned index must be positive, got {j}")
-    low = [j + 1 + k for k in range(1, j + 1)]
+    low = [j + 1 + k for k in range(1, j + 1)] + [j + 1]
     return FundamentalSeq(low, lambda n, _: (j + 1) * (n - j), name=f"pin-{j}-values")
 
 

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+from bisect import bisect_right
 from decimal import Context, localcontext
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from typing import Iterator
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, load_fixture
-from zecknum.blocks import FamilyError, NotMemberError, check_horizon, first_collision, members_upto_order
+from zecknum.blocks import NotMemberError, check_horizon, first_collision, members_upto_order
 from zecknum.coeff import ZERO, CoeffFn
 from zecknum.integers import NotRepresentableError, SubsetReport, _encode_by_walk, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
@@ -255,8 +257,29 @@ def check_unique_padic_ref(fam, seq, order_cap, stop_at_collision=True) -> Uniqu
     return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
 
 
+# -- the top oracle --------------------------------------------------------------
+# Every term up to a long horizon (a whole bounded table) sorted by value, with
+# the largest index among the values so far, so that each of the many tops
+# encode_int_ref asks for is one bisection; independent of find_top.
+
+TOP_HORIZON = 2000
+_TOPS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def top_ref(seq, x: int) -> int:
+    """Largest n <= TOP_HORIZON with Q_n <= x (0 if none), over every term."""
+    if seq not in _TOPS:
+        terms = seq.upto(len(seq) if seq.bounded else TOP_HORIZON)
+        ranked = sorted((v, n) for n, v in enumerate(terms, 1))
+        _TOPS[seq] = [v for v, _ in ranked], list(accumulate((n for _, n in ranked), max)), terms[-1]
+    values, best, last = _TOPS[seq]
+    assert seq.bounded or x < last, f"{seq.name}: Q_{TOP_HORIZON} = {last} does not exceed {x}"
+    i = bisect_right(values, x)
+    return best[i - 1] if i else 0
+
+
 def enumerate_subset_ref(fam, seq, bound) -> SubsetReport:
-    walk = members_upto_order(fam, seq.top_below(bound))
+    walk = members_upto_order(fam, top_ref(seq, bound))
     pairs = [(mu, v) for mu in walk if (v := decode_int(mu, seq)) <= bound]
     _, _, collision, _ = first_collision(pairs)
     return SubsetReport(bound, pairs, collision)
@@ -288,15 +311,13 @@ def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
 def encode_int_ref(x: int, fam, seq) -> CoeffFn:
     if x < 0:
         raise ValueError(f"cannot encode negative value {x}")
+    top = top_ref(seq, x)
     if not seq.increasing:
-        return _encode_by_walk(x, fam, seq)
+        return _encode_by_walk(x, fam, seq, top)
     pairs: list[tuple[int, int]] = []
     rem = x
     while rem > 0:
-        try:
-            n = seq.find_top(rem)
-        except FamilyError:
-            return _encode_by_walk(x, fam, seq)
+        n = top_ref(seq, rem)
         if n == 0:
             raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
         for k, d in reversed(fam.row(n + 1).items()):

@@ -525,6 +525,89 @@ class TestConfigFile:
         assert rc == 0 or "sequence.unit must be an integer" in err
 
 
+FIB_FAMILY = {"type": "multiplicity", "e": [1, 1]}
+
+
+def fib_config(tmp_path, sequence) -> str:
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"kind": "integer", "family": FIB_FAMILY, "sequence": sequence}), encoding="utf-8")
+    return str(path)
+
+
+class TestSequenceGrowth:
+    """Configs whose sequences dip, end or fall past their seeds."""
+
+    # Q_22 = 2 after twenty terms of 1000; a depth-21 recurrence whose last
+    # seed Q_21 = 1 follows nineteen of them
+    DIP_TABLE = {"type": "table", "values": [1, *[1000] * 20, 2]}
+    DEPTH_21 = {"type": "linear", "seeds": [3, *[1000] * 19, 1], "coeffs": [*[0] * 19, 1, 1]}
+
+    def test_encode_past_a_long_dip(self, capsys, tmp_path):
+        rc, lines, _ = run(capsys, "encode", "-c", fib_config(tmp_path, self.DIP_TABLE), "2", "3")
+        assert rc == 0
+        assert lines[1:] == ["2\t22:1", "3\t1:1,22:1"]
+
+    def test_subset_past_a_long_dip(self, capsys, tmp_path):
+        rc, lines, _ = run(capsys, "subset", "-c", fib_config(tmp_path, self.DIP_TABLE), "--bound", "5")
+        assert rc == 0
+        assert "# members: 4, distinct values: 4" in lines
+
+    def test_encode_below_a_deep_recurrence(self, capsys, tmp_path):
+        rc, lines, _ = run(capsys, "encode", "-c", fib_config(tmp_path, self.DEPTH_21), "1", "4")
+        assert rc == 0
+        assert lines[1:] == ["1\t21:1", "4\t1:1,21:1"]
+
+    @pytest.mark.parametrize(
+        "verb", [["encode", "5"], ["encode", "7"], ["subset", "--bound", "5"], ["subset", "--bound", "9"]]
+    )
+    def test_negative_coefficients_without_a_growth_rule(self, capsys, tmp_path, verb):
+        # 1, 5, 2, 6, 3, 7, 4, ...: the seeds fall, so nothing bounds the later terms
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 5, 2], "coeffs": [1, 1, -1]})
+        rc, _, err = run(capsys, verb[0], "-c", config, *verb[1:])
+        assert rc == 2
+        assert err == (
+            "config error: Q: no growth rule: a negative-coefficient recurrence needs coefficient sum >= 1, "
+            "tail sums <= 0 and nondecreasing last seeds\n"
+        )
+
+    @pytest.mark.parametrize("verb", [["encode", "0", "1", "7", "100", "1000"], ["subset", "--bound", "100", "--list"]])
+    def test_negative_coefficients_with_a_growth_rule(self, capsys, tmp_path, verb):
+        # Q_n = 2 Q_{n-1} - Q_{n-3} from 1, 2, 3 is fib's own sequence
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2, 3], "coeffs": [2, 0, -1]})
+        rc, lines, _ = run(capsys, verb[0], "-c", config, *verb[1:])
+        assert rc == 0
+        assert lines[1:] == run(capsys, verb[0], "-f", "fib", *verb[1:])[1][1:]
+
+    @pytest.mark.parametrize(
+        "argv,index",
+        [
+            (["decode", "6:1"], 6),
+            (["shift", "4:1"], 5),
+            (["enumerate", "--count", "12"], 5),
+            (["verify-unique", "--cap", "6"], 5),
+            (["verify-recurrence", "--coeffs", "1,1", "--start", "3", "--stop", "9"], 5),
+        ],
+    )
+    def test_bounded_table_read_past_its_end(self, tmp_path, argv, index):
+        config = fib_config(tmp_path, {"type": "table", "values": [1, 2, 3, 5]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "zecknum.cli", argv[0], "-c", config, *argv[1:]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: Q: bounded table of 4 terms, index {index}\n"
+
+    def test_other_index_errors_keep_their_traceback(self, monkeypatch):
+        from zecknum.integers import FundamentalSeq
+
+        monkeypatch.setattr(FundamentalSeq, "value", lambda self, n: [][n])  # a fault in the code, not the config
+        with pytest.raises(IndexError, match="list index out of range"):
+            main(["decode", "-f", "fib", "3:1"])
+
+
 @pytest.mark.skipif(shutil.which("zecknum") is None, reason="entry point not on PATH")
 def test_installed_entry_point():
     proc = subprocess.run(["zecknum", "fixtures"], capture_output=True, text=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,22 @@ from zecknum.integers import (
 )
 from zecknum.recurrences import pinned_radix_seq
 
-from conftest import INTEGER_FIXTURES, get_system
+from conftest import INTEGER_FIXTURES, get_system, top_ref
+
+# dips longer than 16 terms: Q_22 = 2 after twenty terms of 1000, and a
+# depth-21 recurrence whose last seed Q_21 = 1 follows nineteen of them
+LONG_DIPS = {
+    "table": lambda: FundamentalSeq([1, *[1000] * 20, 2]),
+    "depth-21": lambda: FundamentalSeq.from_linear([3, *[1000] * 19, 1], [*[0] * 19, 1, 1]),
+}
+
+# linear recurrences with a negative coefficient whose terms past the seeds
+# provably never fall: every other Fibonacci number, fib's own sequence, the odd numbers
+NEGATIVE_WITH_A_RULE = {
+    "3,-1": lambda: FundamentalSeq.from_linear([1, 2], [3, -1]),
+    "2,0,-1": lambda: FundamentalSeq.from_linear([1, 2, 3], [2, 0, -1]),
+    "1,1,-1": lambda: FundamentalSeq.from_linear([1, 3, 5], [1, 1, -1]),
+}
 
 
 class TestFundamentalSeq:
@@ -73,8 +90,8 @@ class TestFindTop:
         assert seq.find_top(2) == 2
 
     def test_requires_increasing(self):
-        with pytest.raises(FamilyError):
-            FundamentalSeq([5, 3]).find_top(4)
+        # a bounded table is scanned whole, in any order
+        assert FundamentalSeq([5, 3]).find_top(4) == 2
 
     def test_lazy_dip_stops_the_search(self):
         seq = FundamentalSeq([1, 2], lambda n, s: 1 if n == 6 else 10 * n)
@@ -94,28 +111,66 @@ class TestFindTop:
 
     @pytest.mark.parametrize("name", INTEGER_FIXTURES)
     def test_top_below_is_find_top_on_increasing_sequences(self, name):
-        seq = load_fixture(name).sequence  # fresh: the samples extend it
-        seq.upto(30)
-        if not seq.increasing:
-            with pytest.raises(FamilyError):
-                seq.find_top(seq.value(1))
-            return
-        samples = {0} | {seq.value(n) + d for n in range(1, 31) for d in (-1, 0, 1)}
-        for x in sorted(samples):
-            assert seq.top_below(x) == seq.find_top(x), x
+        """find_top against the oracle on every sequence of the fixture."""
+        for label in get_system(name).sequences:
+            self.check_against_oracle(load_fixture(name).seq(label), load_fixture(name).seq(label), name)
 
     def test_top_below_is_find_top_on_a_bounded_table(self):
         seq = FundamentalSeq([1, 2, 3, 5, 8])
         for x in range(12):
-            assert seq.top_below(x) == seq.find_top(x), x
+            assert seq.find_top(x) == top_ref(seq, x), x
 
     def test_top_below_non_monotone(self):
         seq = pinned_radix_seq(3)
         assert seq.upto(8) == [5, 6, 7, 4, 8, 12, 16, 20]
-        assert seq.top_below(7) == 4
-        assert seq.top_below(3) == 0
-        assert seq.top_below(100) == 28  # Q_28 = 4 * 25 = 100 is the last hit
+        assert seq.find_top(7) == 4
+        assert seq.find_top(3) == 0
+        assert seq.find_top(100) == 28  # Q_28 = 4 * 25 = 100 is the last hit
         assert seq.value(28) == 100
+
+    @pytest.mark.parametrize("name", LONG_DIPS)
+    def test_long_dips_match_the_oracle(self, name):
+        self.check_against_oracle(LONG_DIPS[name](), LONG_DIPS[name](), name)
+
+    @pytest.mark.parametrize("name", NEGATIVE_WITH_A_RULE)
+    def test_negative_coefficients_with_a_rule_match_the_oracle(self, name):
+        self.check_against_oracle(NEGATIVE_WITH_A_RULE[name](), NEGATIVE_WITH_A_RULE[name](), name)
+
+    @pytest.mark.parametrize(
+        "seeds,coeffs",
+        [
+            ([1, 5, 2], [1, 1, -1]),  # falling seeds: 1, 5, 2, 6, 3, 7, 4, ...
+            ([3, 2], [3, -1]),  # falling seeds, then 3, 7, 18, ...
+            ([1, 2], [2, -2]),  # coefficient sum 0
+            ([1, 2, 3], [1, -1, 1]),  # tail sum T_1 = 0, T_2 = 1 > 0
+        ],
+    )
+    def test_negative_coefficients_without_a_rule_are_refused(self, seeds, coeffs):
+        seq = FundamentalSeq.from_linear(seeds, coeffs)
+        for x in (0, 5, 10**6):
+            with pytest.raises(FamilyError, match="no growth rule"):
+                seq.find_top(x)
+        assert len(seq) == len(seeds)  # refused before any term is computed
+
+    def test_forward_scan_stops_at_the_window(self):
+        # blocks7's alt sequence drops past its seeds (14, 7, 21, 98, 49, ...):
+        # a small top after a large one reads only the first terms
+        seq = FundamentalSeq.from_linear([2, 1, 3], [0, 0, 7])
+        assert seq.find_top(10**40) == top_ref(seq, 10**40)
+        seq._vals[60:] = [1] * (len(seq) - 60)  # a scan past the window would see these
+        assert seq.find_top(13) == 5
+
+    @staticmethod
+    def check_against_oracle(fresh, long, seed):
+        """find_top on a sequence it extends itself, and on one the oracle has
+        extended to its horizon: for x up to 3000, at and next to each of the
+        first 30 terms, and seeded larger x below the horizon's last term."""
+        top_ref(long, 0)
+        rng, last = random.Random(seed), long.value(len(long))
+        near = {v + d for v in long.upto(min(30, len(long))) for d in (-1, 0, 1)}
+        large = {rng.getrandbits(rng.randrange(1, last.bit_length())) for _ in range(200)}
+        for x in sorted({*range(3001), *near, *large}):
+            assert fresh.find_top(x) == long.find_top(x) == top_ref(long, x), x
 
 
 class TestDecode:

@@ -156,7 +156,7 @@ class TestGreedyFamily:
         fam = family_from_sequence([1, 2, 3, 5, 7, 11, 13])
         assert fam.row(5) == CoeffFn({1: 1, 4: 1})
         seq = FundamentalSeq([1, 2, 3, 5, 7, 11, 13])
-        # keep the walk below the table's top row: top_below(10) is 5
+        # keep the walk below the table's top row: find_top(10) is 5
         report = enumerate_subset(fam, seq, 10)
         assert report.collision is None
         assert report.covers_all_below_bound()

@@ -18,6 +18,7 @@ from conftest import (
     check_unique_ref,
     enumerate_subset_ref,
     get_system,
+    top_ref,
     weak_converse_probe_ref,
 )
 
@@ -185,7 +186,7 @@ class TestProbesAgainstReference:
         s = get_system("pin-3")
         fam, seq = s.family, s.sequence
         first = {}
-        for mu in members_upto_order(fam, seq.top_below(600)):
+        for mu in members_upto_order(fam, top_ref(seq, 600)):
             first.setdefault(decode_int(mu, seq), mu)
         for x in range(1, 601):
             if x in first:
