@@ -18,10 +18,11 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError
+from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError, check_horizon
 
 
 class RowShape(NamedTuple):
@@ -351,7 +352,7 @@ def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
 
 def order_sizes(fam: PredecessorFamily, cap: int, q: Callable[[int], int] | None = None) -> list[int]:
     """size[j], the number of members of order < j, for j = 0..cap+1, from
-    the rows alone (order_values says how order n's members fall into runs).
+    the rows alone (_runs says how order n's members fall into runs).
     Failures come where walk_values meets them: past MEMBER_LIMIT members
     WalkLimitError, checked before Q_n (read only for its failure, if ``q``
     is given) and again after row n+1 sizes order n; a missing row or Q_n
@@ -368,6 +369,20 @@ def order_sizes(fam: PredecessorFamily, cap: int, q: Callable[[int], int] | None
     return size
 
 
+def _runs(digits: list[tuple[int, int]], n: int, qs: list[int] | None = None) -> Iterator[tuple[int, int, int, int]]:
+    """The runs row n+1's members of order n fall into, in lex order: for each
+    pair (k, c) = digits[i] and t < c (t >= 1 at k = n), (i, k, t, shift), the
+    members of order < k under digits[:i] and t at k, worth ``shift`` (by qs,
+    else 0) more; last (len(digits), 1, 0, shift), row n+1 over zero."""
+    prefix = 0
+    for i, (k, c) in enumerate(digits):
+        q = qs[k] if qs else 0
+        for t in range(k == n, c):
+            yield i, k, t, prefix + t * q
+        prefix += c * q
+    yield len(digits), 1, 0, prefix
+
+
 def order_values(
     fam: PredecessorFamily, q: Callable[[int], int], cap: int, modulus: int | None = None
 ) -> Iterator[list[int]]:
@@ -375,12 +390,10 @@ def order_values(
 
     Yields one list, grown in place: after step n (n = 0..cap) it holds the
     values of the members of order <= n in lex order, index = rank, so order
-    n's values are its tail past the previous step's length.  Members of
-    order n are row n+1's lex prefixes: for each nonzero digit c_k of row
-    n+1, top first, and each t < c_k (t >= 1 at k = n), the row's digits
-    above k, t at k and any member of order < k below; then row n+1 itself.
-    So step n appends the list's first size[k] values (order_sizes) shifted
-    by the prefix's value, once per t.  Values are reduced mod ``modulus``.
+    n's values are its tail past the previous step's length.  Step n appends,
+    for each of row n+1's runs (_runs), the list's first size[k] values (the
+    members of order < k) plus the run's shift.  Values are reduced mod
+    ``modulus``.
 
     Failures come at walk_values' member: past MEMBER_LIMIT members
     WalkLimitError, after yielding the list cut at the limit; a missing Q_n
@@ -400,22 +413,37 @@ def order_values(
             values.append(qs[n])
             yield values
             raise
-        runs, prefix = [], 0  # (members of order < k, the shifts they take)
-        for k, c in digits:
-            if shifts := [prefix + t * qs[k] for t in range(k == n, c)]:
-                runs.append((size[k], shifts))
-            prefix += c * qs[k]
-        runs.append((1, [prefix]))  # row n+1: the zero member shifted
-        for s, shifts in runs:
-            base = values[:s]
-            for shift in shifts:
-                values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
-                if len(values) > MEMBER_LIMIT:
-                    del values[MEMBER_LIMIT:]
-                    yield values
-                    raise _limit_error(cap)
+        for _, k, _, shift in _runs(digits, n, qs):
+            base = values[: size[k]]
+            values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
+            if len(values) > MEMBER_LIMIT:
+                del values[MEMBER_LIMIT:]
+                yield values
+                raise _limit_error(cap)
         size.append(len(values))
         yield values
+
+
+def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bound: int) -> list[tuple[tuple, int]]:
+    """(pairs, value) of the members of order <= cap worth at most ``bound``,
+    in lex order, pairs ascending: order_values' runs, each copying only the
+    kept members worth at most bound - shift; shifts grow (every Q_k >= 1), so
+    the first past the bound ends the row.  Every Q_n and row n+1 is read, to
+    fail as the walk does; past MEMBER_LIMIT members kept WalkLimitError."""
+    kept, size, qs = [((), 0)], [0, 1], [0]  # size[k]: kept members of order < k
+    for n in range(1, _check_cap(cap) + 1):
+        qs.append(q(n))
+        digits = fam.digits(n + 1)
+        for i, k, t, shift in _runs(digits, n, qs):
+            if shift > bound:
+                break
+            room, above = bound - shift, tuple(digits[:i][::-1])
+            suffix = ((k, t), *above) if t else above
+            kept += [(pairs + suffix, v + shift) for pairs, v in kept[: size[k]] if v <= room]
+            if len(kept) > MEMBER_LIMIT:
+                raise WalkLimitError(f"more than {MEMBER_LIMIT:,} members have value <= {bound}; lower the bound")
+        size.append(len(kept))
+    return kept
 
 
 def first_collision(
@@ -445,12 +473,14 @@ def value_collision(
     time: a set of the values finds the order holding the first repeat, and
     only that order is scanned for its rank.  Without ``stop`` a cap past
     MEMBER_LIMIT is refused from order_sizes before any value is summed.
-    Only the two colliding members are built, each by a re-walk to its rank."""
+    Only the two colliding members are built, each unranked (_member_at)."""
     if not stop:
         order_sizes(fam, cap, q)
     seen: set[int] = set()
-    repeat, start = None, 0
+    repeat, size = None, [0]  # size[j]: members of order < j
     for values in order_values(fam, q, cap, modulus):
+        start = size[-1]
+        size.append(len(values))
         seen.update(islice(values, start, None))
         if repeat is None and len(seen) < len(values):  # the first repeat lies past start
             first = dict(zip(values, range(start)))
@@ -458,25 +488,32 @@ def value_collision(
             repeat = values[j], first[values[j]], j
             if stop:
                 break
-        start = len(values)
     if repeat is None:
         return len(values), len(seen), None, True
     v, i, j = repeat
-    collision = (v, _member_at(fam, i), _member_at(fam, j))
+    collision = (v, _member_at(fam, size, i), _member_at(fam, size, j))
     return (j + 1, j, collision, False) if stop else (len(values), len(seen), collision, True)
 
 
-def _member_at(fam: PredecessorFamily, rank: int) -> CoeffFn:
-    return member(next(islice(walk_values(fam), rank, None))[1])
+def _member_at(fam: PredecessorFamily, size: list[int], rank: int) -> CoeffFn:
+    """The member at ``rank`` in lex order (size[j] members of order < j, for
+    j up past its order), unranked down the runs of its rows."""
+    pairs: list[tuple[int, int]] = []  # top first
+    while rank:
+        n = bisect_right(size, rank) - 1  # its order: size[n] <= rank < size[n + 1]
+        digits = fam.digits(n + 1)
+        rank -= size[n]
+        for i, k, t, _ in _runs(digits, n):
+            if rank < size[k]:
+                break
+            rank -= size[k]
+        pairs += digits[:i]
+        if t:
+            pairs.append((k, t))
+    return member(pairs)
 
 
 # -- descending world: the ascending one on the mirrored family --------------
-
-
-def check_horizon(horizon: int) -> None:
-    """Reject a horizon below 1: no index lies under it, so nothing is decided."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
 
 
 def _spans_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int, int, bool]]:

@@ -214,3 +214,9 @@ def to_dense(f: CoeffFn, length: int | None = None) -> tuple[int, ...]:
     """Dense low-to-high digit tuple, padded/truncated to ``length`` if given."""
     n = f.order_asc if length is None else length
     return tuple(f.digit(i) for i in range(1, n + 1))
+
+
+def check_horizon(horizon: int) -> None:
+    """Reject a horizon below 1: no index lies under it, so nothing is decided."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be positive, got {horizon}")

@@ -91,6 +91,9 @@ class FundamentalSeq:
             return sum(c * seq.value(n - 1 - j) for j, c in enumerate(cs))
 
         seq = cls(seeds, ext, name)
+        if len(seq) < len(cs):  # Q_{m+1} would read Q_0
+            raise FamilyError(f"{name}: {len(seq)} seeds for {len(cs)} coefficients; "
+                              "a linear sequence needs a seed per coefficient")
         *tails, total = accumulate(reversed(cs), initial=0)  # 0, T_{m-1}, ..., T_1, then sum c
         rising = seq._vals[-len(cs):] == sorted(seq._vals[-len(cs):])  # the last m seeds
         seq._window = len(cs) if min(cs, default=-1) >= 0 else int(rising and total >= 1 and max(tails) <= 0)
@@ -254,12 +257,12 @@ class SubsetReport(NamedTuple):
 
 
 def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) -> SubsetReport:
-    """All members with value <= bound, walking lex order up to the last
-    basis index whose value fits under the bound."""
+    """All members with value <= bound, in lex order, built (order_members) up
+    to the last basis index whose value fits under the bound."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    m_max = seq.find_top(bound)
-    pairs = [(member(digits), v) for v, digits in walk_values(fam, seq.value, cap=m_max) if v <= bound]
+    trusted = CoeffFn._trusted
+    pairs = [(trusted(p), v) for p, v in blocks.order_members(fam, seq.value, seq.find_top(bound), bound)]
     _, _, collision, _ = first_collision(pairs)
     return SubsetReport(bound, pairs, collision)
 

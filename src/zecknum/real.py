@@ -18,10 +18,12 @@ from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
-from .blocks import FamilyError, MaximalFamily, check_horizon
-from .coeff import CoeffFn
+from .coeff import CoeffFn, FamilyError, check_horizon
+
+if TYPE_CHECKING:
+    from .blocks import MaximalFamily
 
 Numeric = Union[Fraction, Decimal]
 
@@ -301,6 +303,7 @@ def eval_expansion(fn, seq) -> Numeric:
 def harmonic_maximal_family() -> MaximalFamily:
     """Maximal rows of the 1/(n+1) system: the support chain n, n(n+1), and
     then m -> m(m+1) forever, every digit 1 (a telescoping of 1/n)."""
+    from .blocks import MaximalFamily
 
     def support(n: int, start: int) -> Iterator[tuple[int, int]]:
         m = n
@@ -321,6 +324,7 @@ def periodic_maximal_family(own_rows: Sequence[Sequence[int]], name: str = "peri
     Each own row starts with a nonzero digit, the row's digit at its own
     index; own_rows[0] doing so also keeps every row's support infinite.
     """
+    from .blocks import MaximalFamily
     rows = [tuple(r) for r in own_rows]
     N = len(rows)
     if not rows or any(len(r) != N - i for i, r in enumerate(rows)):

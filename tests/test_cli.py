@@ -387,6 +387,17 @@ class TestErrors:
         rc, lines, _ = run(capsys, "verify-unique", "-f", "mult-11-3", "--cap", "3", "--full")
         assert rc == 1 and lines[1].startswith("# seen: 1521 ")
 
+    def test_subset_past_member_limit_names_the_bound(self, capsys, monkeypatch):
+        # mult-11-3 keeps 188 members worth at most 200, of 1521 up to its order cap 3
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 187)
+        rc, lines, err = run(capsys, "subset", "-f", "mult-11-3", "--bound", "200")
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: more than 187 members have value <= 200; lower the bound\n"
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 188)
+        rc, lines, _ = run(capsys, "subset", "-f", "mult-11-3", "--bound", "200")
+        assert rc == 1 and lines[1] == "# members: 188, distinct values: 162"
+
     def test_encode_past_member_limit_names_the_value(self, capsys, monkeypatch):
         # pin-3's sequence is not increasing, so encode walks the members
         monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1000)
@@ -600,6 +611,13 @@ class TestSequenceGrowth:
         assert proc.returncode == 2
         assert proc.stderr == f"config error: Q: bounded table of 4 terms, index {index}\n"
 
+    def test_fewer_seeds_than_coefficients(self, capsys, tmp_path):
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, 1, -1]})
+        rc, lines, err = run(capsys, "decode", "-c", config, "3:1")
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: Q: 2 seeds for 3 coefficients; a linear sequence needs a seed per coefficient\n"
+
     def test_other_index_errors_keep_their_traceback(self, monkeypatch):
         from zecknum.integers import FundamentalSeq
 
@@ -671,7 +689,7 @@ LOAD_SETS = [
     (["encode", "-f", "fib", "5"], _layers("real", "padic", "uniqueness") | {"decimal", "fractions"}),
     (["real-expand", "-f", "sevenths", "1/3"], _layers("padic", "uniqueness", "integers")),
     (["fixtures"], set(MODULES) - _layers("cli", "config", "coeff") - {"zecknum"}),
-    (["dominant-check", "--multiplicity", "1,1"], _layers("integers", "recurrences", "uniqueness", "padic")),
+    (["dominant-check", "--multiplicity", "1,1"], _layers("blocks", "integers", "recurrences", "uniqueness", "padic")),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,13 @@ class TestFundamentalSeq:
     def test_from_linear(self):
         seq = FundamentalSeq.from_linear([1, 2], [1, 1])
         assert seq.upto(8) == [1, 2, 3, 5, 8, 13, 21, 34]
+
+    @pytest.mark.parametrize("seeds,coeffs", [([1, 2], [1, 1, -1]), ([], [1]), ([4], [0, 1])])
+    def test_from_linear_needs_a_seed_per_coefficient(self, seeds, coeffs):
+        # the first term past the seeds would read Q_0
+        message = f"Q: {len(seeds)} seeds for {len(coeffs)} coefficients; a linear sequence needs a seed per coefficient"
+        with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
+            FundamentalSeq.from_linear(seeds, coeffs)
 
     def test_derived_fibonacci(self, fib):
         assert fib.sequence.upto(10) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]

@@ -1,13 +1,15 @@
 """The value-carrying walk against decoding every member from scratch.
 
 walk_values keeps sum(d * Q_k) up to date as it steps, and order_values
-builds the same values one order at a time; the probes built on them
-(collision checks, subset walks, the converse probe, the walk encoder) must
-answer, and fail, exactly as the decode-per-member references in conftest.
+(order_members, under a value bound) builds the same values one order at a
+time; the probes built on them (collision checks, subsets, the converse
+probe, the walk encoder) must answer, and fail, exactly as the
+decode-per-member references in conftest.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import islice
 
@@ -28,12 +30,20 @@ from zecknum.blocks import (
     WalkLimitError,
     enumerate_asc,
     members_upto_order,
+    order_members,
     order_sizes,
     order_values,
     walk_values,
 )
 from zecknum.coeff import CoeffFn
-from zecknum.integers import FundamentalSeq, NotRepresentableError, decode_int, encode_int, enumerate_subset
+from zecknum.integers import (
+    FundamentalSeq,
+    NotRepresentableError,
+    SubsetReport,
+    decode_int,
+    encode_int,
+    enumerate_subset,
+)
 from zecknum.padic import check_unique_padic, eval_padic, weak_converse_probe
 from zecknum.recurrences import MultiplicityList, family_from_table
 from zecknum.uniqueness import check_unique, count_upto_order
@@ -110,6 +120,45 @@ class TestOrderValues:
             walk_lengths, walk_values_ = self.walked(fam, seq.value, cap)
             assert lengths == walk_lengths
             assert values == [v % seq.modulus for v in walk_values_]
+
+
+class TestUnrank:
+    """value_collision's witnesses are unranked from the order sizes."""
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES)
+    def test_every_rank_of_the_walk(self, name):
+        fam, cap = get_system(name).family, CAPS[name]
+        size, walk = order_sizes(fam, cap), list(members_upto_order(fam, cap))
+        assert [blocks._member_at(fam, size, rank) for rank in range(len(walk))] == walk
+
+
+class TestOrderMembers:
+    """order_members, under enumerate_subset, against the filtered walk."""
+
+    @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
+    def test_random_bounds(self, name, label):
+        s = get_system(name)
+        fam, seq = s.family, s.seq(label)
+        rng = random.Random(f"{name}/{label}")
+        for bound in (0, seq.value(1) - 1, *(rng.randrange(5001) for _ in range(24))):
+            assert enumerate_subset(fam, seq, bound) == enumerate_subset_ref(fam, seq, bound), bound
+
+    @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
+    def test_a_bound_over_every_value_keeps_every_member(self, name, label):
+        s = get_system(name)
+        fam, q, cap = s.family, s.seq(label).value, CAPS[name]
+        *_, values = order_values(fam, q, cap)
+        kept = order_members(fam, q, cap, max(values))
+        assert [v for _, v in kept] == values
+        assert [CoeffFn._trusted(pairs) for pairs, _ in kept] == list(members_upto_order(fam, cap))
+
+    def test_member_limit_counts_the_members_kept(self, monkeypatch):
+        s = get_system("mult-11-3")  # 188 members worth at most 200, of 1521 up to order 3
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 188)
+        assert len(enumerate_subset(s.family, s.sequence, 200).pairs) == 188
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 187)
+        with pytest.raises(WalkLimitError, match="^more than 187 members have value <= 200; lower the bound$"):
+            enumerate_subset(s.family, s.sequence, 200)
 
 
 class TestLimitAtLevelBoundaries:
@@ -221,6 +270,8 @@ class TestFailuresAtTheSameMember:
     FIB_Q = FundamentalSeq.from_linear((1, 2), (1, 1))
     # Q_1..Q_4 only: basis(5) is the first member whose value needs a missing term
     SHORT_Q = FundamentalSeq([1, 2, 3, 5], name="short")
+    # Q_4 past every bound below 100 but Q_5 under it: row 5 is read all the same
+    DIP_Q = FundamentalSeq([1, 2, 3, 100, 4], name="dip")
 
     def both(self, fam, seq, cap):
         ref = until_error(decode_int(mu, seq) for mu in members_upto_order(fam, cap))
@@ -256,6 +307,20 @@ class TestFailuresAtTheSameMember:
                 check_unique_ref(FIB, self.SHORT_Q, 6, stop)
             with pytest.raises(error, match=re.escape(str(ref.value))):
                 check_unique(FIB, self.SHORT_Q, 6, stop)
+
+    @pytest.mark.parametrize(
+        "fam,seq", [(TABLE, FIB_Q), (TABLE, DIP_Q), (FIB, SHORT_Q)], ids=["table", "table-dip", "short-q"]
+    )
+    def test_subsets(self, fam, seq):
+        def outcome(f):
+            try:
+                return f()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        got = [outcome(lambda: enumerate_subset(fam, seq, bound)) for bound in range(40)]
+        assert got == [outcome(lambda: enumerate_subset_ref(fam, seq, bound)) for bound in range(40)]
+        assert (fam is self.TABLE) == any(not isinstance(g, SubsetReport) for g in got)  # the table family fails
 
     def test_negative_cap(self):
         with pytest.raises(ValueError, match="order cap must be nonnegative, got -1"):
