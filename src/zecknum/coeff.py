@@ -61,6 +61,19 @@ class IndexInterval(NamedTuple("IndexInterval", [("lo", int), ("hi", int)])):
         return f"[{self.lo}, {self.hi}]"
 
 
+def _canonical(pairs: tuple) -> bool:
+    """Are these (int, int) pairs, indices ascending from 1, digits in [1, DIGIT_LIMIT)?"""
+    last = 0
+    for p in pairs:
+        if type(p) is not tuple:
+            return False
+        i, d = p  # another length raises here as the general path would
+        if type(i) is not int or type(d) is not int or i <= last or not 0 < d < DIGIT_LIMIT:
+            return False
+        last = i
+    return True
+
+
 class CoeffFn:
     """Immutable finitely-supported index -> digit map.
 
@@ -71,6 +84,9 @@ class CoeffFn:
     __slots__ = ("_pairs", "_map")
 
     def __init__(self, digits: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        if type(digits) is tuple and _canonical(digits):
+            object.__setattr__(self, "_pairs", digits)  # kept as given, not copied
+            return
         items = digits.items() if isinstance(digits, Mapping) else digits
         acc: dict[int, int] = {}
         for i, d in items:

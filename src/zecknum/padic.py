@@ -92,7 +92,8 @@ class PadicSeq:
 def eval_padic(fn: CoeffFn, seq: PadicSeq) -> int:
     """Residue of the digit function's value; indices past the visible terms
     contribute nothing."""
-    return sum(d * seq.value(k) for k, d in fn.items()) % seq.modulus
+    terms, n = seq.terms, len(seq.terms)
+    return sum(d * terms[k - 1] for k, d in fn.items() if k <= n) % seq.modulus
 
 
 def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) -> CoeffFn:
@@ -124,7 +125,7 @@ def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) ->
         raise NotRepresentableError(
             f"residue {r * p**s} left after the last visible term of {seq.name}"
         )
-    fn = CoeffFn(pairs)
+    fn = CoeffFn(tuple(pairs))
     if fam is not None:
         _scan_asc(fn, fam)  # raises NotMemberError with the witness index
     return fn

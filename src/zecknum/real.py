@@ -28,6 +28,10 @@ if TYPE_CHECKING:
 Numeric = Union[Fraction, Decimal]
 
 
+# terms a sequence keeps: an expansion rereads a few hundred; the bound keeps long horizons flat
+TERM_CACHE = 1024
+
+
 class GeometricSeq:
     """Q_n = omega^n for omega in (0, 1): exact for a Fraction, a Decimal
     rounded in the sequence's own ``context`` whatever the caller's is; the
@@ -38,12 +42,12 @@ class GeometricSeq:
             raise FamilyError(f"geometric ratio must lie in (0,1), got {omega}")
         self.omega = omega
         self.context = Context(prec=prec)
-        # Context.power is slower than ** and an expansion revisits the same
-        # few hundred indices; the bound keeps a long horizon flat in memory
-        self._power = lru_cache(maxsize=1024)(partial(self.context.power, omega))
+        # a Fraction power is exact; a Decimal one rounds in the sequence's context, not the caller's
+        power = omega.__pow__ if isinstance(omega, Fraction) else partial(self.context.power, omega)
+        self._term = lru_cache(maxsize=TERM_CACHE)(power)
 
     def value(self, n: int) -> Numeric:
-        return self.omega**n if isinstance(self.omega, Fraction) else self._power(n)
+        return self._term(n)
 
     def __repr__(self) -> str:
         return f"GeometricSeq({self.omega})"
@@ -52,8 +56,11 @@ class GeometricSeq:
 class HarmonicSeq:
     """Q_n = 1/(n+1), exactly."""
 
+    def __init__(self):
+        self._term = lru_cache(maxsize=TERM_CACHE)(lambda n: Fraction(1, n + 1))
+
     def value(self, n: int) -> Fraction:
-        return Fraction(1, n + 1)
+        return self._term(n)
 
     def __repr__(self) -> str:
         return "HarmonicSeq()"
@@ -75,23 +82,27 @@ class BlockGeometricSeq:
             raise FamilyError("need 0 < ratio < 1 and seeds below 1")
         if self.seeds[0] * self.ratio >= self.seeds[-1]:
             raise FamilyError("ratio too large: periods would overlap")
+        self._term = lru_cache(maxsize=TERM_CACHE)(self._compute)
 
-    def value(self, n: int) -> Fraction:
+    def _compute(self, n: int) -> Fraction:
         m, t = divmod(n - 1, len(self.seeds))
         return self.seeds[t] * self.ratio**m
+
+    def value(self, n: int) -> Fraction:
+        return self._term(n)
 
     def __repr__(self) -> str:
         return f"BlockGeometricSeq({self.seeds}, ratio={self.ratio})"
 
 
-def find_first_below(seq, x: Numeric) -> int:
-    """Smallest n >= 1 with Q_n <= x, for a decreasing sequence and 0 < x < 1."""
+def find_first_below(seq, x: Numeric, above: int = 0) -> int:
+    """Smallest n >= 1 with Q_n <= x, for a decreasing sequence and 0 < x < 1;
+    given Q_above > x (Q_0 = 1), that n lies above ``above`` and the search starts there."""
     if not 0 < x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
-    lo, hi = 0, 1
+    lo, hi = above, above + 1
     while seq.value(hi) > x:
-        lo = hi
-        hi *= 2
+        lo, hi = hi, 2 * hi - above
     # Q_lo > x >= Q_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -256,7 +267,7 @@ def expand_real(
     if not 0 <= x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
     pairs: list[tuple[int, int]] = []
-    blocks = 0
+    blocks = above = 0
     exact = False
     with localcontext(getattr(seq, "context", None)):
         if not isinstance(seq.value(1), Decimal):
@@ -271,7 +282,7 @@ def expand_real(
                 break
             if blocks >= max_blocks:
                 break
-            n = find_first_below(seq, rem)
+            n = find_first_below(seq, rem, above)
             for k, d in fam.support(n):
                 q = seq.value(k)
                 c = int(rem / q)
@@ -285,7 +296,9 @@ def expand_real(
                 if c < d:
                     break
             blocks += 1
-    return Expansion(CoeffFn(pairs), rem, exact, blocks)
+            # rem < Q_k after the short digit at k, unless rounding left it a hair over
+            above = k if rem < q else 0
+    return Expansion(CoeffFn(tuple(pairs)), rem, exact, blocks)
 
 
 def eval_expansion(fn, seq) -> Numeric:

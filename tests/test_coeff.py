@@ -66,6 +66,56 @@ class TestConstruction:
         assert basis(3) != "3:1"
 
 
+def _built(digits):
+    """CoeffFn's pairs, or the exception class and message it raised."""
+    try:
+        return CoeffFn(digits).items()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalTuple:
+    """A tuple already in support form is kept; every other tuple goes the
+    general way, with the same pairs or the same error."""
+
+    @pytest.mark.parametrize("t", [(), ((1, 1),), ((1, 4), (2, 1), (300, DIGIT_LIMIT - 1))])
+    def test_kept_as_given(self, t):
+        f = CoeffFn(t)
+        assert f.items() is t
+        assert f == CoeffFn(list(t)) and f.digit(2) == CoeffFn(list(t)).digit(2)
+
+    @pytest.mark.parametrize("t", [
+        ((3, 1), (1, 2)),  # unsorted
+        ((1, 1), (1, 2)),  # repeated index
+        ((2, 1), (2, 1), (1, 1)),
+        ((1, 0), (2, 1)),  # zero digit
+        ((1, 1), (2, 0)),
+        ((True, 1),),  # bool index
+        ((1, True), (2, False)),  # bool digits
+        ([1, 2], [3, 4]),  # list pairs
+        ((1, 2), [3, 4]),
+        ((1, 2, 3),),  # 3-tuple
+        ((1, 2), (3, 4, 5)),
+        ((1,),),
+        ((0, 1),),  # index 0
+        ((1, 1), (-2, 1)),
+        ((1, -1),),  # negative digit
+        ((1, DIGIT_LIMIT),),  # digit at the limit
+        ((1, DIGIT_LIMIT - 1), (1, 1)),
+        ((1.0, 2),),
+        (("1", 2),),
+        ((1, "2"),),
+        (5,),
+    ])
+    def test_same_as_the_general_path(self, t):
+        assert _built(t) == _built(iter(t))
+        assert _built(t) == _built(list(t))
+
+    def test_bool_digit_becomes_an_int(self):
+        assert CoeffFn(((1, True),)).items() == ((1, 1),)
+        assert type(CoeffFn(((1, True),)).items()[0][1]) is int
+
+
 class TestAccess:
     def test_digit_off_support(self):
         assert basis(4).digit(7) == 0

@@ -145,6 +145,11 @@ class TestDecode:
         assert fn == CoeffFn.parse("1:3,2:4,3:4")
         assert eval_padic(fn, seq) == 123
 
+    def test_terms_past_the_visible_ones_add_nothing(self):
+        seq = power_padic_seq(5, 4)  # 1, 5, 25, 125 are visible
+        assert eval_padic(CoeffFn.parse("1:3,2:4,3:4,5:2,9:1"), seq) == 123
+        assert eval_padic(CoeffFn.parse("5:2"), seq) == 0
+
     def test_round_trip_all_residues(self, padic_5_20):
         fam = padic_5_20.family
         for name in ("main", "alt"):

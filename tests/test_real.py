@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -7,9 +8,13 @@ from itertools import islice
 import pytest
 from conftest import PI_100, maximal_row
 
+import zecknum.real
 from zecknum.blocks import FamilyError, is_member_desc
 from zecknum.coeff import CoeffFn
+from zecknum.config import load_fixture
+from zecknum.recurrences import MultiplicityList
 from zecknum.real import (
+    TERM_CACHE,
     BlockGeometricSeq,
     GeometricSeq,
     HarmonicSeq,
@@ -243,6 +248,98 @@ class TestExpand:
         err = abs(eval_expansion(res.fn, golden_real.sequence) - x)
         assert err < Decimal("1e-24")
         assert is_member_desc(res.fn, golden_real.family, res.fn.order_asc + 2)
+
+
+def _inputs(name: str, seed: int, count: int = 6) -> list:
+    """Seeded points of (0,1) in the number type each system reads exactly."""
+    rng = random.Random(seed)
+    if name == "golden-real":
+        return [Decimal(f"0.{rng.randrange(1, 10**60):060d}") for _ in range(count)]
+    if name == "harmonic":  # small denominators keep the exact expansion short
+        return [Fraction(rng.randrange(1, b), b) for b in (rng.randrange(2, 60) for _ in range(count))]
+    return [Fraction(rng.randrange(1, 10**12), 10**12) for _ in range(count - 2)] + [
+        Fraction(rng.randrange(1, 343**2), 343**2) for _ in range(2)]
+
+
+def _half_system():
+    """Q_n = (1/2)^n: a geometric sequence with a rational ratio."""
+    ml = MultiplicityList((1, 2))
+    return ml.maximal_family(), geometric_fundamental(ml.e)
+
+
+class TestResumedSearch:
+    """expand_real starts each block's top search above the last block's
+    short digit; it must give what a search from index 1 gives."""
+
+    SYSTEMS = ("golden-real", "harmonic", "sevenths", "half")
+
+    @staticmethod
+    def system(name):
+        if name == "half":
+            return _half_system()
+        s = load_fixture(name)
+        return s.family, s.sequence
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    @pytest.mark.parametrize("max_blocks", [8, 64])
+    @pytest.mark.parametrize("residual_tol", [Fraction(1, 10**30), None])
+    def test_same_expansion_as_the_search_from_scratch(self, monkeypatch, name, max_blocks, residual_tol):
+        fam, seq = self.system(name)
+        resumed = [expand_real(x, fam, seq, max_blocks, residual_tol) for x in _inputs(name, 16)]
+        scratch = find_first_below
+        monkeypatch.setattr(zecknum.real, "find_first_below", lambda seq, x, above=0: scratch(seq, x))
+        fam, seq = self.system(name)
+        assert [expand_real(x, fam, seq, max_blocks, residual_tol) for x in _inputs(name, 16)] == resumed
+        assert max(r.blocks_used for r in resumed) > 1  # some search did resume
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_every_start_above_gives_the_same_index(self, name):
+        _, seq = self.system(name)
+        for x in _inputs(name, 17, 12):
+            with localcontext(getattr(seq, "context", None)):
+                n = find_first_below(seq, x)
+                assert seq.value(n) <= x < seq.value(n - 1)
+                assert [find_first_below(seq, x, a) for a in range(n)] == [n] * n
+
+    def test_a_resumed_expansion_reads_fewer_terms(self):
+        # 64 blocks of golden-real read 1,157 terms searching each block's top
+        # from index 1, and 350 resuming past the previous block
+        fam, seq = self.system("golden-real")
+        calls, value = [], seq.value
+
+        def counted(n):
+            calls.append(n)
+            return value(n)
+
+        seq.value = counted
+        res = expand_real(Decimal("0.137"), fam, seq, max_blocks=64, residual_tol=None)
+        assert res.blocks_used == 64
+        assert len(calls) < 700
+
+
+class TestTermCache:
+    def test_warmed_under_a_low_ambient_precision(self):
+        x = Decimal("0.4142135623730950488016887242096980785696718753769480731766")
+        fresh = load_fixture("golden-real")
+        want = expand_real(x, fresh.family, fresh.sequence, max_blocks=64)
+        s = load_fixture("golden-real")
+        with localcontext() as ctx:
+            ctx.prec = 5
+            for k in range(1, 300):
+                s.sequence.value(k)
+            find_first_below(s.sequence, Decimal("0.41421"))
+            expand_real(Decimal("0.41421"), s.family, s.sequence, max_blocks=64)
+            verify_maximal_identity(s.family, s.sequence, 3, 400, Decimal("1e-25"))
+        assert expand_real(x, s.family, s.sequence, max_blocks=64) == want
+
+    @pytest.mark.parametrize("name", ["golden-real", "harmonic", "sevenths"])
+    def test_bounded_after_a_long_horizon(self, name):
+        s = load_fixture(name)
+        verify_maximal_identity(s.family, s.sequence, 2, 5000, Fraction(1, 10**20))
+        info = s.sequence._term.cache_info()
+        assert info.currsize <= TERM_CACHE == 1024
+        if name != "harmonic":  # its rows skip to m(m+1), so few terms are read
+            assert info.misses > TERM_CACHE
 
 
 class TestFamilies:
