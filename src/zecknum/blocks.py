@@ -18,8 +18,7 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
-from itertools import islice, takewhile
+from itertools import takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError, check_horizon
@@ -80,8 +79,10 @@ class PredecessorFamily:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits, the kernels _scan_asc, walk_values, integers.encode_int and
-        FundamentalSeq.from_family read this inline."""
+        digits (order_values' and order_members' runs), the kernels _scan_asc,
+        walk_values, integers.encode_int and FundamentalSeq.from_family (the
+        derived sequence, which also counts and unranks members) read this
+        inline."""
         p = self._parts.get(n)
         if p is None:
             p = self._parts[n] = self._make_parts(n)
@@ -350,36 +351,16 @@ def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
     return (member(digits) for _, digits in walk_values(fam, cap=_check_cap(k)))
 
 
-def order_sizes(fam: PredecessorFamily, cap: int, q: Callable[[int], int] | None = None) -> list[int]:
-    """size[j], the number of members of order < j, for j = 0..cap+1, from
-    the rows alone (_runs says how order n's members fall into runs).
-    Failures come where walk_values meets them: past MEMBER_LIMIT members
-    WalkLimitError, checked before Q_n (read only for its failure, if ``q``
-    is given) and again after row n+1 sizes order n; a missing row or Q_n
-    raises when read."""
-    size = [0, 1]
-    for n in range(1, _check_cap(cap) + 1):
-        if size[n] >= MEMBER_LIMIT:
-            raise _limit_error(cap)
-        if q:
-            q(n)
-        size.append(size[n] + 1 + sum((c - (k == n)) * size[k] for k, c in fam.digits(n + 1)))
-        if size[n + 1] > MEMBER_LIMIT:
-            raise _limit_error(cap)
-    return size
-
-
-def _runs(digits: list[tuple[int, int]], n: int, qs: list[int] | None = None) -> Iterator[tuple[int, int, int, int]]:
+def _runs(digits: list[tuple[int, int]], n: int, qs: list[int]) -> Iterator[tuple[int, int, int, int]]:
     """The runs row n+1's members of order n fall into, in lex order: for each
     pair (k, c) = digits[i] and t < c (t >= 1 at k = n), (i, k, t, shift), the
-    members of order < k under digits[:i] and t at k, worth ``shift`` (by qs,
-    else 0) more; last (len(digits), 1, 0, shift), row n+1 over zero."""
+    members of order < k under digits[:i] and t at k, worth ``shift`` (by qs)
+    more; last (len(digits), 1, 0, shift), row n+1 over zero."""
     prefix = 0
     for i, (k, c) in enumerate(digits):
-        q = qs[k] if qs else 0
         for t in range(k == n, c):
-            yield i, k, t, prefix + t * q
-        prefix += c * q
+            yield i, k, t, prefix + t * qs[k]
+        prefix += c * qs[k]
     yield len(digits), 1, 0, prefix
 
 
@@ -463,54 +444,6 @@ def first_collision(
             if stop:
                 return seen, len(first_by_value), collision, False
     return seen, len(first_by_value), collision, True
-
-
-def value_collision(
-    fam: PredecessorFamily, q: Callable[[int], int], cap: int, stop: bool = True, modulus: int | None = None
-) -> tuple[int, int, tuple[int, CoeffFn, CoeffFn] | None, bool]:
-    """first_collision on the members of order <= cap, keyed by rank, by
-    their order_values value (mod ``modulus`` if given), one order at a
-    time: a set of the values finds the order holding the first repeat, and
-    only that order is scanned for its rank.  Without ``stop`` a cap past
-    MEMBER_LIMIT is refused from order_sizes before any value is summed.
-    Only the two colliding members are built, each unranked (_member_at)."""
-    if not stop:
-        order_sizes(fam, cap, q)
-    seen: set[int] = set()
-    repeat, size = None, [0]  # size[j]: members of order < j
-    for values in order_values(fam, q, cap, modulus):
-        start = size[-1]
-        size.append(len(values))
-        seen.update(islice(values, start, None))
-        if repeat is None and len(seen) < len(values):  # the first repeat lies past start
-            first = dict(zip(values, range(start)))
-            j = next(j for j in range(start, len(values)) if first.setdefault(values[j], j) != j)
-            repeat = values[j], first[values[j]], j
-            if stop:
-                break
-    if repeat is None:
-        return len(values), len(seen), None, True
-    v, i, j = repeat
-    collision = (v, _member_at(fam, size, i), _member_at(fam, size, j))
-    return (j + 1, j, collision, False) if stop else (len(values), len(seen), collision, True)
-
-
-def _member_at(fam: PredecessorFamily, size: list[int], rank: int) -> CoeffFn:
-    """The member at ``rank`` in lex order (size[j] members of order < j, for
-    j up past its order), unranked down the runs of its rows."""
-    pairs: list[tuple[int, int]] = []  # top first
-    while rank:
-        n = bisect_right(size, rank) - 1  # its order: size[n] <= rank < size[n + 1]
-        digits = fam.digits(n + 1)
-        rank -= size[n]
-        for i, k, t, _ in _runs(digits, n):
-            if rank < size[k]:
-                break
-            rank -= size[k]
-        pairs += digits[:i]
-        if t:
-            pairs.append((k, t))
-    return member(pairs)
 
 
 # -- descending world: the ascending one on the mirrored family --------------

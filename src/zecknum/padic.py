@@ -13,9 +13,9 @@ from __future__ import annotations
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
-from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values, value_collision
+from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values
 from .coeff import CoeffFn, NotRepresentableError
-from .uniqueness import UniquenessReport
+from .uniqueness import UniquenessReport, value_collision
 
 
 def padic_valuation(x: int, p: int, cap: int) -> int:
@@ -138,8 +138,7 @@ def check_unique_padic(
     stop_at_collision: bool = True,
 ) -> UniquenessReport:
     """Collision walk over members of order <= order_cap, by residue."""
-    collision = value_collision(fam, seq.value, order_cap, stop_at_collision, seq.modulus)
-    return UniquenessReport(order_cap, *collision)
+    return value_collision(fam, seq.value, order_cap, stop_at_collision, seq.modulus)
 
 
 # -- roots and specific sequences --------------------------------------------

@@ -260,7 +260,8 @@ def expand_real(
     maximal row upward, taking every digit as fully as the remainder affords;
     the first short digit closes the block, and the next block necessarily
     starts strictly above it.  Stops on an exact zero remainder, a remainder
-    at or under residual_tol, or after max_blocks blocks.  ``x`` is read
+    at or under residual_tol, after max_blocks blocks, or at a term too small
+    to move the remainder at the working precision.  ``x`` is read
     exactly on a sequence of fractions, at the precision of a decimal one;
     x = 0 is the empty expansion, and x outside [0, 1) a ValueError.
     """
@@ -285,14 +286,15 @@ def expand_real(
             n = find_first_below(seq, rem, above)
             for k, d in fam.support(n):
                 q = seq.value(k)
-                c = int(rem / q)
+                c = min(int(rem / q), d)
                 # division may land a hair high at fixed precision
                 while c > 0 and c * q > rem:
                     c -= 1
-                c = min(c, d)
                 if c:
+                    if (left := rem - c * q) == rem:  # the term is under the working precision
+                        return Expansion(CoeffFn(tuple(pairs)), rem, False, blocks + 1)
                     pairs.append((k, c))
-                    rem -= c * q
+                    rem = left
                 if c < d:
                     break
             blocks += 1

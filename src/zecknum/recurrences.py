@@ -242,20 +242,6 @@ def family_from_blocks(
             raise FamilyError(f"{name}: no block has top digit exactly at position {t}")
         tops.append(max(fits, key=lex_key))
 
-    q = [1]
-    for n in range(2, width + 2):
-        top = tops[n - 2]
-        q.append(1 + sum(d * q[p] for p, d in enumerate(top) if d))
-    base = q[width]
-
-    vals = {b: sum(d * q[p] for p, d in enumerate(b)) for b in blk}
-    got = sorted(vals.values())
-    if got != list(range(base)):
-        raise FamilyError(
-            f"{name}: block values {got} do not cover 0..{base - 1} exactly"
-        )
-    b_max = next(b for b, v in vals.items() if v == base - 1)
-
     def head(n: int) -> list[tuple[int, int]]:
         r, t0 = divmod(n - 2, width)
         return [(width * r + p + 1, d) for p, d in enumerate(tops[t0])]
@@ -264,6 +250,16 @@ def family_from_blocks(
         lambda j, _: b_max[(j - 1) % width], head=head, top=lambda n: width * ((n - 2) // width)
     )
     fam = PredecessorFamily(name=name, shape=shape)
+    # rows 2..N+1 are the seed rows, all head: their derived values read no b_max
+    *q, base = FundamentalSeq.from_family(fam).upto(width + 1)
+
+    vals = {b: sum(d * q[p] for p, d in enumerate(b)) for b in blk}
+    got = sorted(vals.values())
+    if got != list(range(base)):
+        raise FamilyError(
+            f"{name}: block values {got} do not cover 0..{base - 1} exactly"
+        )
+    b_max = next(b for b, v in vals.items() if v == base - 1)
     return FixedBlockSystem(fam, base, width, tuple(sorted(vals.items(), key=lambda kv: kv[1])))
 
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from conftest import PI_100, maximal_row
@@ -248,6 +252,24 @@ class TestExpand:
         err = abs(eval_expansion(res.fn, golden_real.sequence) - x)
         assert err < Decimal("1e-24")
         assert is_member_desc(res.fn, golden_real.family, res.fn.order_asc + 2)
+
+    def test_a_term_under_the_precision_ends_the_expansion(self):
+        # at 4 digits, golden-real's remainder stops falling past index 81 while
+        # block 11's digits stay affordable: the expansion ends there, not exact,
+        # instead of running on; it is run apart so that a hang fails, not stalls
+        code = (
+            "from decimal import Decimal\n"
+            "from zecknum.config import load_fixture\n"
+            "from zecknum.real import GeometricSeq, expand_real, positive_root\n"
+            "seq = GeometricSeq(positive_root((1, 1), 4), 4)\n"
+            "res = expand_real(Decimal('0.8087'), load_fixture('golden-real').family, seq, 16)\n"
+            "print(res.fn.support[-3:], res.residual, res.exact, res.blocks_used)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(77, 79, 81) 2.825E-14 False 11\n"
 
 
 def _inputs(name: str, seed: int, count: int = 6) -> list:

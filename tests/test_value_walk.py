@@ -24,15 +24,15 @@ from conftest import (
     weak_converse_probe_ref,
 )
 
-from zecknum import blocks
+from zecknum import blocks, uniqueness
 from zecknum.blocks import (
     FamilyError,
     WalkLimitError,
     enumerate_asc,
     members_upto_order,
     order_members,
-    order_sizes,
     order_values,
+    successor_asc,
     walk_values,
 )
 from zecknum.coeff import CoeffFn
@@ -52,7 +52,13 @@ FIB = MultiplicityList((1, 1)).predecessor_family()
 
 # order caps that keep each full walk to a few thousand members
 CAPS = {"fib": 16, "index-bounded": 6, "rec-3-1": 8, "rec-8-2-3": 4, "blocks7": 12, "factorial": 6,
-        "mult-2-3": 8, "mult-11-3": 3, "pin-3": 500, "seven-scaled": 13}
+        "mult-2-3": 8, "mult-11-3": 3, "pin-3": 500, "seven-scaled": 13, "golden-41": 16, "padic-5-20": 5}
+PADIC_FIXTURES = ("golden-41", "padic-5-20")
+
+
+def counts(fam, cap):
+    """Members of order < n for n = 1..cap+1: the derived sequence's terms."""
+    return FundamentalSeq.from_family(fam).upto(cap + 1)
 
 
 def labelled(names):
@@ -109,7 +115,7 @@ class TestOrderValues:
         fam, q, cap = s.family, s.seq(label).value, CAPS[name]
         lengths, values = self.steps(fam, q, cap)
         assert (lengths, values) == self.walked(fam, q, cap)
-        assert order_sizes(fam, cap)[1:] == lengths
+        assert counts(fam, cap) == lengths
 
     @pytest.mark.parametrize("name,label", labelled(["golden-41", "padic-5-20"]))
     def test_padic_fixtures(self, name, label):
@@ -122,14 +128,45 @@ class TestOrderValues:
             assert values == [v % seq.modulus for v in walk_values_]
 
 
+class TestCounts:
+    """The derived Q_{k+1} counts the members of order <= k: count_upto_order
+    and order_values' steps read it off, the walk agrees."""
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES + PADIC_FIXTURES)
+    def test_every_fixture_family(self, name):
+        s = get_system(name)
+        fam, cap = s.family, CAPS[name]
+        want = counts(fam, cap)
+        assert [count_upto_order(fam, k) for k in range(cap + 1)] == want
+        assert count_upto_order(fam, cap, pred=lambda mu: True) == want[-1]
+        for seq in s.sequences.values():
+            modulus = getattr(seq, "modulus", None)
+            assert [len(values) for values in order_values(fam, seq.value, cap, modulus)] == want
+
+
 class TestUnrank:
-    """value_collision's witnesses are unranked from the order sizes."""
+    """A member's lex rank is its derived value: the collision witnesses are
+    encode_int of their ranks on the derived sequence."""
 
     @pytest.mark.parametrize("name", INTEGER_FIXTURES)
     def test_every_rank_of_the_walk(self, name):
         fam, cap = get_system(name).family, CAPS[name]
-        size, walk = order_sizes(fam, cap), list(members_upto_order(fam, cap))
-        assert [blocks._member_at(fam, size, rank) for rank in range(len(walk))] == walk
+        derived, walk = FundamentalSeq.from_family(fam), list(members_upto_order(fam, cap))
+        assert [encode_int(rank, fam, derived) for rank in range(len(walk))] == walk
+        assert [decode_int(mu, derived) for mu in walk] == list(range(len(walk)))
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES + PADIC_FIXTURES)
+    def test_random_ranks_at_twice_the_cap(self, name):
+        # rank r + 1 is the lex successor of rank r, and the last rank below
+        # Q_{cap+1} is the last member of order <= cap
+        fam, cap = get_system(name).family, 2 * CAPS[name]
+        derived, rng = FundamentalSeq.from_family(fam), random.Random(name)
+        end = derived.value(cap + 1)
+        for rank in (*(rng.randrange(end - 1) for _ in range(200)), end - 1):
+            mu = encode_int(rank, fam, derived)
+            assert decode_int(mu, derived) == rank
+            assert successor_asc(mu, fam) == encode_int(rank + 1, fam, derived)
+        assert (mu.order_asc, encode_int(end, fam, derived).order_asc) == (cap, cap + 1)
 
 
 class TestOrderMembers:
@@ -168,7 +205,7 @@ class TestLimitAtLevelBoundaries:
 
     @staticmethod
     def limits(fam, cap):
-        return sorted({b + d for b in order_sizes(fam, cap)[1:] for d in (-1, 0, 1)} - {0})
+        return sorted({b + d for b in counts(fam, cap) for d in (-1, 0, 1)} - {0})
 
     @staticmethod
     def outcome(f):
@@ -204,6 +241,34 @@ class TestLimitAtLevelBoundaries:
             monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
             got = self.outcome(lambda: count_upto_order(fam, 3))
             assert got == self.outcome(lambda: sum(1 for _ in members_upto_order(fam, 3))), limit
+
+
+class TestRefusalBeforeWork:
+    """Past MEMBER_LIMIT, a check that goes on past a collision and the plain
+    count refuse from the member count alone: no value is summed, no member
+    walked."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("refused only after starting the work")
+
+        monkeypatch.setattr(uniqueness, "order_values", work)
+        monkeypatch.setattr(uniqueness, "walk_values", work)
+
+    def test_check_unique(self):
+        s = get_system("mult-11-3")  # 2,175,057 members of order <= 6
+        with pytest.raises(WalkLimitError, match="^order cap 6 walks more than 1,000,000 members; lower the cap$"):
+            check_unique(s.family, s.sequence, 6, stop_at_collision=False)
+
+    def test_check_unique_padic(self):
+        s = get_system("golden-41")
+        with pytest.raises(WalkLimitError, match="^order cap 40 walks more than"):
+            check_unique_padic(s.family, s.sequence, 40, stop_at_collision=False)
+
+    def test_count_upto_order(self):
+        with pytest.raises(WalkLimitError, match="^order cap 12 walks more than"):
+            count_upto_order(get_system("factorial").family, 12)
 
 
 class TestProbesAgainstReference:
