@@ -79,9 +79,10 @@ class PredecessorFamily:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits (order_values' and order_members' runs), the kernels _scan_asc,
-        walk_values, integers.encode_int and FundamentalSeq.from_family (the
-        derived sequence, which also counts and unranks members) read this
+        digits (the runs of order_values, which also answer encode_int on a
+        sequence that is not increasing, and order_members), the kernels
+        _scan_asc, walk_asc, integers.encode_int and FundamentalSeq.from_family
+        (the derived sequence, which counts and unranks members) read this
         inline."""
         p = self._parts.get(n)
         if p is None:
@@ -273,25 +274,21 @@ def _limit_error(cap: int) -> WalkLimitError:
     return WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
 
 
-def walk_values(
-    fam: PredecessorFamily, q: Callable[[int], int] | None = None, start: CoeffFn = ZERO, cap: int | None = None
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(value, digits) of the members from ``start`` on, in ascending lex order.
+def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO, cap: int | None = None) -> Iterator[list[tuple[int, int]]]:
+    """The digits of the members from ``start`` on, in ascending lex order.
 
     The one member walker, amortized O(1) per member: ``start`` is scanned once
     (a non-member is yielded, then NotMemberError raised); then the walker keeps
     its decomposition's spans [lo, hi, maximal], bar all-zero singletons, and
-    ``digits``, the support pairs top first, one list edited in place at its low
-    end.  The value sum(d * q(k)) rides along (0 without ``q``): a carry takes
-    off the pairs it clears, the raised digit adds q(n).  An order ``cap`` (not
-    below the start's order) ends the walk at the first member past it, and
-    member MEMBER_LIMIT + 1 raises WalkLimitError, both before its q is read.
+    yields ``digits``, the support pairs top first, one list edited in place at
+    its low end.  An order ``cap`` (not below the start's order) ends the walk
+    at the first member past it, and member MEMBER_LIMIT + 1 raises
+    WalkLimitError.
     """
     # members left before the limit (never 0 uncapped), and a cap no index passes
     left, cap = (-1, sys.maxsize) if cap is None else (MEMBER_LIMIT, _check_cap(cap))
     digits = list(reversed(start.items()))
-    value = sum(d * q(k) for k, d in start.items()) if q else 0
-    yield value, digits
+    yield digits
     blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
     built, parts, nonzero = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
     while True:
@@ -299,9 +296,7 @@ def walk_values(
         if blocks and blocks[-1][2]:
             hi = blocks.pop()[1]
             while digits and digits[-1][0] <= hi:
-                k, d = digits.pop()
-                if q:
-                    value -= d * q(k)
+                digits.pop()
             n = hi + 1
         else:
             n = 1
@@ -323,9 +318,7 @@ def walk_values(
         else:
             d = 1
             digits.append((n, 1))
-        if q:
-            value += q(n)
-        yield value, digits
+        yield digits
         # a digit that reaches its row digit extends the block down to the row's
         # next nonzero index, or, with none left, to 1 as the maximal block
         head, top, tail, r = built.get(block[1] + 1) or parts(block[1] + 1)
@@ -335,20 +328,16 @@ def walk_values(
             block[0], block[2] = (lo, False) if lo else (1, True)
 
 
-def member(digits: list[tuple[int, int]]) -> CoeffFn:
-    """A walk_values member; its digits stay under validated row digits."""
-    return CoeffFn._trusted(tuple(digits[::-1]))
-
-
 def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[CoeffFn]:
     """Members from ``start`` on, in ascending lex order (never ends)."""
-    trusted = CoeffFn._trusted  # member() inlined: one call less per member
-    return (trusted(tuple(digits[::-1])) for _, digits in walk_values(fam, start=start))
+    trusted = CoeffFn._trusted  # the walk's digits stay under validated row digits
+    return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, start))
 
 
 def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
     """Members of order <= k in ascending lex order, zero included, lazily."""
-    return (member(digits) for _, digits in walk_values(fam, cap=_check_cap(k)))
+    trusted = CoeffFn._trusted
+    return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, cap=_check_cap(k)))
 
 
 def _runs(digits: list[tuple[int, int]], n: int, qs: list[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -376,7 +365,7 @@ def order_values(
     members of order < k) plus the run's shift.  Values are reduced mod
     ``modulus``.
 
-    Failures come at walk_values' member: past MEMBER_LIMIT members
+    Failures come at walk_asc's member: past MEMBER_LIMIT members
     WalkLimitError, after yielding the list cut at the limit; a missing Q_n
     before order n starts; a missing row n+1 after yielding basis(n)'s value.
     """
@@ -490,6 +479,5 @@ def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:
     walk of the mirrored family read back, up to its carry into horizon + 1.
     A horizon below 1 is rejected here, before the first member."""
     flip = horizon + 1
-    walk = walk_values(fam.mirror(horizon))
-    below = takewhile(lambda step: not step[1] or step[1][0][0] < flip, walk)  # digits are top first
-    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in digits)) for _, digits in below)
+    below = takewhile(lambda digits: not digits or digits[0][0] < flip, walk_asc(fam.mirror(horizon)))
+    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in digits)) for digits in below)

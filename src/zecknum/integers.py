@@ -7,8 +7,8 @@ exact and every natural number has exactly one admissible representation.
 
 User-supplied sequences may be anything positive (bounded tables, linear
 recurrences, non-monotone), which is what the coverage and collision probes
-are for; encoding against a non-increasing sequence falls back to walking
-the members in lex order.
+are for.  Against one that is not increasing, encoding finds the value's
+first lex rank in blocks.order_values and unranks it on the derived sequence.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from itertools import accumulate, islice
 from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
-from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, member, order_values, walk_values
-from .coeff import CoeffFn, NotRepresentableError
+from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, order_values
+from .coeff import CoeffFn, NotRepresentableError, basis
 
 EXTENSION_LIMIT = 10**6
 
@@ -182,14 +182,14 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
     Greedy for increasing sequences: take the top, then follow the row of the
     next basis index downwards, taking each digit as far as the remainder
     affords; the first short digit closes the block and the recursion floor
-    drops strictly below it.  For non-increasing sequences this walks the
-    members in lex order instead (and can honestly fail).
+    drops strictly below it.  For a sequence that is not increasing, the
+    first member in lex order worth ``x`` (which can honestly fail).
     """
     if x < 0:
         raise ValueError(f"cannot encode negative value {x}")
     n = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
     if not seq.increasing:
-        return _encode_by_walk(x, fam, seq, n)
+        return _encode_by_rank(x, fam, seq, n)
     vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
     pairs, rem, ordered = [], x, True  # pairs in the order taken; sorted while ordered
     while rem:
@@ -222,15 +222,20 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
     return CoeffFn._trusted(tuple(reversed(pairs))) if ordered else CoeffFn(pairs)
 
 
-def _encode_by_walk(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: int) -> CoeffFn:
+def _encode_by_rank(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: int) -> CoeffFn:
+    """x's first lex rank in order_values, unranked on the derived sequence,
+    or basis(n) for the first of order n (row n+1 may be missing)."""
     if x == 0:
         return CoeffFn()
     if m_max == 0:
         raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
+    start = 0  # members of the orders before this step
     try:
-        for v, digits in walk_values(fam, seq.value, cap=m_max):
-            if v == x:
-                return member(digits)
+        for n, values in enumerate(order_values(fam, seq.value, m_max)):
+            if x in (tail := values[start:]):
+                rank = start + tail.index(x)
+                return basis(n) if rank == start else encode_int(rank, fam, FundamentalSeq.from_family(fam))
+            start = len(values)
     except WalkLimitError:  # name the value, not the order cap derived from it
         limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
         raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import blocks
-from .blocks import PredecessorFamily, member, order_values, walk_values
+from .blocks import PredecessorFamily, order_values
 from .coeff import CoeffFn
 from .integers import FundamentalSeq, encode_int
 from .recurrences import MultiplicityList
@@ -88,7 +88,7 @@ def value_collision(
 
 def _member_count(derived: FundamentalSeq, cap: int, q: Callable[[int], int] | None = None) -> int:
     """Q_{cap+1}, the members of order <= cap, read from the derived sequence a
-    term at a time to fail where walk_values does: WalkLimitError before Q_n
+    term at a time to fail where the walk does: WalkLimitError before Q_n
     (``q``, read only for its failure) and again once row n+1 counts order n."""
     for n in range(1, blocks._check_cap(cap) + 1):
         if derived.value(n) >= blocks.MEMBER_LIMIT:
@@ -120,14 +120,7 @@ def check_unique_multiplicity(
     return check_unique(fam, seq, default_order_cap(ml.e, shortcut), stop_at_collision)
 
 
-def count_upto_order(
-    fam: PredecessorFamily,
-    order_cap: int,
-    pred: Callable[[CoeffFn], bool] | None = None,
-) -> int:
-    """Number of members of order <= order_cap, zero function included,
-    optionally filtered; only a filter walks the members and builds them,
-    the plain count is the derived Q_{order_cap+1}."""
-    if pred is None:
-        return _member_count(FundamentalSeq.from_family(fam), order_cap)
-    return sum(1 for _, digits in walk_values(fam, cap=order_cap) if pred(member(digits)))
+def count_upto_order(fam: PredecessorFamily, order_cap: int) -> int:
+    """Number of members of order <= order_cap, zero function included: the
+    derived Q_{order_cap+1}."""
+    return _member_count(FundamentalSeq.from_family(fam), order_cap)

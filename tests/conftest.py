@@ -9,10 +9,10 @@ from weakref import WeakKeyDictionary
 import pytest
 from hypothesis import HealthCheck, settings
 
-from zecknum import System, load_fixture
-from zecknum.blocks import NotMemberError, check_horizon, first_collision, members_upto_order
+from zecknum import System, blocks, load_fixture
+from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, first_collision, members_upto_order
 from zecknum.coeff import ZERO, CoeffFn
-from zecknum.integers import NotRepresentableError, SubsetReport, _encode_by_walk, decode_int
+from zecknum.integers import NotRepresentableError, SubsetReport, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
 
@@ -241,9 +241,9 @@ def enumerate_desc_ref(fam, horizon: int) -> Iterator[CoeffFn]:
     return walk()
 
 
-# -- decode-per-member references for the value-carrying walks ----------------
-# Each builds every member and decodes it from scratch, as the probes did
-# before the walker carried values; the walk itself is checked against
+# -- decode-per-member references for the order kernel -------------------------
+# Each walks and builds every member and decodes it from scratch, where the
+# probes build values one order at a time; the walk itself is checked against
 # successor_asc in test_blocks.py.
 
 
@@ -304,8 +304,23 @@ def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
 
 # -- the codec before its kernels ---------------------------------------------
 # encode_int looking up the top for every block and reading each row's digits
-# through a row object, and the member scan reading mu.digit index by index;
-# the kernels in integers.encode_int and blocks._scan_asc must agree with them.
+# through a row object, or walking the members when the sequence is not
+# increasing, and the member scan reading mu.digit index by index; the kernels
+# in integers.encode_int and blocks._scan_asc must agree with them.
+
+
+def encode_by_walk_ref(x: int, fam, seq, top: int) -> CoeffFn:
+    """The first member of order <= top, in lex order, that decodes to x."""
+    if x and not top:
+        raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
+    try:
+        for mu in members_upto_order(fam, top):
+            if decode_int(mu, seq) == x:
+                return mu
+    except WalkLimitError:
+        limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
+        raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
+    raise NotRepresentableError(f"no admissible function of order <= {top} has value {x}")
 
 
 def encode_int_ref(x: int, fam, seq) -> CoeffFn:
@@ -313,7 +328,7 @@ def encode_int_ref(x: int, fam, seq) -> CoeffFn:
         raise ValueError(f"cannot encode negative value {x}")
     top = top_ref(seq, x)
     if not seq.increasing:
-        return _encode_by_walk(x, fam, seq, top)
+        return encode_by_walk_ref(x, fam, seq, top)
     pairs: list[tuple[int, int]] = []
     rem = x
     while rem > 0:

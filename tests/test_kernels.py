@@ -22,8 +22,8 @@ from zecknum.real import periodic_maximal_family
 from zecknum.recurrences import family_from_sequence, family_from_table
 
 # every integer fixture whose sequence is increasing (mult-2-3's, mult-11-3's
-# and pin-3's are not: those encode by walking, in the kernel and the
-# reference alike)
+# and pin-3's are not: encode_int searches the order kernel by rank there, and
+# test_value_walk.py checks it against conftest's walk)
 INCREASING = ("fib", "index-bounded", "rec-3-1", "rec-8-2-3", "blocks7", "factorial", "seven-scaled")
 
 # a greedy family over a bounded table: row n's head is the whole row, and

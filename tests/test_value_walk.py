@@ -1,10 +1,11 @@
-"""The value-carrying walk against decoding every member from scratch.
+"""The order kernel against walking the members and decoding each one.
 
-walk_values keeps sum(d * Q_k) up to date as it steps, and order_values
-(order_members, under a value bound) builds the same values one order at a
-time; the probes built on them (collision checks, subsets, the converse
-probe, the walk encoder) must answer, and fail, exactly as the
-decode-per-member references in conftest.
+order_values (order_members, under a value bound) builds the members' values
+one order at a time; the walk (walk_asc), with each member's value summed
+here from its digits, is the reference, failures included.  The probes built
+on the kernel (collision checks, subsets, the converse probe, the encoder for
+sequences that are not increasing) must answer, and fail, exactly as the
+walk-and-decode references in conftest.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from conftest import (
     INTEGER_FIXTURES,
     check_unique_padic_ref,
     check_unique_ref,
+    encode_int_ref,
     enumerate_subset_ref,
     get_system,
     top_ref,
@@ -33,7 +35,7 @@ from zecknum.blocks import (
     order_members,
     order_values,
     successor_asc,
-    walk_values,
+    walk_asc,
 )
 from zecknum.coeff import CoeffFn
 from zecknum.integers import (
@@ -54,6 +56,9 @@ FIB = MultiplicityList((1, 1)).predecessor_family()
 CAPS = {"fib": 16, "index-bounded": 6, "rec-3-1": 8, "rec-8-2-3": 4, "blocks7": 12, "factorial": 6,
         "mult-2-3": 8, "mult-11-3": 3, "pin-3": 500, "seven-scaled": 13, "golden-41": 16, "padic-5-20": 5}
 PADIC_FIXTURES = ("golden-41", "padic-5-20")
+# the integer fixtures whose sequence is not increasing, each with the values
+# its encode sweeps run to (a pin-3 encode near 3,000 takes about 25 ms)
+NOT_INCREASING = {"pin-3": 1000, "mult-11-3": 1500, "mult-2-3": 3000}
 
 
 def counts(fam, cap):
@@ -65,15 +70,32 @@ def labelled(names):
     return [(name, label) for name in names for label in get_system(name).sequences]
 
 
+def outcome(call, *args):
+    """A call's result, or its exception's class and message."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def summed_walk(fam, q, **kwargs):
+    """The walk's (value, digits top first), each value summed here from the
+    digits: Q_n is first read at basis(n), as the kernels read it."""
+    return ((sum(d * q(k) for k, d in digits), digits) for digits in walk_asc(fam, **kwargs))
+
+
 class TestCarriedValue:
+    """The walk resumed at any member, with its members' values summed from
+    their digits, against the members walked from zero and decoded."""
+
     @pytest.mark.parametrize("name", INTEGER_FIXTURES)
     def test_integer_fixtures(self, name):
         s = get_system(name)
         members = list(islice(enumerate_asc(s.family), 10**4))
         for label, seq in s.sequences.items():
             for i in (0, 1234, 5000, 8765):
-                walk = islice(walk_values(s.family, seq.value, members[i]), 10**4 - i)
-                got = [(v, blocks.member(digits)) for v, digits in walk]
+                walk = islice(summed_walk(s.family, seq.value, start=members[i]), 10**4 - i)
+                got = [(v, CoeffFn._trusted(tuple(digits[::-1]))) for v, digits in walk]
                 assert got == [(decode_int(mu, seq), mu) for mu in members[i:]], (label, i)
 
     @pytest.mark.parametrize("name", ["golden-41", "padic-5-20"])
@@ -81,11 +103,8 @@ class TestCarriedValue:
         s = get_system(name)
         members = list(islice(enumerate_asc(s.family), 10**4))
         for seq in s.sequences.values():
-            got = [v % seq.modulus for v, _ in islice(walk_values(s.family, seq.value), 10**4)]
+            got = [v % seq.modulus for v, _ in islice(summed_walk(s.family, seq.value), 10**4)]
             assert got == [eval_padic(mu, seq) for mu in members]
-
-    def test_without_weight_the_value_is_zero(self):
-        assert {v for v, _ in islice(walk_values(FIB), 100)} == {0}
 
 
 def flat(orders):
@@ -97,7 +116,7 @@ def flat(orders):
 
 
 class TestOrderValues:
-    """order_values against walk_values: the same values in the same order,
+    """order_values against the walk: the same values in the same order,
     each step ending where the walk's next order begins."""
 
     def steps(self, fam, q, cap, modulus=None):
@@ -106,7 +125,7 @@ class TestOrderValues:
         return lengths, values
 
     def walked(self, fam, q, cap):
-        walk = [(v, digits[0][0] if digits else 0) for v, digits in walk_values(fam, q, cap=cap)]
+        walk = [(v, digits[0][0] if digits else 0) for v, digits in summed_walk(fam, q, cap=cap)]
         return [sum(order <= n for _, order in walk) for n in range(cap + 1)], [v for v, _ in walk]
 
     @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
@@ -123,9 +142,9 @@ class TestOrderValues:
         fam, seq = s.family, s.seq(label)
         for cap in range(6):
             lengths, values = self.steps(fam, seq.value, cap, seq.modulus)
-            walk_lengths, walk_values_ = self.walked(fam, seq.value, cap)
+            walk_lengths, walked_values = self.walked(fam, seq.value, cap)
             assert lengths == walk_lengths
-            assert values == [v % seq.modulus for v in walk_values_]
+            assert values == [v % seq.modulus for v in walked_values]
 
 
 class TestCounts:
@@ -138,7 +157,7 @@ class TestCounts:
         fam, cap = s.family, CAPS[name]
         want = counts(fam, cap)
         assert [count_upto_order(fam, k) for k in range(cap + 1)] == want
-        assert count_upto_order(fam, cap, pred=lambda mu: True) == want[-1]
+        assert sum(1 for _ in members_upto_order(fam, cap)) == want[-1]
         for seq in s.sequences.values():
             modulus = getattr(seq, "modulus", None)
             assert [len(values) for values in order_values(fam, seq.value, cap, modulus)] == want
@@ -254,7 +273,7 @@ class TestRefusalBeforeWork:
             raise AssertionError("refused only after starting the work")
 
         monkeypatch.setattr(uniqueness, "order_values", work)
-        monkeypatch.setattr(uniqueness, "walk_values", work)
+        monkeypatch.setattr(blocks, "walk_asc", work)
 
     def test_check_unique(self):
         s = get_system("mult-11-3")  # 2,175,057 members of order <= 6
@@ -295,19 +314,37 @@ class TestProbesAgainstReference:
             assert enumerate_subset(fam, seq, bound) == enumerate_subset_ref(fam, seq, bound)
 
     def test_encode_by_walk(self):
-        # pin-3 is not increasing, so encode_int walks; the reference is the
-        # first member, in lex order, that decodes to the value
-        s = get_system("pin-3")
+        # these sequences are not increasing, so encode_int searches the
+        # order kernel by rank; the reference is the first member, in lex
+        # order, that decodes to the value (conftest's walk, run once here;
+        # the low-limit sweep below compares the refusals' texts)
+        for name, end in NOT_INCREASING.items():
+            s = get_system(name)
+            fam, seq = s.family, s.sequence
+            first = {}
+            for mu in members_upto_order(fam, top_ref(seq, end - 1)):
+                first.setdefault(decode_int(mu, seq), mu)
+            for x in range(end):
+                got = outcome(encode_int, x, fam, seq)
+                if x in first:
+                    assert got == first[x], (name, x)
+                else:
+                    assert got[0] is NotRepresentableError, (name, x)
+
+    @pytest.mark.parametrize("name", NOT_INCREASING)
+    def test_encode_by_walk_past_a_low_member_limit(self, monkeypatch, name):
+        # limits at the end of the first order with 30 members or more, and
+        # either side of it: each x gives the reference's member, or its
+        # WalkLimitError naming the value
+        s = get_system(name)
         fam, seq = s.family, s.sequence
-        first = {}
-        for mu in members_upto_order(fam, top_ref(seq, 600)):
-            first.setdefault(decode_int(mu, seq), mu)
-        for x in range(1, 601):
-            if x in first:
-                assert encode_int(x, fam, seq) == first[x]
-            else:
-                with pytest.raises(NotRepresentableError):
-                    encode_int(x, fam, seq)
+        level = next(q for q in FundamentalSeq.from_family(fam).upto(40) if q >= 30)  # members of order < n
+        for limit in (level - 1, level, level + 1):
+            monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
+            got = [outcome(encode_int, x, fam, seq) for x in range(600)]
+            assert got == [outcome(encode_int_ref, x, fam, seq) for x in range(600)], limit
+            assert got[-1] == (WalkLimitError, f"{fam.name}: encoding 599 walks more than {limit:,} members "
+                               "(sequence is not increasing)")
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 4])
     def test_weak_converse_probe(self, cap):
@@ -340,8 +377,7 @@ class TestFailuresAtTheSameMember:
 
     def both(self, fam, seq, cap):
         ref = until_error(decode_int(mu, seq) for mu in members_upto_order(fam, cap))
-        got = until_error(v for v, _ in walk_values(fam, seq.value, cap=cap))
-        assert got == ref
+        assert until_error(v for v, _ in summed_walk(fam, seq.value, cap=cap)) == ref
         assert until_error(flat(order_values(fam, seq.value, cap))) == ref
         return ref[1:]
 
@@ -377,19 +413,23 @@ class TestFailuresAtTheSameMember:
         "fam,seq", [(TABLE, FIB_Q), (TABLE, DIP_Q), (FIB, SHORT_Q)], ids=["table", "table-dip", "short-q"]
     )
     def test_subsets(self, fam, seq):
-        def outcome(f):
-            try:
-                return f()
-            except Exception as exc:
-                return type(exc), str(exc)
-
-        got = [outcome(lambda: enumerate_subset(fam, seq, bound)) for bound in range(40)]
-        assert got == [outcome(lambda: enumerate_subset_ref(fam, seq, bound)) for bound in range(40)]
+        got = [outcome(enumerate_subset, fam, seq, bound) for bound in range(40)]
+        assert got == [outcome(enumerate_subset_ref, fam, seq, bound) for bound in range(40)]
         assert (fam is self.TABLE) == any(not isinstance(g, SubsetReport) for g in got)  # the table family fails
+
+    @pytest.mark.parametrize("values", [[1, 2, 3, 5, 4, 7], [3, 2, 5, 9]], ids=["dip", "seeds"])
+    def test_encode_by_walk(self, values):
+        # basis(4), the first member of order 4, is worth Q_4 and is found
+        # before the walk needs the missing row 5
+        seq = FundamentalSeq(values, name="not-increasing")
+        got = [outcome(encode_int, x, self.TABLE, seq) for x in range(40)]
+        assert got == [outcome(encode_int_ref, x, self.TABLE, seq) for x in range(40)]
+        assert got[values[3]] == CoeffFn.parse("4:1")
+        assert any(isinstance(g, tuple) and g[0] is FamilyError for g in got)
 
     def test_negative_cap(self):
         with pytest.raises(ValueError, match="order cap must be nonnegative, got -1"):
-            next(walk_values(FIB, cap=-1))
+            next(walk_asc(FIB, cap=-1))
 
 
 class TestWorkCounters:
