@@ -17,7 +17,6 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 
 from __future__ import annotations
 
-import sys
 from itertools import takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -56,6 +55,7 @@ class PredecessorFamily:
             shape = RowShape(lambda j, r: 0, head=lambda n: row_fn(n).items(), top=lambda n: 0)
         self.name = name
         self.shape = shape
+        self.derived = None  # its derived sequence, kept by integers.FundamentalSeq.from_family
         self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
         self._tails = [[0] for _ in range(shape.period)]
         # beside each tail: _nonzero[r][j] is the largest i <= j with tail[i] != 0, or 0
@@ -274,19 +274,15 @@ def _limit_error(cap: int) -> WalkLimitError:
     return WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
 
 
-def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO, cap: int | None = None) -> Iterator[list[tuple[int, int]]]:
+def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[list[tuple[int, int]]]:
     """The digits of the members from ``start`` on, in ascending lex order.
 
     The one member walker, amortized O(1) per member: ``start`` is scanned once
     (a non-member is yielded, then NotMemberError raised); then the walker keeps
     its decomposition's spans [lo, hi, maximal], bar all-zero singletons, and
     yields ``digits``, the support pairs top first, one list edited in place at
-    its low end.  An order ``cap`` (not below the start's order) ends the walk
-    at the first member past it, and member MEMBER_LIMIT + 1 raises
-    WalkLimitError.
+    its low end.
     """
-    # members left before the limit (never 0 uncapped), and a cap no index passes
-    left, cap = (-1, sys.maxsize) if cap is None else (MEMBER_LIMIT, _check_cap(cap))
     digits = list(reversed(start.items()))
     yield digits
     blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
@@ -300,12 +296,6 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO, cap: int | None = No
             n = hi + 1
         else:
             n = 1
-        # the pairs above n are an earlier member's: the order passes the cap iff n does
-        if n > cap:
-            return
-        left -= 1
-        if not left:
-            raise _limit_error(cap)
         # n is the low end of the block above, or an all-zero singleton against row(n+1)
         if blocks and blocks[-1][0] == n:
             block = blocks[-1]
@@ -335,9 +325,19 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
 
 
 def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
-    """Members of order <= k in ascending lex order, zero included, lazily."""
+    """Members of order <= k in ascending lex order, zero included, lazily:
+    the walk up to its first member past k; member MEMBER_LIMIT + 1 raises
+    WalkLimitError."""
+    below = takewhile(lambda digits: not digits or digits[0][0] <= k, walk_asc(fam))
+    return _upto_limit(below, _check_cap(k))
+
+
+def _upto_limit(walk: Iterator[list[tuple[int, int]]], cap: int) -> Iterator[CoeffFn]:
     trusted = CoeffFn._trusted
-    return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, cap=_check_cap(k)))
+    for i, digits in enumerate(walk):
+        if i == MEMBER_LIMIT:
+            raise _limit_error(cap)
+        yield trusted(tuple(digits[::-1]))
 
 
 def _runs(digits: list[tuple[int, int]], n: int, qs: list[int]) -> Iterator[tuple[int, int, int, int]]:

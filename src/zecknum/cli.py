@@ -100,6 +100,7 @@ def _records(sys_: System, header: str, values: list[str], record: Callable[[str
 
 def cmd_encode(args, sys_: System, seq) -> int:
     from .integers import encode_int
+    seq.find_top(0)  # a sequence every encode refuses is refused before the header
     return _records(sys_, "value\tdigits", args.values,
                     lambda tok: encode_int(int(tok), sys_.family, seq).render())
 

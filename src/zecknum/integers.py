@@ -60,22 +60,25 @@ class FundamentalSeq:
         vals.append(v)
 
     @classmethod
-    def from_family(cls, fam: PredecessorFamily, name: str | None = None) -> "FundamentalSeq":
+    def from_family(cls, fam: PredecessorFamily) -> "FundamentalSeq":
         """Derived sequence: Q_1 = 1, Q_n = 1 + sum of row(n) digits times Q; the tail
-        part is a running sum per residue, so a term costs O(head) while tops grow."""
-        running: dict[int, tuple[int, int]] = {}  # residue -> (top, tail sum)
+        part is a running sum per residue, so a term costs O(head) while tops grow.
+        Built on the first call and kept on the family: every later call returns it."""
+        if fam.derived is None:
+            running: dict[int, tuple[int, int]] = {}  # residue -> (top, tail sum)
 
-        def ext(n: int, seq: "FundamentalSeq") -> int:
-            head, top, tail, r = fam.parts(n)
-            j, acc = running.get(r, (0, 0))
-            if top < j:
-                j, acc = 0, 0
-            for i in range(j + 1, top + 1):
-                acc += tail[i] * seq.value(i)
-            running[r] = (top, acc)
-            return 1 + sum(d * seq.value(k) for k, d in head.items()) + acc
+            def ext(n: int, seq: "FundamentalSeq") -> int:
+                head, top, tail, r = fam.parts(n)
+                j, acc = running.get(r, (0, 0))
+                if top < j:
+                    j, acc = 0, 0
+                for i in range(j + 1, top + 1):
+                    acc += tail[i] * seq.value(i)
+                running[r] = (top, acc)
+                return 1 + sum(d * seq.value(k) for k, d in head.items()) + acc
 
-        return cls([1], ext, name or f"Q[{fam.name}]")
+            fam.derived = cls([1], ext, f"Q[{fam.name}]")
+        return fam.derived
 
     @classmethod
     def from_linear(
@@ -91,6 +94,8 @@ class FundamentalSeq:
             return sum(c * seq.value(n - 1 - j) for j, c in enumerate(cs))
 
         seq = cls(seeds, ext, name)
+        if not cs:  # a table gives fixed terms
+            raise FamilyError(f"{name}: a linear sequence needs at least one coefficient")
         if len(seq) < len(cs):  # Q_{m+1} would read Q_0
             raise FamilyError(f"{name}: {len(seq)} seeds for {len(cs)} coefficients; "
                               "a linear sequence needs a seed per coefficient")

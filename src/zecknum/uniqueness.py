@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import blocks
-from .blocks import PredecessorFamily, order_values
+from .blocks import PredecessorFamily, first_collision, order_values
 from .coeff import CoeffFn
 from .integers import FundamentalSeq, encode_int
 from .recurrences import MultiplicityList
@@ -62,20 +62,25 @@ def value_collision(
 ) -> UniquenessReport:
     """The collision report on the members of order <= cap, by their
     order_values value (mod ``modulus``): a set finds the order holding the
-    first repeat, and only that order is scanned for its rank.  Without
-    ``stop``, a cap past MEMBER_LIMIT is refused before any value is summed.
-    The two witnesses are encode_int of their ranks on the derived sequence."""
+    first repeat, and first_collision its two ranks.  Without ``stop``, a cap
+    past MEMBER_LIMIT is refused before any value is summed: the derived
+    sequence counts the members a term at a time, reading Q_n (``q``) where
+    the walk would, to fail where it does.  The two witnesses are encode_int
+    of their ranks on the derived sequence."""
     derived = FundamentalSeq.from_family(fam)
     if not stop:
-        _member_count(derived, cap, q)
+        for n in range(1, blocks._check_cap(cap) + 1):
+            if derived.value(n) >= blocks.MEMBER_LIMIT:
+                raise blocks._limit_error(cap)
+            q(n)
+            if derived.value(n + 1) > blocks.MEMBER_LIMIT:
+                raise blocks._limit_error(cap)
     seen: set[int] = set()
     repeat, start = None, 0  # start: members of the orders before this step
     for values in order_values(fam, q, cap, modulus):
         seen.update(islice(values, start, None))
         if repeat is None and len(seen) < len(values):  # the first repeat lies past start
-            first = dict(zip(values, range(start)))
-            j = next(j for j in range(start, len(values)) if first.setdefault(values[j], j) != j)
-            repeat = values[j], first[values[j]], j
+            _, _, repeat, _ = first_collision(enumerate(values))
             if stop:
                 break
         start = len(values)
@@ -84,20 +89,6 @@ def value_collision(
     v, i, j = repeat
     collision = (v, encode_int(i, fam, derived), encode_int(j, fam, derived))
     return UniquenessReport(cap, *((j + 1, j) if stop else (len(values), len(seen))), collision, not stop)
-
-
-def _member_count(derived: FundamentalSeq, cap: int, q: Callable[[int], int] | None = None) -> int:
-    """Q_{cap+1}, the members of order <= cap, read from the derived sequence a
-    term at a time to fail where the walk does: WalkLimitError before Q_n
-    (``q``, read only for its failure) and again once row n+1 counts order n."""
-    for n in range(1, blocks._check_cap(cap) + 1):
-        if derived.value(n) >= blocks.MEMBER_LIMIT:
-            raise blocks._limit_error(cap)
-        if q:
-            q(n)
-        if derived.value(n + 1) > blocks.MEMBER_LIMIT:
-            raise blocks._limit_error(cap)
-    return derived.value(cap + 1)
 
 
 def default_order_cap(multiplicities: Sequence[int] | None, shortcut: bool = False) -> int:
@@ -123,4 +114,4 @@ def check_unique_multiplicity(
 def count_upto_order(fam: PredecessorFamily, order_cap: int) -> int:
     """Number of members of order <= order_cap, zero function included: the
     derived Q_{order_cap+1}."""
-    return _member_count(FundamentalSeq.from_family(fam), order_cap)
+    return FundamentalSeq.from_family(fam).value(blocks._check_cap(order_cap) + 1)

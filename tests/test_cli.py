@@ -573,9 +573,11 @@ class TestSequenceGrowth:
     )
     def test_negative_coefficients_without_a_growth_rule(self, capsys, tmp_path, verb):
         # 1, 5, 2, 6, 3, 7, 4, ...: the seeds fall, so nothing bounds the later terms
+        # the refusal comes before any output: no header
         config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 5, 2], "coeffs": [1, 1, -1]})
-        rc, _, err = run(capsys, verb[0], "-c", config, *verb[1:])
+        rc, lines, err = run(capsys, verb[0], "-c", config, *verb[1:])
         assert rc == 2
+        assert lines == []
         assert err == (
             "config error: Q: no growth rule: a negative-coefficient recurrence needs coefficient sum >= 1, "
             "tail sums <= 0 and nondecreasing last seeds\n"
@@ -617,6 +619,15 @@ class TestSequenceGrowth:
         assert rc == 2
         assert lines == []
         assert err == "config error: Q: 2 seeds for 3 coefficients; a linear sequence needs a seed per coefficient\n"
+
+    @pytest.mark.parametrize("argv", [["encode", "7"], ["decode", "5:1"], ["subset", "--bound", "9"]])
+    def test_linear_without_coefficients(self, capsys, tmp_path, argv):
+        # a sequence of fixed terms is a table; a linear one with no recurrence is refused at load
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": []})
+        rc, lines, err = run(capsys, argv[0], "-c", config, *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: Q: a linear sequence needs at least one coefficient\n"
 
     def test_other_index_errors_keep_their_traceback(self, monkeypatch):
         from zecknum.integers import FundamentalSeq

@@ -79,6 +79,11 @@ class TestFundamentalSeq:
         with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
             FundamentalSeq.from_linear(seeds, coeffs)
 
+    @pytest.mark.parametrize("seeds", [[], [1, 2]])
+    def test_from_linear_needs_a_coefficient(self, seeds):
+        with pytest.raises(FamilyError, match="^Q: a linear sequence needs at least one coefficient$"):
+            FundamentalSeq.from_linear(seeds, [])
+
     def test_derived_fibonacci(self, fib):
         assert fib.sequence.upto(10) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 

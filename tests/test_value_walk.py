@@ -1,8 +1,9 @@
 """The order kernel against walking the members and decoding each one.
 
 order_values (order_members, under a value bound) builds the members' values
-one order at a time; the walk (walk_asc), with each member's value summed
-here from its digits, is the reference, failures included.  The probes built
+one order at a time; the walk (walk_asc, members_upto_order up to an order
+cap), with each member's value summed here from its digits, is the
+reference, failures included.  The probes built
 on the kernel (collision checks, subsets, the converse probe, the encoder for
 sequences that are not increasing) must answer, and fail, exactly as the
 walk-and-decode references in conftest.
@@ -26,7 +27,7 @@ from conftest import (
     weak_converse_probe_ref,
 )
 
-from zecknum import blocks, uniqueness
+from zecknum import blocks, load_fixture, uniqueness
 from zecknum.blocks import (
     FamilyError,
     WalkLimitError,
@@ -84,6 +85,12 @@ def summed_walk(fam, q, **kwargs):
     return ((sum(d * q(k) for k, d in digits), digits) for digits in walk_asc(fam, **kwargs))
 
 
+def summed_members(fam, q, cap):
+    """members_upto_order's (value, order), each value summed as summed_walk sums it."""
+    members = members_upto_order(fam, cap)
+    return ((sum(d * q(k) for k, d in reversed(mu.items())), mu.order_asc) for mu in members)
+
+
 class TestCarriedValue:
     """The walk resumed at any member, with its members' values summed from
     their digits, against the members walked from zero and decoded."""
@@ -125,7 +132,7 @@ class TestOrderValues:
         return lengths, values
 
     def walked(self, fam, q, cap):
-        walk = [(v, digits[0][0] if digits else 0) for v, digits in summed_walk(fam, q, cap=cap)]
+        walk = list(summed_members(fam, q, cap))
         return [sum(order <= n for _, order in walk) for n in range(cap + 1)], [v for v, _ in walk]
 
     @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
@@ -188,6 +195,46 @@ class TestUnrank:
         assert (mu.order_asc, encode_int(end, fam, derived).order_asc) == (cap, cap + 1)
 
 
+class TestOneDerivedSequence:
+    """A family keeps its derived sequence: the counts, the unranks and a
+    derived fixture's sequence are one object, built once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count, init = [0], FundamentalSeq.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FundamentalSeq, "__init__", counting_init)
+        return count
+
+    @pytest.mark.parametrize("name", ["fib", "index-bounded", "rec-3-1", "rec-8-2-3", "blocks7", "factorial"])
+    def test_derived_fixture(self, name):
+        s = load_fixture(name)
+        assert FundamentalSeq.from_family(s.family) is FundamentalSeq.from_family(s.family) is s.sequence
+
+    def test_collision_checks_and_counts_build_it_once(self, builds):
+        s = load_fixture("mult-11-3")
+        fam, seq = s.family, s.sequence
+        before = builds[0]
+        for stop in (True, False, True):
+            assert check_unique(fam, seq, 3, stop).collision == (114, CoeffFn.parse("1:6"), CoeffFn.parse("2:8,3:1"))
+        assert count_upto_order(fam, 3) == 1521
+        assert encode_int(114, fam, seq) == CoeffFn.parse("1:6")
+        assert builds[0] - before == 1
+
+    def test_rank_search_builds_it_once(self, builds):
+        s = load_fixture("pin-3")
+        fam, seq = s.family, s.sequence
+        before = builds[0]
+        for x in (2900, 2950, 2999):
+            mu = encode_int(x, fam, seq)
+            assert decode_int(mu, seq) == x
+        assert builds[0] - before == 1
+
+
 class TestOrderMembers:
     """order_members, under enumerate_subset, against the filtered walk."""
 
@@ -219,8 +266,8 @@ class TestOrderMembers:
 
 class TestLimitAtLevelBoundaries:
     """MEMBER_LIMIT on each order's last member and either side of it: the
-    collision checks, stopping or not, and the plain count refuse or answer
-    as the walk does."""
+    collision checks, stopping or not, refuse or answer as the walk does, and
+    the plain count, one derived term, answers whatever the limit."""
 
     @staticmethod
     def limits(fam, cap):
@@ -256,16 +303,18 @@ class TestLimitAtLevelBoundaries:
     @pytest.mark.parametrize("name", ["fib", "mult-11-3"])
     def test_count_upto_order(self, monkeypatch, name):
         fam = get_system(name).family
+        want = sum(1 for _ in members_upto_order(fam, 3))
         for limit in self.limits(fam, 3):
             monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
-            got = self.outcome(lambda: count_upto_order(fam, 3))
-            assert got == self.outcome(lambda: sum(1 for _ in members_upto_order(fam, 3))), limit
+            assert count_upto_order(fam, 3) == want, limit
+            walked = self.outcome(lambda: sum(1 for _ in members_upto_order(fam, 3)))
+            assert walked == (want if limit >= want else f"order cap 3 walks more than {limit:,} members; lower the cap")
 
 
 class TestRefusalBeforeWork:
-    """Past MEMBER_LIMIT, a check that goes on past a collision and the plain
-    count refuse from the member count alone: no value is summed, no member
-    walked."""
+    """Past MEMBER_LIMIT, a check that goes on past a collision refuses from
+    the member count alone, and the plain count is that count: no value is
+    summed, no member walked."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -286,8 +335,8 @@ class TestRefusalBeforeWork:
             check_unique_padic(s.family, s.sequence, 40, stop_at_collision=False)
 
     def test_count_upto_order(self):
-        with pytest.raises(WalkLimitError, match="^order cap 12 walks more than"):
-            count_upto_order(get_system("factorial").family, 12)
+        # 13! members of order <= 12, far past the limit: the derived Q_13
+        assert count_upto_order(get_system("factorial").family, 12) == 6_227_020_800
 
 
 class TestProbesAgainstReference:
@@ -377,7 +426,7 @@ class TestFailuresAtTheSameMember:
 
     def both(self, fam, seq, cap):
         ref = until_error(decode_int(mu, seq) for mu in members_upto_order(fam, cap))
-        assert until_error(v for v, _ in summed_walk(fam, seq.value, cap=cap)) == ref
+        assert until_error(v for v, _ in summed_members(fam, seq.value, cap)) == ref
         assert until_error(flat(order_values(fam, seq.value, cap))) == ref
         return ref[1:]
 
@@ -428,8 +477,9 @@ class TestFailuresAtTheSameMember:
         assert any(isinstance(g, tuple) and g[0] is FamilyError for g in got)
 
     def test_negative_cap(self):
+        # refused at the call, before the first member is asked for
         with pytest.raises(ValueError, match="order cap must be nonnegative, got -1"):
-            next(walk_asc(FIB, cap=-1))
+            members_upto_order(FIB, -1)
 
 
 class TestWorkCounters:
