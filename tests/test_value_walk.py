@@ -2,11 +2,11 @@
 
 order_values (order_members, under a value bound) builds the members' values
 one order at a time; the walk (walk_asc, members_upto_order up to an order
-cap), with each member's value summed here from its digits, is the
-reference, failures included.  The probes built
-on the kernel (collision checks, subsets, the converse probe, the encoder for
-sequences that are not increasing) must answer, and fail, exactly as the
-walk-and-decode references in conftest.
+cap), with each member's value summed here from its digits, is the reference,
+failures included.  The probes built on the kernel (collision checks,
+subsets, the converse probe, the encoder for sequences that are not
+increasing) must answer, and fail, exactly as the walk-and-decode references
+in conftest.
 """
 
 from __future__ import annotations
