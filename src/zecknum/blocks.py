@@ -17,10 +17,11 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, IndexInterval, NotMemberError, WalkLimitError, check_horizon
+from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, NotMemberError, WalkLimitError, check_horizon
 
 
 class RowShape(NamedTuple):
@@ -116,26 +117,26 @@ class PredecessorFamily:
 class MaximalFamily:
     """Descending family n -> maximal row of order n (infinite support).
 
-    ``support_fn(n, start)`` yields row n's nonzero (index, digit) pairs at
-    the indices >= start >= n, in ascending order and without end.
+    ``support_fn(n)`` yields row n's nonzero (index, digit) pairs in
+    ascending order and without end.
     """
 
-    def __init__(self, support_fn: Callable[[int, int], Iterator[tuple[int, int]]], name: str = "maximal-family"):
+    def __init__(self, support_fn: Callable[[int], Iterator[tuple[int, int]]], name: str = "maximal-family"):
         self._support_fn = support_fn
         self.name = name
         self._checked: set[int] = set()
         self._mirrors: dict[int, PredecessorFamily] = {}  # horizon -> mirror(horizon)
 
-    def support(self, n: int, start: int | None = None) -> Iterator[tuple[int, int]]:
-        """Row n's nonzero (index, digit) pairs from ``start`` (default n) on,
-        ascending, never ending; row n must exist and carry a digit at n."""
+    def support(self, n: int) -> Iterator[tuple[int, int]]:
+        """Row n's nonzero (index, digit) pairs, ascending, never ending; row n
+        must exist and carry a digit at n."""
         if n not in self._checked:
             if n < 1:
                 raise FamilyError(f"{self.name}: rows start at n=1, got {n}")
-            if next(self._support_fn(n, n))[0] != n:
+            if next(self._support_fn(n))[0] != n:
                 raise FamilyError(f"{self.name}: row {n} has digit 0 at its own index")
             self._checked.add(n)
-        return self._support_fn(n, n if start is None else max(start, n))
+        return self._support_fn(n)
 
     def mirror(self, horizon: int) -> PredecessorFamily:
         """The rows cut at ``horizon``, index i read as horizon + 1 - i: row m
@@ -158,30 +159,34 @@ class MaximalFamily:
 
 
 class Block(NamedTuple):
-    """One block of a decomposition: digits restricted to a support interval.
+    """One block of a decomposition: the digits on the indices [lo, hi].
 
     ``maximal`` marks an ascending bottom block that exhausts a family row;
     ``truncated`` marks a descending last block cut by the horizon.
     """
 
-    support: IndexInterval
+    lo: int
+    hi: int
     digits: CoeffFn
     maximal: bool = False
     truncated: bool = False
 
 
 class Decomposition(NamedTuple):
-    """Blocks in ascending support order, tiling [1, top] with no gaps."""
+    """Blocks in ascending index order, tiling [1, top] with no gaps."""
 
     blocks: tuple[Block, ...]
 
-    @property
-    def bottom(self) -> Block | None:
-        return self.blocks[0] if self.blocks else None
 
-    @property
-    def last(self) -> Block | None:
-        return self.blocks[-1] if self.blocks else None
+def _cut(fn: CoeffFn, spans: Iterable[tuple[int, int, bool]], flag: str) -> Decomposition:
+    """``fn`` cut into blocks along ascending spans (lo, hi, ``flag``) that tile
+    its support: one pass over its pairs, each block a slice of them."""
+    pairs, i, blocks = fn.items(), 0, []
+    for lo, hi, f in spans:
+        j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
+        blocks.append(Block(lo, hi, CoeffFn._trusted(pairs[i:j]), **{flag: f}))
+        i = j
+    return Decomposition(tuple(blocks))
 
 
 # -- ascending world ---------------------------------------------------------
@@ -220,12 +225,7 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
 
 def decompose_asc(mu: CoeffFn, fam: PredecessorFamily) -> Decomposition:
     """Unique block decomposition of an ascending member (NotMemberError otherwise)."""
-    spans = _scan_asc(mu, fam)
-    blocks = tuple(
-        Block(IndexInterval(lo, hi), mu.restrict(lo, hi), maximal=mx)
-        for lo, hi, mx in reversed(spans)
-    )
-    return Decomposition(blocks)
+    return _cut(mu, reversed(_scan_asc(mu, fam)), "maximal")
 
 
 def is_member_asc(mu: CoeffFn, fam: PredecessorFamily) -> bool:
@@ -458,12 +458,7 @@ def _spans_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[in
 
 def decompose_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> Decomposition:
     """Block decomposition of a horizon-restricted member (NotMemberError otherwise)."""
-    spans = _spans_desc(eps, fam, horizon)
-    blocks = tuple(
-        Block(IndexInterval(lo, hi), eps.restrict(lo, hi), truncated=tr)
-        for lo, hi, tr in spans
-    )
-    return Decomposition(blocks)
+    return _cut(eps, _spans_desc(eps, fam, horizon), "truncated")
 
 
 def is_member_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> bool:

@@ -124,7 +124,7 @@ def cmd_decompose(args, sys_: System, seq) -> int:
         parts = []
         for b in dec.blocks:
             tag = "max" if b.maximal else "proper"
-            parts.append(f"[{b.support.lo},{b.support.hi}]{tag}")
+            parts.append(f"[{b.lo},{b.hi}]{tag}")
         return " ".join(parts) if parts else "empty"
 
     return _records(sys_, "digits\tblocks", args.values, record)

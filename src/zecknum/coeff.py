@@ -13,7 +13,7 @@ of these maps and two lexicographic orders on them:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 # Digits must fit a signed 64-bit word so the textual wire format stays
 # portable; anything at or above this bound is rejected at construction.
@@ -40,25 +40,6 @@ class WalkLimitError(ValueError):
 
 class NotRepresentableError(ValueError):
     """No admissible function evaluates to the requested value."""
-
-
-class IndexInterval(NamedTuple("IndexInterval", [("lo", int), ("hi", int)])):
-    """Closed index interval [lo, hi]."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int):
-        if lo < 1:
-            raise ValueError(f"interval lower end {lo} < 1")
-        if hi < lo:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
-        return super().__new__(cls, lo, hi)
-
-    def __contains__(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
-
-    def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
 
 
 def _canonical(pairs: tuple) -> bool:

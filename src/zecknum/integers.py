@@ -7,8 +7,9 @@ exact and every natural number has exactly one admissible representation.
 
 User-supplied sequences may be anything positive (bounded tables, linear
 recurrences, non-monotone), which is what the coverage and collision probes
-are for.  Against one that is not increasing, encoding finds the value's
-first lex rank in blocks.order_values and unranks it on the derived sequence.
+are for.  Against one that is not increasing, or when the greedy leaves a
+remainder under a whole row, encoding finds the value's first lex rank in
+blocks.order_values and unranks it on the derived sequence.
 """
 
 from __future__ import annotations
@@ -187,16 +188,18 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
     Greedy for increasing sequences: take the top, then follow the row of the
     next basis index downwards, taking each digit as far as the remainder
     affords; the first short digit closes the block and the recursion floor
-    drops strictly below it.  For a sequence that is not increasing, the
+    drops strictly below it.  For a sequence that is not increasing, or when a
+    whole row leaves a remainder that some term fits (the sequence is then not
+    the family's derived one, and no block fits below a maximal one), the
     first member in lex order worth ``x`` (which can honestly fail).
     """
     if x < 0:
         raise ValueError(f"cannot encode negative value {x}")
-    n = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
+    m = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
     if not seq.increasing:
-        return _encode_by_rank(x, fam, seq, n)
+        return _encode_by_rank(x, fam, seq, m)
     vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
-    pairs, rem, ordered = [], x, True  # pairs in the order taken; sorted while ordered
+    pairs, rem, n = [], x, m  # pairs top first
     while rem:
         if not n:
             raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
@@ -221,10 +224,9 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
                 pairs.append((k, c))
                 rem -= c * q
             n = bisect_right(vals, rem, 0, k - 1)
-        else:  # a whole row taken leaves rem > 0 only if the sequence is not derived
-            n = bisect_right(vals, rem)
-            ordered = ordered and n < pairs[-1][0]  # then the next block may not lie below
-    return CoeffFn._trusted(tuple(reversed(pairs))) if ordered else CoeffFn(pairs)
+        elif n := bisect_right(vals, rem):  # a whole row leaves rem > 0 only off the derived sequence
+            return _encode_by_rank(x, fam, seq, m)
+    return CoeffFn._trusted(tuple(reversed(pairs)))
 
 
 def _encode_by_rank(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: int) -> CoeffFn:
@@ -242,7 +244,7 @@ def _encode_by_rank(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: 
                 return basis(n) if rank == start else encode_int(rank, fam, FundamentalSeq.from_family(fam))
             start = len(values)
     except WalkLimitError:  # name the value, not the order cap derived from it
-        limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
+        limit = f"{blocks.MEMBER_LIMIT:,} members" + ("" if seq.increasing else " (sequence is not increasing)")
         raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
     raise NotRepresentableError(f"no admissible function of order <= {m_max} has value {x}")
 

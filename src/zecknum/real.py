@@ -320,11 +320,10 @@ def harmonic_maximal_family() -> MaximalFamily:
     then m -> m(m+1) forever, every digit 1 (a telescoping of 1/n)."""
     from .blocks import MaximalFamily
 
-    def support(n: int, start: int) -> Iterator[tuple[int, int]]:
+    def support(n: int) -> Iterator[tuple[int, int]]:
         m = n
         while True:
-            if m >= start:
-                yield (m, 1)
+            yield (m, 1)
             m = m * (m + 1)
 
     return MaximalFamily(support, name="harmonic")
@@ -350,10 +349,10 @@ def periodic_maximal_family(own_rows: Sequence[Sequence[int]], name: str = "peri
     if zero:
         raise FamilyError(f"{name}: own row {zero} has digit 0 at its own index")
 
-    def support(n: int, start: int) -> Iterator[tuple[int, int]]:
+    def support(n: int) -> Iterator[tuple[int, int]]:
         own = rows[(n - 1) % N]
         end = n + len(own) - 1
-        for k in count(start):
+        for k in count(n):
             d = own[k - n] if k <= end else rows[0][(k - end - 1) % N]
             if d:
                 yield k, d

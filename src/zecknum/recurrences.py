@@ -57,8 +57,8 @@ class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
         """Rows: reduced digits repeating upward from index n, forever."""
         ehat, N = self.reduced, self.period
 
-        def support(n: int, start: int) -> Iterator[tuple[int, int]]:
-            return ((k, ehat[(k - n) % N]) for k in count(start) if ehat[(k - n) % N])
+        def support(n: int) -> Iterator[tuple[int, int]]:
+            return ((k, ehat[(k - n) % N]) for k in count(n) if ehat[(k - n) % N])
 
         return MaximalFamily(support, name=name or f"max-L{self.e}")
 

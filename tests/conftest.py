@@ -305,8 +305,9 @@ def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
 # -- the codec before its kernels ---------------------------------------------
 # encode_int looking up the top for every block and reading each row's digits
 # through a row object, or walking the members when the sequence is not
-# increasing, and the member scan reading mu.digit index by index; the kernels
-# in integers.encode_int and blocks._scan_asc must agree with them.
+# increasing or a whole row leaves a remainder that a term fits, and the
+# member scan reading mu.digit index by index; the kernels in
+# integers.encode_int and blocks._scan_asc must agree with them.
 
 
 def encode_by_walk_ref(x: int, fam, seq, top: int) -> CoeffFn:
@@ -318,7 +319,7 @@ def encode_by_walk_ref(x: int, fam, seq, top: int) -> CoeffFn:
             if decode_int(mu, seq) == x:
                 return mu
     except WalkLimitError:
-        limit = f"{blocks.MEMBER_LIMIT:,} members (sequence is not increasing)"
+        limit = f"{blocks.MEMBER_LIMIT:,} members" + ("" if seq.increasing else " (sequence is not increasing)")
         raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
     raise NotRepresentableError(f"no admissible function of order <= {top} has value {x}")
 
@@ -343,6 +344,9 @@ def encode_int_ref(x: int, fam, seq) -> CoeffFn:
                 rem -= c * q
             if c < d:
                 break
+        else:  # no block fits below a whole row: off the derived sequence, search the members
+            if rem and top_ref(seq, rem):
+                return encode_by_walk_ref(x, fam, seq, top)
     return CoeffFn(pairs)
 
 

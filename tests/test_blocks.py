@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import islice, product
 
@@ -12,6 +13,7 @@ from conftest import (
     lex_compare_asc,
     lex_compare_desc,
     maximal_row,
+    scan_asc_ref,
     scan_desc_ref,
     successor_desc_ref,
 )
@@ -64,12 +66,12 @@ def assert_tiles(mu, dec):
     if not mu:
         assert dec.blocks == ()
         return
-    assert dec.blocks[0].support.lo == 1
-    assert dec.blocks[-1].support.hi == mu.order_asc
+    assert dec.blocks[0].lo == 1
+    assert dec.blocks[-1].hi == mu.order_asc
     for a, b in zip(dec.blocks, dec.blocks[1:]):
-        assert b.support.lo == a.support.hi + 1
+        assert b.lo == a.hi + 1
     for b in dec.blocks:
-        assert b.digits == mu.restrict(b.support.lo, b.support.hi)
+        assert b.digits == mu.restrict(b.lo, b.hi)
     # only the bottom block of an ascending decomposition may be maximal
     assert all(not b.maximal for b in dec.blocks[1:])
 
@@ -108,7 +110,6 @@ class TestAscendingScan:
     def test_zero_decomposition_is_empty(self):
         dec = decompose_asc(ZERO, FIB)
         assert dec.blocks == ()
-        assert dec.bottom is None and dec.last is None
 
     @pytest.mark.parametrize(
         "text,spans",
@@ -126,7 +127,7 @@ class TestAscendingScan:
     def test_fib_decompositions_frozen(self, text, spans):
         mu = CoeffFn.parse(text)
         dec = decompose_asc(mu, FIB)
-        got = [(b.support.lo, b.support.hi, b.maximal) for b in dec.blocks]
+        got = [(b.lo, b.hi, b.maximal) for b in dec.blocks]
         assert got == spans
         assert_tiles(mu, dec)
 
@@ -141,7 +142,7 @@ class TestAscendingScan:
     def test_index_bounded_decompositions_frozen(self, text, spans):
         mu = CoeffFn.parse(text)
         dec = decompose_asc(mu, IB)
-        got = [(b.support.lo, b.support.hi, b.maximal) for b in dec.blocks]
+        got = [(b.lo, b.hi, b.maximal) for b in dec.blocks]
         assert got == spans
         assert_tiles(mu, dec)
 
@@ -324,7 +325,7 @@ class TestMaximalFamily:
             FIB_MAX.support(0)
 
     def test_own_digit_validated(self):
-        bad = MaximalFamily(lambda n, start: iter([(n + 1, 1)]), name="bad")
+        bad = MaximalFamily(lambda n: iter([(n + 1, 1)]), name="bad")
         with pytest.raises(FamilyError):
             bad.support(1)
 
@@ -335,9 +336,6 @@ class TestMaximalFamily:
     def test_support_iter(self):
         it = FIB_MAX.support(3)
         assert [next(it) for _ in range(3)] == [(3, 1), (5, 1), (7, 1)]
-        later = FIB_MAX.support(3, start=6)
-        assert next(later) == (7, 1)
-        assert next(FIB_MAX.support(3, start=1)) == (3, 1)
 
     @pytest.mark.parametrize("e", [(1, 1), (2, 3), (1, 0, 1), (11, 3)])
     def test_mirror_of_a_multiplicity_list_is_its_predecessor_family(self, e):
@@ -356,7 +354,7 @@ class TestDescendingScan:
 
     def test_decomposition_frozen(self):
         dec = decompose_desc(CoeffFn.parse("2:1"), FIB_MAX, 3)
-        got = [(b.support.lo, b.support.hi, b.truncated) for b in dec.blocks]
+        got = [(b.lo, b.hi, b.truncated) for b in dec.blocks]
         assert got == [(1, 1, False), (2, 3, True)]
 
     def test_non_member(self):
@@ -418,8 +416,8 @@ def spans_of(eps, fam, horizon):
         dec = decompose_desc(eps, fam, horizon)
     except NotMemberError as exc:
         return exc.witness
-    assert all(b.digits == eps.restrict(b.support.lo, b.support.hi) for b in dec.blocks)
-    return [(b.support.lo, b.support.hi, b.truncated) for b in dec.blocks]
+    assert all(b.digits == eps.restrict(b.lo, b.hi) for b in dec.blocks)
+    return [(b.lo, b.hi, b.truncated) for b in dec.blocks]
 
 
 def spans_ref(eps, fam, horizon):
@@ -460,3 +458,42 @@ class TestMirrorAgainstDescendingReference:
         for call in (decompose_desc, is_member_desc, scan_desc_ref):
             with pytest.raises(ValueError, match="support reaches 5, beyond horizon 4"):
                 call(CoeffFn.parse("1:1,5:1"), fam, 4)
+
+
+# -- long members: the one-pass cut --------------------------------------------
+
+
+def long_fib_member():
+    fib = get_system("fib")
+    return fib.family, encode_int(random.Random("fib").randrange(10**1999, 10**2000), fib.family, fib.sequence)
+
+
+class TestLongMembers:
+    def test_ascending_tiles(self):
+        fam, mu = long_fib_member()
+        dec = decompose_asc(mu, fam)
+        assert len(dec.blocks) > 4000
+        assert_tiles(mu, dec)
+        assert [(b.lo, b.hi, b.maximal) for b in dec.blocks] == scan_asc_ref(mu, fam)[::-1]
+
+    def test_descending_tiles(self):
+        horizon = 3000
+        eps = no_adjacent([random.Random("golden").randint(0, 1) for _ in range(horizon)])
+        spans = spans_of(eps, FIB_MAX, horizon)
+        assert len(spans) > 1000 and spans == spans_ref(eps, FIB_MAX, horizon)
+        assert [lo for lo, _, _ in spans] == [1] + [hi + 1 for _, hi, _ in spans[:-1]]
+        assert spans[-1][1] == horizon
+
+    def test_ascending_cut_builds_no_digit_function(self, monkeypatch):
+        fam, mu = long_fib_member()
+        decompose_asc(mu, fam)  # rows built
+        built = []
+        init = CoeffFn.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoeffFn, "__init__", counted)
+        assert len(decompose_asc(mu, fam).blocks) > 4000
+        assert built == []

@@ -545,6 +545,51 @@ def fib_config(tmp_path, sequence) -> str:
     return str(path)
 
 
+INT_DERIVED = {"kind": "integer", "family": FIB_FAMILY, "sequence": {"type": "derived"}}
+REAL_HARMONIC = {"kind": "real", "family": {"type": "harmonic"}, "sequence": {"type": "harmonic"}}
+PADIC_POWER = {"kind": "padic", "p": 5, "prec": 4, "family": {"type": "multiplicity", "e": [4, 5]},
+               "sequence": {"type": "power"}}
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "doc,argv,message",
+        [
+            ({**INT_DERIVED, "family": {"type": "nope"}}, ["decode", "1:1"], "unknown family type 'nope'"),
+            ({**REAL_HARMONIC, "family": {"type": "nope"}}, ["real-expand", "1/3"], "unknown real family type 'nope'"),
+            ({**INT_DERIVED, "sequence": {"type": "nope"}}, ["decode", "1:1"], "unknown sequence type 'nope'"),
+            ({**REAL_HARMONIC, "sequence": {"type": "nope"}}, ["real-expand", "1/3"],
+             "unknown real sequence type 'nope'"),
+            ({**PADIC_POWER, "sequence": {"type": "nope"}}, ["padic-expand", "3"], "unknown padic sequence type 'nope'"),
+            ({**INT_DERIVED, "kind": "nope"}, ["decode", "1:1"], "unknown system kind 'nope'"),
+            ({**REAL_HARMONIC, "sequence": {"type": "geometric"}}, ["real-expand", "1/3"],
+             "geometric sequence needs multiplicities"),
+        ],
+        ids=["integer-family", "real-family", "integer-sequence", "real-sequence", "padic-sequence", "kind",
+             "geometric-without-multiplicities"],
+    )
+    def test_unknown_types(self, capsys, tmp_path, doc, argv, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == f"config error: {message}\n"
+
+    def test_greedy_family_over_its_table(self, capsys, tmp_path):
+        values = [1, 3, 7, 12, 20]
+        path = tmp_path / "greedy.json"
+        doc = {"kind": "integer", "family": {"type": "greedy", "values": values},
+               "sequence": {"type": "table", "values": values}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, _ = run(capsys, "encode", "-c", str(path), "11", "19")
+        assert rc == 0
+        assert lines[1:] == ["11\t1:1,2:1,3:1", "19\t3:1,4:1"]
+        rc, lines, _ = run(capsys, "decode", "-c", str(path), "1:1,2:1,3:1", "3:1,4:1")
+        assert rc == 0
+        assert lines[1:] == ["1:1,2:1,3:1\t11", "3:1,4:1\t19"]
+
+
 class TestSequenceGrowth:
     """Configs whose sequences dip, end or fall past their seeds."""
 
@@ -612,6 +657,15 @@ class TestSequenceGrowth:
         )
         assert proc.returncode == 2
         assert proc.stderr == f"config error: Q: bounded table of 4 terms, index {index}\n"
+
+    def test_encode_past_an_increasing_table_reach(self, capsys, tmp_path):
+        # 100 takes all of row 5 (4:1, 2:1) and leaves 93, which no block below
+        # it may take; no fib member of order <= 4 is worth 100 on this table
+        config = fib_config(tmp_path, {"type": "table", "values": [1, 2, 3, 5]})
+        rc, lines, err = run(capsys, "encode", "-c", config, "6", "100")
+        assert rc == 1
+        assert lines[1:] == ["6\t1:1,4:1"]
+        assert err == "error: no admissible function of order <= 4 has value 100\n"
 
     def test_fewer_seeds_than_coefficients(self, capsys, tmp_path):
         config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, 1, -1]})

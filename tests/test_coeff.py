@@ -11,7 +11,6 @@ from zecknum.coeff import (
     DIGIT_LIMIT,
     ZERO,
     CoeffFn,
-    IndexInterval,
     basis,
     from_dense,
     to_dense,
@@ -177,19 +176,6 @@ class TestLazyMap:
                 setattr(f, name, {})
         assert f.digit(2) == 5 and f.items() == ((2, 5),)
         assert not any(hasattr(f, name) for name in ("map", "digits", "__dict__"))
-
-
-class TestIndexInterval:
-    def test_contains(self):
-        iv = IndexInterval(2, 5)
-        assert 2 in iv and 5 in iv
-        assert 1 not in iv and 6 not in iv
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexInterval(0, 2)
-        with pytest.raises(ValueError):
-            IndexInterval(4, 3)
 
 
 class TestSurgery:

@@ -8,6 +8,7 @@ must give the same encodings, spans, witnesses and exceptions.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import islice
 
@@ -15,8 +16,8 @@ import pytest
 
 from conftest import encode_int_ref, get_system, scan_asc_ref
 from zecknum import blocks
-from zecknum.blocks import _scan_asc, enumerate_asc, is_member_desc
-from zecknum.coeff import ZERO, CoeffFn, basis, from_dense
+from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc, is_member_desc, members_upto_order
+from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, basis, from_dense
 from zecknum.integers import EXTENSION_LIMIT, FamilyError, FundamentalSeq, decode_int, encode_int
 from zecknum.real import periodic_maximal_family
 from zecknum.recurrences import family_from_sequence, family_from_table
@@ -38,7 +39,8 @@ def greedy_system():
 def system(name):
     """(family, sequence) of an increasing system: a fixture, the greedy table,
     or a family paired with an increasing sequence that is not its derived
-    one (there a whole row can leave a remainder)."""
+    one (there a whole row can leave a remainder): a bounded table read past
+    its reach is one."""
     if name in INCREASING:
         sys_ = get_system(name)
         return sys_.family, sys_.sequence
@@ -46,6 +48,7 @@ def system(name):
         "greedy": greedy_system,
         "fib-pow2": lambda: (get_system("fib").family, FundamentalSeq.from_linear([1, 2], [2])),
         "mult-2-3-pow3": lambda: (get_system("mult-2-3").family, FundamentalSeq.from_linear([1, 3], [3])),
+        "fib-table": lambda: (get_system("fib").family, FundamentalSeq([1, 2, 3, 5])),
     }[name]()
 
 
@@ -64,8 +67,12 @@ def encode_values(seed):
     return [*range(2000), *big]
 
 
-@pytest.mark.parametrize("name", [*INCREASING, "greedy", "fib-pow2", "mult-2-3-pow3"])
-def test_encode_and_decode_match_references(name):
+@pytest.mark.parametrize("name", [*INCREASING, "greedy", "fib-pow2", "mult-2-3-pow3", "fib-table"])
+def test_encode_and_decode_match_references(name, monkeypatch):
+    # off the derived sequence a large value goes to the rank search and runs
+    # into the member limit; the reference decodes every member it walks, so a
+    # lower limit, above the members every x < 2000 needs, keeps it affordable
+    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 4000)
     fam, seq = system(name)
     for x in encode_values(name):
         got, want = outcome(encode_int, x, fam, seq), outcome(encode_int_ref, x, fam, seq)
@@ -125,14 +132,43 @@ def test_sevenths_mirror_scan_matches_reference():
         assert is_member_desc(eps, fam, horizon) == isinstance(want, list)
 
 
-def test_whole_row_with_a_remainder_keeps_the_sorted_result():
+def test_whole_row_with_a_remainder_hands_off_to_the_rank_search():
     """Q_n = 2^(n-1) is increasing but not fib's derived sequence: the greedy
-    takes all of row 4 (3:1, 1:1) and goes on with 2 left, below no block.
-    The result is not a fib member; that is left as it is."""
+    takes all of row 4 (3:1, 1:1) and has 2 left, which no block below a
+    maximal one may take.  The fib members of order <= 3 are worth 0, 1, 2,
+    4 and 5, so 7 has none."""
     fib = get_system("fib")
     seq = FundamentalSeq.from_linear([1, 2], [2])
-    assert encode_int(7, fib.family, seq).render() == "1:1,2:1,3:1"
-    assert encode_int_ref(7, fib.family, seq).render() == "1:1,2:1,3:1"
+    for encode in (encode_int, encode_int_ref):
+        with pytest.raises(NotRepresentableError, match="^no admissible function of order <= 3 has value 7$"):
+            encode(7, fib.family, seq)
+
+
+def test_a_hand_off_past_the_member_limit_names_the_value_and_the_limit(monkeypatch):
+    """The rank search names the value and the limit; the sequence increases,
+    so the message says nothing of a sequence that is not increasing."""
+    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 100)
+    fib = get_system("fib")
+    seq = FundamentalSeq.from_linear([1, 2], [2])
+    with pytest.raises(WalkLimitError, match=r"^L\(1, 1\): encoding 10000 walks more than 100 members$"):
+        encode_int(10**4, fib.family, seq)
+
+
+@pytest.mark.parametrize("name", ["fib-pow2", "mult-2-3-pow3", "greedy", "fib-table", "seven-scaled"])
+def test_encode_gives_a_member_or_none_exists(name):
+    """Every x < 2000 encodes to a member worth x, or no member of order <=
+    find_top(x) is worth x (the least order of each value, from a walk)."""
+    fam, seq = system(name)
+    least: dict[int, int] = {}
+    for mu in members_upto_order(fam, seq.find_top(1999)):
+        least.setdefault(decode_int(mu, seq), mu.order_asc)  # orders never fall in lex order
+    for x in range(2000):
+        try:
+            mu = encode_int(x, fam, seq)
+        except NotRepresentableError:
+            assert least.get(x, math.inf) > seq.find_top(x), x
+        else:
+            assert is_member_asc(mu, fam) and decode_int(mu, seq) == x, x
 
 
 def test_decode_names_the_lowest_index_past_a_bounded_table():
