@@ -80,8 +80,7 @@ class PredecessorFamily:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits (the runs of order_values, which also answer encode_int on a
-        sequence that is not increasing, and order_members), the kernels
+        digits (the runs of order_values and order_members), the kernels
         _scan_asc, walk_asc, integers.encode_int and FundamentalSeq.from_family
         (the derived sequence, which counts and unranks members) read this
         inline."""
@@ -259,8 +258,9 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
     return fam.row(n) + mu.minus_basis(n)
 
 
-# Most members one bounded walk may yield; a cap past it is refused part way
-# instead of running for hours (mult-11-3 has about 14^8 members of order <= 8).
+# Most members one order-capped build may hold, and most nodes one encode may
+# search; past it the work is refused part way instead of running for hours
+# (mult-11-3 has about 14^8 members of order <= 8).
 MEMBER_LIMIT = 10**6
 
 
@@ -322,22 +322,6 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
     """Members from ``start`` on, in ascending lex order (never ends)."""
     trusted = CoeffFn._trusted  # the walk's digits stay under validated row digits
     return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, start))
-
-
-def members_upto_order(fam: PredecessorFamily, k: int) -> Iterator[CoeffFn]:
-    """Members of order <= k in ascending lex order, zero included, lazily:
-    the walk up to its first member past k; member MEMBER_LIMIT + 1 raises
-    WalkLimitError."""
-    below = takewhile(lambda digits: not digits or digits[0][0] <= k, walk_asc(fam))
-    return _upto_limit(below, _check_cap(k))
-
-
-def _upto_limit(walk: Iterator[list[tuple[int, int]]], cap: int) -> Iterator[CoeffFn]:
-    trusted = CoeffFn._trusted
-    for i, digits in enumerate(walk):
-        if i == MEMBER_LIMIT:
-            raise _limit_error(cap)
-        yield trusted(tuple(digits[::-1]))
 
 
 def _runs(digits: list[tuple[int, int]], n: int, qs: list[int]) -> Iterator[tuple[int, int, int, int]]:

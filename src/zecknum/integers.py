@@ -7,14 +7,13 @@ exact and every natural number has exactly one admissible representation.
 
 User-supplied sequences may be anything positive (bounded tables, linear
 recurrences, non-monotone), which is what the coverage and collision probes
-are for.  Against one that is not increasing, or when the greedy leaves a
-remainder under a whole row, encoding finds the value's first lex rank in
-blocks.order_values and unranks it on the derived sequence.
+are for.  Against any of them the encoder's one loop searches for the first
+member in lex order worth the value, bounded by each order's largest value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
 from typing import Callable, Iterable, NamedTuple
 
@@ -45,6 +44,7 @@ class FundamentalSeq:
         self._extend = extend
         self.name = name
         self._increasing, self._seeds, self._window, self._drop = True, len(values), 1, 0  # see _push
+        self._bounds: dict[PredecessorFamily, _Bounds] = {}  # encode_int's, per family
         for v in values:
             self._push(v)
         if not self._vals and extend is None:
@@ -183,70 +183,158 @@ def shift_value(eps: CoeffFn, seq: FundamentalSeq) -> int:
 
 
 def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
-    """The admissible function with value ``x``.
+    """The first admissible function, in lex order, with value ``x``: _search.
 
-    Greedy for increasing sequences: take the top, then follow the row of the
-    next basis index downwards, taking each digit as far as the remainder
-    affords; the first short digit closes the block and the recursion floor
-    drops strictly below it.  For a sequence that is not increasing, or when a
-    whole row leaves a remainder that some term fits (the sequence is then not
-    the family's derived one, and no block fits below a maximal one), the
-    first member in lex order worth ``x`` (which can honestly fail).
+    On the family's derived sequence that is the greedy: take the top, then
+    follow the row of the next basis index downwards, taking each digit as
+    far as the remainder affords; the first short digit closes the block and
+    the next top lies strictly below it.  Off it, the search is bounded by
+    _Bounds; a refusal on an increasing sequence is named by the greedy's
+    remainder.
     """
     if x < 0:
         raise ValueError(f"cannot encode negative value {x}")
-    m = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
-    if not seq.increasing:
-        return _encode_by_rank(x, fam, seq, m)
-    vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
-    pairs, rem, n = [], x, m  # pairs top first
-    while rem:
-        if not n:
-            raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
-        head, top, tail, r = built.get(n + 1) or parts(n + 1)
-        for k, d in head.items():  # row(n + 1)'s digits, head then tail, while rem affords them
-            q = vals[k - 1]
-            if rem < (t := d * q):
+    top = seq.find_top(x)  # extends the table past x once; the tops below only bisect it
+    if x and not top:
+        raise NotRepresentableError(f"{_shown(x)} is below every basis value of {seq.name}")
+    if seq is not fam.derived:
+        bounds = seq._bounds.get(fam) or seq._bounds.setdefault(fam, _Bounds(fam, seq))
+        try:
+            return _search(x, fam, seq, top, bounds.reach(top + 1))
+        except NotRepresentableError:
+            if not seq.increasing:
+                raise
+    return _search(x, fam, seq, top, None)
+
+
+def _shown(v: int) -> str:
+    """``v`` in decimal, or past 40 digits its first 20 and its length."""
+    s = str(v)
+    return s if len(s) <= 40 else f"{s[:20]}... ({len(s):,} digits)"
+
+
+class _Bounds:
+    """M[k], the largest value of a member of order < k (M[0] = -1 keeps it
+    sorted), and per tail residue r, tails[r][j]: the most a row's tail digits
+    at indices <= j add, each kept or one less over any member of lower order.
+    Grown a row at a time and kept on the sequence, per family; never built
+    for the derived sequence, where M[k] = Q_k - 1."""
+
+    def __init__(self, fam: PredecessorFamily, seq: FundamentalSeq):
+        self.fam, self.vals, self.M, self.tails = fam, seq._vals, [-1, 0], {}
+
+    def below(self, head: dict[int, int], top: int, r: int, k: int) -> int:
+        """The most the indices below k add to a member that follows the row
+        (head, top, residue r) down to k."""
+        vals, M, b = self.vals, self.M, self.tails[r][min(k - 1, top)]
+        for j, c in reversed(head.items()):
+            if j >= k:
                 break
-            pairs.append((k, d))
-            rem -= t
-        else:
-            k, chain = top, nonzero[r]
-            while k := chain[k]:
-                d, q = tail[k], vals[k - 1]
-                if rem < (t := d * q):
-                    break
-                pairs.append((k, d))
-                rem -= t
+            b = max(c * vals[j - 1] + b, (c - 1) * vals[j - 1] + M[j])
+        return b
+
+    def reach(self, end: int) -> "_Bounds":
+        """M through M[end], M[n + 1] from row n + 1, or up to a row that
+        fails: the search raises its error if it reads it, as the walk does."""
+        fam, vals, M = self.fam, self.vals, self.M
+        try:
+            for n in range(len(M) - 1, end):
+                head, top, tail, r = fam._parts.get(n + 1) or fam._make_parts(n + 1)  # not kept: read once
+                bt = self.tails.setdefault(r, [0])
+                for j in range(len(bt), top + 1):
+                    c, q = tail[j], vals[j - 1]
+                    bt.append(max(c * q + bt[-1], (c - 1) * q + M[j]) if c else bt[-1])
+                M.append(max(M[-1], self.below(head, top, r, n + 1)))
+        except FamilyError:
+            pass
+        return self
+
+
+def _search(x: int, fam: PredecessorFamily, seq: FundamentalSeq, top: int, bounds: _Bounds | None) -> CoeffFn:
+    """Depth-first, top-down, choices in lex order: a block's order, least
+    first, then at each nonzero digit c at k of its row each t < c that
+    closes the block with room left for a member of order < k (M[k]), then c,
+    with room left for the rest of the row (below).  A choice point is
+    pushed only where two choices survive: without bounds (the greedy),
+    never; past MEMBER_LIMIT nodes (blocks and choices resumed) it refuses."""
+    vals, built, parts, nonzero = seq._vals, fam._parts, fam.parts, fam._nonzero
+    M = bounds.M if bounds else None
+    pairs, stack, rem, lim, n, k, nodes, dead, floor = [], [], x, top + 1, 0, 0, 0, False, 0
+    failed = set()  # (rem, lim): no member of order < lim is worth rem
+    while True:
+        if M is not None and (dead or not n) and (nodes := nodes + 1) > blocks.MEMBER_LIMIT:
+            raise WalkLimitError(f"{fam.name}: encoding {_shown(x)} visits more than {blocks.MEMBER_LIMIT:,} nodes")
+        if dead:  # back to the last choice point
+            if not stack:
+                if M is None and not bisect_right(vals, rem):
+                    raise NotRepresentableError(f"{_shown(rem)} is below every basis value of {seq.name}")
+                raise NotRepresentableError(f"no admissible function of order <= {top} has value {_shown(x)}")
+            npairs, rem, lim, n, k, floor = stack.pop()  # floor: the least digit left to try at k
+            if n < 0:
+                failed.add((rem, lim))
+                continue
+            del pairs[npairs:]
+            dead = False
+        if not n:  # the next block's order, below lim
+            if not rem:
+                return CoeffFn._trusted(tuple(reversed(pairs)))
+            if M is None:
+                n = bisect_right(vals, rem, 0, lim - 1)
+            else:  # the least that reaches rem and whose Q_m fits; basis(m) before its row is read
+                m = max(k, bisect_left(M, rem) - 1)
+                stop = bisect_right(vals, rem, 0, lim - 1) if seq.increasing else lim - 1
+                while m <= stop and vals[m - 1] > rem and m < len(M) - 1:  # no order past a row that fails
+                    m += 1
+                if m < stop:
+                    stack.append((len(pairs), rem, lim, 0, m + 1, 0))
+                if m <= stop and vals[m - 1] == rem:
+                    pairs.append((m, 1))
+                    rem = 0
+                    continue
+                n = m if m <= stop else 0
+            if not n:
+                dead = True
+                continue
+            k = n
+        head, htop, tail, r = built.get(n + 1) or parts(n + 1)
+        chain = nonzero[r]
+        while k:  # row(n + 1)'s digits from index k down
+            if k <= htop:
+                if not (k := chain[k]):
+                    continue
+                c = tail[k]
+            elif not (c := head.get(k, 0)):
                 k -= 1
-        if k:  # a short digit at k leaves rem < Q_k: the next top lies below k
-            if c := rem // q:
-                pairs.append((k, c))
-                rem -= c * q
-            n = bisect_right(vals, rem, 0, k - 1)
-        elif n := bisect_right(vals, rem):  # a whole row leaves rem > 0 only off the derived sequence
-            return _encode_by_rank(x, fam, seq, m)
-    return CoeffFn._trusted(tuple(reversed(pairs)))
-
-
-def _encode_by_rank(x: int, fam: PredecessorFamily, seq: FundamentalSeq, m_max: int) -> CoeffFn:
-    """x's first lex rank in order_values, unranked on the derived sequence,
-    or basis(n) for the first of order n (row n+1 may be missing)."""
-    if x == 0:
-        return CoeffFn()
-    if m_max == 0:
-        raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
-    start = 0  # members of the orders before this step
-    try:
-        for n, values in enumerate(order_values(fam, seq.value, m_max)):
-            if x in (tail := values[start:]):
-                rank = start + tail.index(x)
-                return basis(n) if rank == start else encode_int(rank, fam, FundamentalSeq.from_family(fam))
-            start = len(values)
-    except WalkLimitError:  # name the value, not the order cap derived from it
-        limit = f"{blocks.MEMBER_LIMIT:,} members" + ("" if seq.increasing else " (sequence is not increasing)")
-        raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
-    raise NotRepresentableError(f"no admissible function of order <= {m_max} has value {x}")
+                continue
+            q = vals[k - 1]
+            if M is None:  # the greedy: c if rem affords it, else close with what it does
+                if rem >= (t := c * q):
+                    pairs.append((k, c))
+                    rem -= t
+                    k -= 1
+                    continue
+                lo = hi = rem // q
+                cont = False
+            else:
+                lo, hi, floor = max(floor, int(k == n), (rem - M[k] + q - 1) // q), min(c - 1, rem // q), 0
+                cont = c * q <= rem and rem - c * q <= bounds.below(head, htop, r, k)
+            if lo > hi and not cont:
+                dead = True
+                break
+            d = lo if lo <= hi else c
+            if lo < hi or lo == hi and cont:
+                stack.append((len(pairs), rem, lim, n, k, d + 1))
+            if d:
+                pairs.append((k, d))
+                rem -= d * q
+            if d < c:  # a short digit closes the block
+                lim, n, k = k, 0, 0
+                if M is not None and rem and not (dead := (rem, lim) in failed):
+                    stack.append((0, rem, lim, -1, 0, 0))  # popped: no member below it is worth rem
+                break
+            k -= 1
+        else:  # the whole row
+            dead, n = bool(rem), 0
 
 
 class SubsetReport(NamedTuple):

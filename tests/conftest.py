@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, blocks, load_fixture
-from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, first_collision, members_upto_order
+from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, first_collision, walk_asc
 from zecknum.coeff import ZERO, CoeffFn
-from zecknum.integers import NotRepresentableError, SubsetReport, decode_int
+from zecknum.integers import NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
 
@@ -241,6 +241,47 @@ def enumerate_desc_ref(fam, horizon: int) -> Iterator[CoeffFn]:
     return walk()
 
 
+# -- the order-capped walk ----------------------------------------------------
+# The library's walker only steps; the references below cap it at an order and
+# at MEMBER_LIMIT members (read when the walk runs, so a test can lower it).
+
+
+def members_upto_order(fam, k: int) -> Iterator[CoeffFn]:
+    """Members of order <= k in ascending lex order, zero included, lazily:
+    the walk up to its first member past k; member MEMBER_LIMIT + 1 raises
+    WalkLimitError."""
+    below = takewhile(lambda digits: not digits or digits[0][0] <= k, walk_asc(fam))
+    return _upto_limit(below, blocks._check_cap(k))
+
+
+def _upto_limit(walk: Iterator[list[tuple[int, int]]], cap: int) -> Iterator[CoeffFn]:
+    trusted = CoeffFn._trusted
+    for i, digits in enumerate(walk):
+        if i == blocks.MEMBER_LIMIT:
+            raise blocks._limit_error(cap)
+        yield trusted(tuple(digits[::-1]))
+
+
+# -- the encoder's bound table, one row at a time ---------------------------
+
+
+def max_below_ref(fam, seq, end: int) -> list[int]:
+    """[M_1, ..., M_end], M_k the largest value of a member of order < k, from
+    every run of every row: order n's members are row n+1's digits down to
+    some k, a smaller digit t at k (t >= 1 at k = n) and any member of order <
+    k, or the whole row."""
+    best = [None, 0]
+    for n in range(1, end):
+        prefix, top = 0, best[n]
+        for k, c in reversed(fam.row(n + 1).items()):
+            q = seq.value(k)
+            for t in range(k == n, c):
+                top = max(top, prefix + t * q + best[k])
+            prefix += c * q
+        best.append(max(top, prefix))
+    return best[1:]
+
+
 # -- decode-per-member references for the order kernel -------------------------
 # Each walks and builds every member and decodes it from scratch, where the
 # probes build values one order at a time; the walk itself is checked against
@@ -262,7 +303,7 @@ def check_unique_padic_ref(fam, seq, order_cap, stop_at_collision=True) -> Uniqu
 # the largest index among the values so far, so that each of the many tops
 # encode_int_ref asks for is one bisection; independent of find_top.
 
-TOP_HORIZON = 2000
+TOP_HORIZON = 2600  # past pin-3's top for every x < 10^4 (Q_n = 4(n - 3))
 _TOPS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -307,13 +348,14 @@ def weak_converse_probe_ref(fam, seq_a, seq_b, order_cap) -> ConverseProbe:
 # through a row object, or walking the members when the sequence is not
 # increasing or a whole row leaves a remainder that a term fits, and the
 # member scan reading mu.digit index by index; the kernels in
-# integers.encode_int and blocks._scan_asc must agree with them.
+# integers.encode_int and blocks._scan_asc must agree with them wherever the
+# walk answers within MEMBER_LIMIT members.
 
 
 def encode_by_walk_ref(x: int, fam, seq, top: int) -> CoeffFn:
     """The first member of order <= top, in lex order, that decodes to x."""
     if x and not top:
-        raise NotRepresentableError(f"{x} is below every basis value of {seq.name}")
+        raise NotRepresentableError(f"{_shown(x)} is below every basis value of {seq.name}")
     try:
         for mu in members_upto_order(fam, top):
             if decode_int(mu, seq) == x:
@@ -321,7 +363,7 @@ def encode_by_walk_ref(x: int, fam, seq, top: int) -> CoeffFn:
     except WalkLimitError:
         limit = f"{blocks.MEMBER_LIMIT:,} members" + ("" if seq.increasing else " (sequence is not increasing)")
         raise WalkLimitError(f"{fam.name}: encoding {x} walks more than {limit}") from None
-    raise NotRepresentableError(f"no admissible function of order <= {top} has value {x}")
+    raise NotRepresentableError(f"no admissible function of order <= {top} has value {_shown(x)}")
 
 
 def encode_int_ref(x: int, fam, seq) -> CoeffFn:
@@ -335,7 +377,7 @@ def encode_int_ref(x: int, fam, seq) -> CoeffFn:
     while rem > 0:
         n = top_ref(seq, rem)
         if n == 0:
-            raise NotRepresentableError(f"{rem} is below every basis value of {seq.name}")
+            raise NotRepresentableError(f"{_shown(rem)} is below every basis value of {seq.name}")
         for k, d in reversed(fam.row(n + 1).items()):
             q = seq.value(k)
             c = min(d, rem // q)

@@ -12,6 +12,7 @@ from conftest import (
     get_system,
     lex_compare_asc,
     lex_compare_desc,
+    members_upto_order,
     maximal_row,
     scan_asc_ref,
     scan_desc_ref,
@@ -33,7 +34,6 @@ from zecknum.blocks import (
     first_collision,
     is_member_asc,
     is_member_desc,
-    members_upto_order,
     predecessor_asc,
     successor_asc,
 )

@@ -399,17 +399,22 @@ class TestErrors:
         assert rc == 1 and lines[1] == "# members: 188, distinct values: 162"
 
     def test_encode_past_member_limit_names_the_value(self, capsys, monkeypatch):
-        # pin-3's sequence is not increasing, so encode walks the members
-        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 1000)
+        # pin-3's sequence is not the derived one, so encode searches, counting
+        # its nodes against MEMBER_LIMIT: 5000 and 200 take 5 each
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 4)
         rc, lines, err = run(capsys, "encode", "-f", "pin-3", "5000")
         assert rc == 2
-        assert err == (
-            "config error: pin-3: encoding 5000 walks more than 1,000 members"
-            " (sequence is not increasing)\n"
-        )
+        assert err == "config error: pin-3: encoding 5000 visits more than 4 nodes\n"
         assert "order cap" not in err and "lower the cap" not in err
-        rc, lines, err = run(capsys, "encode", "-f", "pin-3", "200")
-        assert rc == 0 and err == "" and lines[1].startswith("200\t")
+        monkeypatch.setattr("zecknum.blocks.MEMBER_LIMIT", 5)
+        rc, lines, err = run(capsys, "encode", "-f", "pin-3", "5000", "200")
+        assert rc == 0 and err == "" and lines[1].startswith("5000\t") and lines[2].startswith("200\t")
+
+    def test_a_long_refusal_names_the_value_by_its_length(self, capsys):
+        rc, lines, err = run(capsys, "encode", "-f", "mult-2-3", str(10**999))
+        assert rc == 1
+        assert err == "error: no admissible function of order <= 2094 has value 10000000000000000000... (1,000 digits)\n"
+        assert len(err) < 200
 
 
 # every verb bound to a system, run on a fixture of a kind its wiring rejects

@@ -3,28 +3,29 @@
 integers.encode_int, integers.decode_int and blocks._scan_asc read the Q list
 and the row parts directly; the references in conftest.py look the top up for
 every block, read rows through row objects and digits through mu.digit.  Both
-must give the same encodings, spans, witnesses and exceptions.
+must give the same encodings, spans, witnesses and exceptions, bar the
+values the reference's walk gives up on.  Off the derived sequence the
+encoder searches under a bound table, checked here against a naive one.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import islice
 
 import pytest
 
-from conftest import encode_int_ref, get_system, scan_asc_ref
+from conftest import encode_int_ref, get_system, max_below_ref, members_upto_order, scan_asc_ref
 from zecknum import blocks
-from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc, is_member_desc, members_upto_order
+from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc, is_member_desc
 from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, basis, from_dense
 from zecknum.integers import EXTENSION_LIMIT, FamilyError, FundamentalSeq, decode_int, encode_int
 from zecknum.real import periodic_maximal_family
 from zecknum.recurrences import family_from_sequence, family_from_table
 
 # every integer fixture whose sequence is increasing (mult-2-3's, mult-11-3's
-# and pin-3's are not: encode_int searches the order kernel by rank there, and
-# test_value_walk.py checks it against conftest's walk)
+# and pin-3's are not: test_value_walk.py checks encode_int there against
+# conftest's walk)
 INCREASING = ("fib", "index-bounded", "rec-3-1", "rec-8-2-3", "blocks7", "factorial", "seven-scaled")
 
 # a greedy family over a bounded table: row n's head is the whole row, and
@@ -69,15 +70,20 @@ def encode_values(seed):
 
 @pytest.mark.parametrize("name", [*INCREASING, "greedy", "fib-pow2", "mult-2-3-pow3", "fib-table"])
 def test_encode_and_decode_match_references(name, monkeypatch):
-    # off the derived sequence a large value goes to the rank search and runs
-    # into the member limit; the reference decodes every member it walks, so a
-    # lower limit, above the members every x < 2000 needs, keeps it affordable
+    # off the derived sequence the reference walks the members of a large
+    # value and runs into the member limit; it decodes every member it walks,
+    # so a lower limit, above the members every x < 2000 needs, keeps it
+    # affordable.  Where the walk gives up, the search still answers.
     monkeypatch.setattr(blocks, "MEMBER_LIMIT", 4000)
     fam, seq = system(name)
     for x in encode_values(name):
         got, want = outcome(encode_int, x, fam, seq), outcome(encode_int_ref, x, fam, seq)
-        assert got == want, x
+        if isinstance(want, tuple) and want[0] is WalkLimitError:
+            assert got[0] is NotRepresentableError if isinstance(got, tuple) else decode_int(got, seq) == x, x
+        else:
+            assert got == want, x
         if isinstance(got, CoeffFn):
+            assert is_member_asc(got, fam)
             assert decode_int(got, seq) == sum(d * seq.value(k) for k, d in got.items())
     assert seq.increasing
 
@@ -132,7 +138,7 @@ def test_sevenths_mirror_scan_matches_reference():
         assert is_member_desc(eps, fam, horizon) == isinstance(want, list)
 
 
-def test_whole_row_with_a_remainder_hands_off_to_the_rank_search():
+def test_whole_row_with_a_remainder_has_no_member():
     """Q_n = 2^(n-1) is increasing but not fib's derived sequence: the greedy
     takes all of row 4 (3:1, 1:1) and has 2 left, which no block below a
     maximal one may take.  The fib members of order <= 3 are worth 0, 1, 2,
@@ -145,30 +151,102 @@ def test_whole_row_with_a_remainder_hands_off_to_the_rank_search():
 
 
 def test_a_hand_off_past_the_member_limit_names_the_value_and_the_limit(monkeypatch):
-    """The rank search names the value and the limit; the sequence increases,
-    so the message says nothing of a sequence that is not increasing."""
-    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 100)
+    """Off the derived sequence the search counts its nodes (blocks opened
+    and choices resumed) against MEMBER_LIMIT: 10^4 on fib's family with
+    Q_n = 2^(n-1) takes two, so a limit of one refuses it, naming the value
+    and the limit, and a limit of two gives its answer: it has no member."""
     fib = get_system("fib")
     seq = FundamentalSeq.from_linear([1, 2], [2])
-    with pytest.raises(WalkLimitError, match=r"^L\(1, 1\): encoding 10000 walks more than 100 members$"):
+    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 1)
+    with pytest.raises(WalkLimitError, match=r"^L\(1, 1\): encoding 10000 visits more than 1 nodes$"):
+        encode_int(10**4, fib.family, seq)
+    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 2)
+    with pytest.raises(NotRepresentableError, match="^no admissible function of order <= 14 has value 10000$"):
         encode_int(10**4, fib.family, seq)
 
 
 @pytest.mark.parametrize("name", ["fib-pow2", "mult-2-3-pow3", "greedy", "fib-table", "seven-scaled"])
 def test_encode_gives_a_member_or_none_exists(name):
-    """Every x < 2000 encodes to a member worth x, or no member of order <=
-    find_top(x) is worth x (the least order of each value, from a walk)."""
+    """Every x < 10^4 encodes to the first member in lex order worth x, or no
+    member is worth x (one walk up to find_top(10^4 - 1) sees every member
+    worth less: the sequences increase); the greedy table's rows run out at
+    order 15, and so may the encode past the walk's values."""
     fam, seq = system(name)
-    least: dict[int, int] = {}
-    for mu in members_upto_order(fam, seq.find_top(1999)):
-        least.setdefault(decode_int(mu, seq), mu.order_asc)  # orders never fall in lex order
-    for x in range(2000):
+    first: dict[int, CoeffFn] = {}
+    try:
+        for mu in members_upto_order(fam, seq.find_top(10**4 - 1)):
+            first.setdefault(decode_int(mu, seq), mu)
+    except FamilyError:
+        assert name == "greedy"
+    for x in range(10**4):
         try:
             mu = encode_int(x, fam, seq)
         except NotRepresentableError:
-            assert least.get(x, math.inf) > seq.find_top(x), x
+            assert x not in first, x
+        except FamilyError:
+            assert name == "greedy" and x not in first, x
         else:
-            assert is_member_asc(mu, fam) and decode_int(mu, seq) == x, x
+            assert mu == first[x] and mu.render() == first[x].render(), x
+
+
+@pytest.mark.parametrize("name", ["mult-2-3", "mult-11-3"])
+def test_long_values_give_a_member_or_none(name):
+    """1,000-digit values: a member worth x, or NotRepresentableError; the
+    refusal names the value by its length."""
+    s = get_system(name)
+    rng = random.Random(name)
+    for x in (rng.randrange(10**999, 10**1000) for _ in range(20)):
+        try:
+            mu = encode_int(x, s.family, s.sequence)
+        except NotRepresentableError as exc:
+            assert len(str(exc)) < 200 and "(1,000 digits)" in str(exc)
+        else:
+            assert decode_int(mu, s.sequence) == x and is_member_asc(mu, s.family)
+
+
+# the increasing systems above that are not derived, and the fixtures whose
+# sequences are not increasing: encode_int keeps a bound table for each
+BOUNDED = ("greedy", "fib-pow2", "mult-2-3-pow3", "fib-table", "seven-scaled", "pin-3", "mult-2-3", "mult-11-3")
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_bound_table_matches_a_naive_one(name):
+    """The table an encode keeps, M_k the largest value of a member of order <
+    k, against every run of every row, through 300 terms or to the table's end."""
+    if name in ("pin-3", "mult-2-3", "mult-11-3"):
+        fam, seq = get_system(name).family, get_system(name).sequence
+    else:
+        fam, seq = system(name)
+    end = len(seq) if seq.bounded else 300
+    outcome(encode_int, seq.value(end), fam, seq)
+    table = seq._bounds[fam].M[1 : end + 1]
+    assert len(table) == end
+    assert table == max_below_ref(fam, seq, len(table))
+
+
+@pytest.mark.parametrize("name", ["fib", "index-bounded", "rec-3-1", "rec-8-2-3", "blocks7", "factorial"])
+def test_no_bound_table_on_the_derived_sequence(name, monkeypatch):
+    """On the derived sequence the members of order < k are worth 0..Q_k - 1,
+    so M_k = Q_k - 1 and the encoder is the greedy: no table, and no node
+    counted against MEMBER_LIMIT, so no choice point."""
+    s = get_system(name)
+    fam, seq = s.family, s.sequence
+    assert max_below_ref(fam, seq, 40) == [q - 1 for q in seq.upto(40)]
+    monkeypatch.setattr(blocks, "MEMBER_LIMIT", 0)
+    for x in encode_values(name)[::50]:
+        assert decode_int(encode_int(x, fam, seq), seq) == x
+    assert seq._bounds == {}
+
+
+def test_the_rest_of_a_row_can_pass_every_lower_member():
+    """Row 3 is (2:1, 1:9) and row 2 (1:1): the members of order < 2 are worth
+    0 and Q_1, yet row 3 below index 2 adds up to 9 Q_1.  Continuing a block is
+    bounded by what the rest of its row can add, not by M_k."""
+    fam = family_from_table([[1], [9, 1]])
+    derived, copy = FundamentalSeq.from_family(fam), FundamentalSeq([1, 2, 12])
+    want = [CoeffFn.parse(t) for t in ("0", "1:1", "2:1", *(f"1:{i},2:1" for i in range(1, 10)))]
+    assert [encode_int(x, fam, derived) for x in range(12)] == want
+    assert [encode_int(x, fam, copy) for x in range(12)] == want
 
 
 def test_decode_names_the_lowest_index_past_a_bounded_table():

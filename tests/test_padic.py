@@ -3,8 +3,9 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from conftest import members_upto_order
 
-from zecknum.blocks import FamilyError, NotMemberError, _scan_asc, enumerate_asc, members_upto_order
+from zecknum.blocks import FamilyError, NotMemberError, _scan_asc, enumerate_asc
 from zecknum.coeff import CoeffFn
 from zecknum.config import build_system
 from zecknum.integers import NotRepresentableError

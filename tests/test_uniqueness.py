@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from conftest import members_upto_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecknum.blocks import members_upto_order
 from zecknum.coeff import CoeffFn
 from zecknum.integers import FundamentalSeq, decode_int
 from zecknum.recurrences import MultiplicityList

@@ -1,12 +1,12 @@
 """The order kernel against walking the members and decoding each one.
 
 order_values (order_members, under a value bound) builds the members' values
-one order at a time; the walk (walk_asc, members_upto_order up to an order
-cap), with each member's value summed here from its digits, is the reference,
-failures included.  The probes built on the kernel (collision checks,
-subsets, the converse probe, the encoder for sequences that are not
-increasing) must answer, and fail, exactly as the walk-and-decode references
-in conftest.
+one order at a time; the walk (walk_asc, conftest's members_upto_order up to
+an order cap), with each member's value summed here from its digits, is the
+reference, failures included.  The probes built on the kernel (collision
+checks, subsets, the converse probe) and the encoder's search for sequences
+that are not increasing must answer, and fail, exactly as the
+walk-and-decode references in conftest.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ from conftest import (
     encode_int_ref,
     enumerate_subset_ref,
     get_system,
+    members_upto_order,
     top_ref,
     weak_converse_probe_ref,
 )
+from test_integers import LONG_DIPS
 
 from zecknum import blocks, load_fixture, uniqueness
 from zecknum.blocks import (
     FamilyError,
     WalkLimitError,
     enumerate_asc,
-    members_upto_order,
     order_members,
     order_values,
     successor_asc,
@@ -57,9 +58,8 @@ FIB = MultiplicityList((1, 1)).predecessor_family()
 CAPS = {"fib": 16, "index-bounded": 6, "rec-3-1": 8, "rec-8-2-3": 4, "blocks7": 12, "factorial": 6,
         "mult-2-3": 8, "mult-11-3": 3, "pin-3": 500, "seven-scaled": 13, "golden-41": 16, "padic-5-20": 5}
 PADIC_FIXTURES = ("golden-41", "padic-5-20")
-# the integer fixtures whose sequence is not increasing, each with the values
-# its encode sweeps run to (a pin-3 encode near 3,000 takes about 25 ms)
-NOT_INCREASING = {"pin-3": 1000, "mult-11-3": 1500, "mult-2-3": 3000}
+# the integer fixtures whose sequence is not increasing
+NOT_INCREASING = ("pin-3", "mult-11-3", "mult-2-3")
 
 
 def counts(fam, cap):
@@ -225,14 +225,15 @@ class TestOneDerivedSequence:
         assert encode_int(114, fam, seq) == CoeffFn.parse("1:6")
         assert builds[0] - before == 1
 
-    def test_rank_search_builds_it_once(self, builds):
+    def test_encode_off_it_builds_none(self, builds):
+        # the search on a sequence that is not the derived one unranks nothing
         s = load_fixture("pin-3")
         fam, seq = s.family, s.sequence
         before = builds[0]
         for x in (2900, 2950, 2999):
             mu = encode_int(x, fam, seq)
             assert decode_int(mu, seq) == x
-        assert builds[0] - before == 1
+        assert builds[0] == before and fam.derived is None
 
 
 class TestOrderMembers:
@@ -363,37 +364,49 @@ class TestProbesAgainstReference:
             assert enumerate_subset(fam, seq, bound) == enumerate_subset_ref(fam, seq, bound)
 
     def test_encode_by_walk(self):
-        # these sequences are not increasing, so encode_int searches the
-        # order kernel by rank; the reference is the first member, in lex
-        # order, that decodes to the value (conftest's walk, run once here;
-        # the low-limit sweep below compares the refusals' texts)
-        for name, end in NOT_INCREASING.items():
-            s = get_system(name)
-            fam, seq = s.family, s.sequence
+        # sequences that are not increasing: the reference is the first
+        # member, in lex order, that decodes to the value, for every x < 10^4
+        # from one walk of conftest's; on fib's family with a long dip, out of
+        # the walk's reach, from order_members, at every 37th x (every 31st
+        # below 3,100 on depth-21: a search there takes milliseconds).  A
+        # refusal names the value and the order cap.
+        fib = get_system("fib").family
+        cases = [(get_system(name).family, get_system(name).sequence, range(10**4)) for name in NOT_INCREASING]
+        cases += [(fib, LONG_DIPS["table"](), range(0, 10**4, 37)), (fib, LONG_DIPS["depth-21"](), range(0, 3100, 31))]
+        for fam, seq, xs in cases:
+            cap, bound = top_ref(seq, xs[-1]), xs[-1]
+            if xs.step == 1:
+                members = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, cap))
+            else:
+                members = ((CoeffFn._trusted(pairs), v) for pairs, v in order_members(fam, seq.value, cap, bound))
             first = {}
-            for mu in members_upto_order(fam, top_ref(seq, end - 1)):
-                first.setdefault(decode_int(mu, seq), mu)
-            for x in range(end):
-                got = outcome(encode_int, x, fam, seq)
-                if x in first:
-                    assert got == first[x], (name, x)
-                else:
-                    assert got[0] is NotRepresentableError, (name, x)
+            for mu, v in members:
+                first.setdefault(v, mu)
+            for x in xs:
+                top = top_ref(seq, x)
+                refusal = f"no admissible function of order <= {top} has value {x}" if top else (
+                    f"{x} is below every basis value of {seq.name}")
+                got, want = outcome(encode_int, x, fam, seq), first.get(x, (NotRepresentableError, refusal))
+                assert got == want and str(got) == str(want), (seq.name, x)
 
     @pytest.mark.parametrize("name", NOT_INCREASING)
     def test_encode_by_walk_past_a_low_member_limit(self, monkeypatch, name):
-        # limits at the end of the first order with 30 members or more, and
-        # either side of it: each x gives the reference's member, or its
-        # WalkLimitError naming the value
+        # the search's node budget, MEMBER_LIMIT: under each limit every x <
+        # 600 gives the reference's answer or a WalkLimitError naming the value
+        # and the limit; a higher limit refuses fewer values, and 64 none
         s = get_system(name)
         fam, seq = s.family, s.sequence
-        level = next(q for q in FundamentalSeq.from_family(fam).upto(40) if q >= 30)  # members of order < n
-        for limit in (level - 1, level, level + 1):
+        want = [outcome(encode_int_ref, x, fam, seq) for x in range(600)]
+        refused = set(range(600))
+        for limit in (1, 4, 16, 64):
             monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
             got = [outcome(encode_int, x, fam, seq) for x in range(600)]
-            assert got == [outcome(encode_int_ref, x, fam, seq) for x in range(600)], limit
-            assert got[-1] == (WalkLimitError, f"{fam.name}: encoding 599 walks more than {limit:,} members "
-                               "(sequence is not increasing)")
+            over = {x for x, (g, w) in enumerate(zip(got, want)) if g != w}
+            for x in over:
+                assert got[x] == (WalkLimitError, f"{fam.name}: encoding {x} visits more than {limit:,} nodes"), x
+            assert over <= refused, limit
+            refused = over
+        assert not refused
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 4])
     def test_weak_converse_probe(self, cap):
