@@ -259,8 +259,8 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
 
 
 # Most members one order-capped build may hold, and most nodes one encode may
-# search; past it the work is refused part way instead of running for hours
-# (mult-11-3 has about 14^8 members of order <= 8).
+# search; past it the work is refused instead of running for hours (mult-11-3
+# has about 14^8 members of order <= 8).
 MEMBER_LIMIT = 10**6
 
 
@@ -349,32 +349,30 @@ def order_values(
     members of order < k) plus the run's shift.  Values are reduced mod
     ``modulus``.
 
-    Failures come at walk_asc's member: past MEMBER_LIMIT members
-    WalkLimitError, after yielding the list cut at the limit; a missing Q_n
-    before order n starts; a missing row n+1 after yielding basis(n)'s value.
+    Each order is built whole or not at all: its size, the sum of size[k]
+    over row n+1's runs, is read off the row's digits before Q_n is read, and
+    an order that takes the list past MEMBER_LIMIT raises WalkLimitError.  A
+    missing row n+1 is raised after yielding basis(n)'s value, which the
+    walk meets first.
     """
     values, size, qs = [0], [0, 1], [0]
     _check_cap(cap)
     yield values
     for n in range(1, cap + 1):
-        if len(values) >= MEMBER_LIMIT:
-            raise _limit_error(cap)
-        qn = q(n)
-        qs.append(qn % modulus if modulus else qn)
         try:
             digits = fam.digits(n + 1)
         except Exception:  # whatever the row raises, the walk meets basis(n) first
-            values.append(qs[n])
+            values.append(q(n) % modulus if modulus else q(n))
             yield values
             raise
+        size.append(len(values) + 1 + sum((c - (k == n)) * size[k] for k, c in digits))
+        if size[-1] > MEMBER_LIMIT:
+            raise _limit_error(cap)
+        qn = q(n)
+        qs.append(qn % modulus if modulus else qn)
         for _, k, _, shift in _runs(digits, n, qs):
             base = values[: size[k]]
             values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
-            if len(values) > MEMBER_LIMIT:
-                del values[MEMBER_LIMIT:]
-                yield values
-                raise _limit_error(cap)
-        size.append(len(values))
         yield values
 
 
@@ -400,23 +398,15 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
     return kept
 
 
-def first_collision(
-    pairs: Iterable[tuple[object, object]], stop: bool = True
-) -> tuple[int, int, tuple[object, object, object] | None, bool]:
-    """(members seen, distinct values, first collision (value, earlier, later)
-    or None, whether the pairs ran out) for a stream of (key, value) pairs;
-    ``stop`` ends the scan at the collision, counting only that prefix."""
+def first_collision(pairs: Iterable[tuple[object, object]]) -> tuple[object, object, object] | None:
+    """The first repeat (value, earlier key, later key) in a stream of (key,
+    value) pairs, or None."""
     first_by_value: dict[object, object] = {}
-    collision = None
-    seen = 0
     for key, v in pairs:
-        seen += 1
         earlier = first_by_value.setdefault(v, key)
-        if earlier is not key and collision is None:
-            collision = (v, earlier, key)
-            if stop:
-                return seen, len(first_by_value), collision, False
-    return seen, len(first_by_value), collision, True
+        if earlier is not key:
+            return v, earlier, key
+    return None
 
 
 # -- descending world: the ascending one on the mirrored family --------------

@@ -344,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
             raise  # only a bounded table read past its end is the config's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("config error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -363,8 +363,7 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
         raise ValueError("bound must be nonnegative")
     trusted = CoeffFn._trusted
     pairs = [(trusted(p), v) for p, v in blocks.order_members(fam, seq.value, seq.find_top(bound), bound)]
-    _, _, collision, _ = first_collision(pairs)
-    return SubsetReport(bound, pairs, collision)
+    return SubsetReport(bound, pairs, first_collision(pairs))
 
 
 def reconstruct_sequence(

@@ -63,24 +63,19 @@ def value_collision(
     """The collision report on the members of order <= cap, by their
     order_values value (mod ``modulus``): a set finds the order holding the
     first repeat, and first_collision its two ranks.  Without ``stop``, a cap
-    past MEMBER_LIMIT is refused before any value is summed: the derived
-    sequence counts the members a term at a time, reading Q_n (``q``) where
-    the walk would, to fail where it does.  The two witnesses are encode_int
-    of their ranks on the derived sequence."""
+    past MEMBER_LIMIT is refused before any value is summed, from the derived
+    Q_{cap+1}, the count of the members; its terms increase, so they are read
+    only up to the first past the limit.  The two witnesses are encode_int of
+    their ranks on the derived sequence."""
     derived = FundamentalSeq.from_family(fam)
-    if not stop:
-        for n in range(1, blocks._check_cap(cap) + 1):
-            if derived.value(n) >= blocks.MEMBER_LIMIT:
-                raise blocks._limit_error(cap)
-            q(n)
-            if derived.value(n + 1) > blocks.MEMBER_LIMIT:
-                raise blocks._limit_error(cap)
+    if not stop and any(derived.value(n) > blocks.MEMBER_LIMIT for n in range(1, blocks._check_cap(cap) + 2)):
+        raise blocks._limit_error(cap)
     seen: set[int] = set()
     repeat, start = None, 0  # start: members of the orders before this step
     for values in order_values(fam, q, cap, modulus):
         seen.update(islice(values, start, None))
         if repeat is None and len(seen) < len(values):  # the first repeat lies past start
-            _, _, repeat, _ = first_collision(enumerate(values))
+            repeat = first_collision(enumerate(values))
             if stop:
                 break
         start = len(values)

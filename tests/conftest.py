@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from decimal import Context, localcontext
-from itertools import accumulate, takewhile
+from itertools import accumulate, islice, takewhile
 from typing import Iterator
 from weakref import WeakKeyDictionary
 
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, blocks, load_fixture
-from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, first_collision, walk_asc
-from zecknum.coeff import ZERO, CoeffFn
+from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, walk_asc
+from zecknum.coeff import ZERO, CoeffFn, basis
 from zecknum.integers import NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
@@ -243,23 +243,38 @@ def enumerate_desc_ref(fam, horizon: int) -> Iterator[CoeffFn]:
 
 # -- the order-capped walk ----------------------------------------------------
 # The library's walker only steps; the references below cap it at an order and
-# at MEMBER_LIMIT members (read when the walk runs, so a test can lower it).
+# at MEMBER_LIMIT members (read when the walk runs, so a test can lower it),
+# one whole order at a time, as the order kernel builds them.
 
 
 def members_upto_order(fam, k: int) -> Iterator[CoeffFn]:
-    """Members of order <= k in ascending lex order, zero included, lazily:
-    the walk up to its first member past k; member MEMBER_LIMIT + 1 raises
-    WalkLimitError."""
-    below = takewhile(lambda digits: not digits or digits[0][0] <= k, walk_asc(fam))
-    return _upto_limit(below, blocks._check_cap(k))
+    """Members of order <= k in ascending lex order, zero included, lazily,
+    one whole order at a time: each order is walked once to count it and
+    once to yield it, so an order that would take the members past
+    MEMBER_LIMIT raises WalkLimitError before any of its members is yielded,
+    and a walk that fails inside an order yields what it walked of it first."""
+    return _upto_limit(fam, blocks._check_cap(k))
 
 
-def _upto_limit(walk: Iterator[list[tuple[int, int]]], cap: int) -> Iterator[CoeffFn]:
-    trusted = CoeffFn._trusted
-    for i, digits in enumerate(walk):
-        if i == blocks.MEMBER_LIMIT:
+def _order_walk(fam, n: int) -> Iterator[list[tuple[int, int]]]:
+    """The walk of the members of order n, from basis(n) (zero for n = 0) up
+    to the first member of a higher order."""
+    return takewhile(lambda digits: (digits[0][0] if digits else 0) == n, walk_asc(fam, basis(n) if n else ZERO))
+
+
+def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
+    trusted, yielded = CoeffFn._trusted, 0
+    for n in range(cap + 1):
+        room = blocks.MEMBER_LIMIT - yielded
+        try:
+            size = sum(1 for _ in islice(_order_walk(fam, n), room + 1))
+        except Exception:  # whatever the walk raises inside this order, the second walk yields up to there
+            size = 0
+        if size > room:
             raise blocks._limit_error(cap)
-        yield trusted(tuple(digits[::-1]))
+        for digits in _order_walk(fam, n):
+            yielded += 1
+            yield trusted(tuple(digits[::-1]))
 
 
 # -- the encoder's bound table, one row at a time ---------------------------
@@ -288,14 +303,35 @@ def max_below_ref(fam, seq, end: int) -> list[int]:
 # successor_asc in test_blocks.py.
 
 
+def count_collisions_ref(pairs, stop: bool = True) -> tuple[int, int, tuple | None, bool]:
+    """(members seen, distinct values, first collision (value, earlier, later)
+    or None, whether the pairs ran out) for a stream of (key, value) pairs;
+    ``stop`` ends the scan at the collision, counting only that prefix."""
+    first_by_value: dict = {}
+    collision = None
+    seen = 0
+    for key, v in pairs:
+        seen += 1
+        earlier = first_by_value.setdefault(v, key)
+        if earlier is not key and collision is None:
+            collision = (v, earlier, key)
+            if stop:
+                return seen, len(first_by_value), collision, False
+    return seen, len(first_by_value), collision, True
+
+
+def _collision_ref(fam, value, order_cap, stop) -> UniquenessReport:
+    # a scan that goes on past a collision counts the walk's members before decoding any
+    members = members_upto_order(fam, order_cap) if stop else list(members_upto_order(fam, order_cap))
+    return UniquenessReport(order_cap, *count_collisions_ref(((mu, value(mu)) for mu in members), stop))
+
+
 def check_unique_ref(fam, seq, order_cap, stop_at_collision=True) -> UniquenessReport:
-    pairs = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, order_cap))
-    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+    return _collision_ref(fam, lambda mu: decode_int(mu, seq), order_cap, stop_at_collision)
 
 
 def check_unique_padic_ref(fam, seq, order_cap, stop_at_collision=True) -> UniquenessReport:
-    pairs = ((mu, eval_padic(mu, seq)) for mu in members_upto_order(fam, order_cap))
-    return UniquenessReport(order_cap, *first_collision(pairs, stop_at_collision))
+    return _collision_ref(fam, lambda mu: eval_padic(mu, seq), order_cap, stop_at_collision)
 
 
 # -- the top oracle --------------------------------------------------------------
@@ -322,7 +358,7 @@ def top_ref(seq, x: int) -> int:
 def enumerate_subset_ref(fam, seq, bound) -> SubsetReport:
     walk = members_upto_order(fam, top_ref(seq, bound))
     pairs = [(mu, v) for mu in walk if (v := decode_int(mu, seq)) <= bound]
-    _, _, collision, _ = first_collision(pairs)
+    _, _, collision, _ = count_collisions_ref(pairs)
     return SubsetReport(bound, pairs, collision)
 
 

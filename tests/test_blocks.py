@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     INTEGER_FIXTURES,
     AtMaximumError,
+    count_collisions_ref,
     enumerate_desc_ref,
     get_system,
     lex_compare_asc,
@@ -190,9 +191,12 @@ class TestAscendingOrder:
     def test_first_collision(self):
         a, b, c = CoeffFn.parse("1:1"), CoeffFn.parse("2:1"), CoeffFn.parse("3:1")
         pairs = [(ZERO, 0), (a, 1), (b, 1), (c, 2)]
-        assert first_collision([]) == (0, 0, None, True)
-        assert first_collision(pairs) == (3, 2, (1, a, b), False)
-        assert first_collision(pairs, stop=False) == (4, 3, (1, a, b), True)
+        assert first_collision([]) is None
+        assert first_collision(pairs) == (1, a, b)
+        assert first_collision(pairs[:2] + pairs[3:]) is None
+        assert count_collisions_ref([]) == (0, 0, None, True)
+        assert count_collisions_ref(pairs) == (3, 2, (1, a, b), False)
+        assert count_collisions_ref(pairs, stop=False) == (4, 3, (1, a, b), True)
 
     def test_successor_clears_maximal_bottom(self):
         assert successor_asc(CoeffFn.parse("2:2,4:4,6:6,7:3,8:2"), IB).render() == "7:4,8:2"

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -714,6 +715,22 @@ def test_cold_module_run_matches_readme():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "# fib: value\tdigits\n100\t3:1,5:1,10:1\n144\t11:1\n"
+
+
+def test_out_of_memory_exits_2():
+    # 10^5 fib terms take about half a gigabyte; under a 256 MB address-space
+    # cap on the child alone the build runs out part way
+    cap = 256 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "zecknum.cli", "decode", "-f", "fib", "100000:1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: out of memory\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -144,14 +144,31 @@ def test_row_view_matches_reference(name):
         assert fam.row(n) == ref(n), n
 
 
+def _generic_sum(fam, end):
+    """Q_1..Q_end of the derived sequence, each term summed over its whole row."""
+    q = [1]
+    for n in range(2, end + 1):
+        q.append(1 + sum(d * q[k - 1] for k, d in fam.row(n).items()))
+    return q
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_derived_sequence_matches_generic_sum(name):
     fam = load_fixture(name).family
-    seq = FundamentalSeq.from_family(fam)
-    q = [1]
-    for n in range(2, 301):
-        q.append(1 + sum(d * q[k - 1] for k, d in fam.row(n).items()))
-    assert seq.upto(300) == q
+    assert FundamentalSeq.from_family(fam).upto(300) == _generic_sum(fam, 300)
+
+
+def test_derived_sequence_where_a_top_falls():
+    # tail digits 1 up to the top, head digits 2 above it; the top rises to 5
+    # and falls to 2 at row 10 within the one residue, so the derived term's
+    # running tail sum starts over
+    def top(n):
+        return min(n - 1, 5) if n < 10 else 2
+
+    shape = RowShape(lambda j, r: 1, head=lambda n: [(k, 2) for k in range(top(n) + 1, n)], top=top)
+    fam = PredecessorFamily(shape=shape, name="falling-top")
+    assert [fam.parts(n)[1] for n in (6, 9, 10, 40)] == [5, 5, 2, 2]
+    assert FundamentalSeq.from_family(fam).upto(40) == _generic_sum(fam, 40)
 
 
 def _perturb(mu, rng):

@@ -301,6 +301,20 @@ class TestLimitAtLevelBoundaries:
             got = self.outcome(lambda: check_unique_padic(fam, seq, 3, stop))
             assert got == self.outcome(lambda: check_unique_padic_ref(fam, seq, 3, stop)), limit
 
+    @pytest.mark.parametrize("name", ["fib", "mult-11-3", "golden-41"])
+    def test_order_values_builds_whole_orders(self, monkeypatch, name):
+        # each step's length is a derived count: an order past the limit is
+        # refused before any of it is built, never cut at the limit
+        s = get_system(name)
+        fam, seq, want = s.family, s.sequence, counts(s.family, 3)
+        modulus = getattr(seq, "modulus", None)
+        for limit in self.limits(fam, 3):
+            monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
+            lengths = []
+            got = self.outcome(lambda: lengths.extend(len(v) for v in order_values(fam, seq.value, 3, modulus)))
+            assert lengths == [c for c in want if c <= limit], limit
+            assert got == (None if want[-1] <= limit else f"order cap 3 walks more than {limit:,} members; lower the cap")
+
     @pytest.mark.parametrize("name", ["fib", "mult-11-3"])
     def test_count_upto_order(self, monkeypatch, name):
         fam = get_system(name).family
@@ -458,18 +472,19 @@ class TestFailuresAtTheSameMember:
         with pytest.raises(IndexError, match=re.escape(str(ref.value))):
             check_unique(FIB, self.SHORT_Q, 6)
 
-    @pytest.mark.parametrize("limit,error", [(8, WalkLimitError), (9, IndexError)])
+    @pytest.mark.parametrize("limit,error", [(8, WalkLimitError), (9, WalkLimitError), (13, IndexError)])
     def test_member_limit_before_the_value(self, monkeypatch, limit, error):
-        # fib has 8 members of order <= 4, then basis(5): the limit, when it
-        # falls there, is raised before that member's missing Q_5 is read
+        # fib has 8 members of order <= 4, then the 5 of order 5 from basis(5):
+        # an order past the limit is refused whole, before its missing Q_5 is
+        # read, and one within it reads Q_5 and fails there
         monkeypatch.setattr(blocks, "MEMBER_LIMIT", limit)
         assert self.both(FIB, self.SHORT_Q, 5)[0] is error
-        # a cap past the limit too: refusing from the order sizes still reads Q_5 first
+        # a cap past the limit too (21 members of order <= 6): stopping at a
+        # collision fails as at cap 5, going on past one refuses from the count
         for stop in (True, False):
-            with pytest.raises(error) as ref:
-                check_unique_ref(FIB, self.SHORT_Q, 6, stop)
-            with pytest.raises(error, match=re.escape(str(ref.value))):
-                check_unique(FIB, self.SHORT_Q, 6, stop)
+            ref = outcome(check_unique_ref, FIB, self.SHORT_Q, 6, stop)
+            assert outcome(check_unique, FIB, self.SHORT_Q, 6, stop) == ref
+            assert ref[0] is (error if stop else WalkLimitError)
 
     @pytest.mark.parametrize(
         "fam,seq", [(TABLE, FIB_Q), (TABLE, DIP_Q), (FIB, SHORT_Q)], ids=["table", "table-dip", "short-q"]
