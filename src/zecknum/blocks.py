@@ -18,7 +18,7 @@ mirror's maximal one, flagged as truncated), and the same walker enumerates.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, NotMemberError, WalkLimitError, check_horizon
@@ -236,16 +236,9 @@ def is_member_asc(mu: CoeffFn, fam: PredecessorFamily) -> bool:
 
 
 def successor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
-    """Immediate successor in ascending lex order among members.
-
-    Bottom block maximal (= row(n), support [1, n-1]): clear it and carry one
-    digit into index n.  Otherwise just raise the digit at index 1.
-    """
-    spans = _scan_asc(mu, fam)
-    if spans and spans[-1][2]:
-        n = spans[-1][1] + 1
-        return mu.restrict(n).plus_basis(n)
-    return mu.plus_basis(1)
+    """Immediate successor in ascending lex order among members: the second
+    member the walker from ``mu`` yields (NotMemberError if ``mu`` is none)."""
+    return next(islice(enumerate_asc(fam, mu), 1, None))
 
 
 def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:

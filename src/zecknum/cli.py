@@ -83,51 +83,60 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def _records(sys_: System, header: str, values: list[str], record: Callable[[str], str]) -> int:
-    """The value verbs' output: a header, then one ``token<TAB>record`` line
-    per token; a lone '-' reads the tokens from stdin, one per line."""
-    print(f"# {sys_.name}: {header}")
+def _records(sys_: System, header: str, values: list[str], parse: Callable, record: Callable) -> int:
+    """The value verbs' output: every token parsed (form and range), then a header and one
+    ``token<TAB>record`` line per token; a lone '-' reads the tokens from stdin, one per line."""
     if values == ["-"]:
         values = [line.strip() for line in sys.stdin if line.strip()]
-    for tok in values:
-        try:
-            print(f"{tok}\t{record(tok)}")
-        except ValueError as exc:
-            _check_digit_limit(tok, exc)
-            raise
+    parsed = []
+    try:
+        for tok in values:
+            parsed.append(parse(tok))
+        print(f"# {sys_.name}: {header}")
+        for tok, x in zip(values, parsed):
+            print(f"{tok}\t{record(x)}")
+    except ValueError as exc:
+        _check_digit_limit(tok, exc)
+        raise
     return 0
 
 
 def cmd_encode(args, sys_: System, seq) -> int:
     from .integers import encode_int
     seq.find_top(0)  # a sequence every encode refuses is refused before the header
-    return _records(sys_, "value\tdigits", args.values,
-                    lambda tok: encode_int(int(tok), sys_.family, seq).render())
+
+    def parse(tok: str) -> int:
+        if (x := int(tok)) < 0:
+            raise ValueError(f"cannot encode negative value {x}")
+        return x
+
+    return _records(sys_, "value\tdigits", args.values, parse,
+                    lambda x: encode_int(x, sys_.family, seq).render())
 
 
 def cmd_decode(args, sys_: System, seq) -> int:
-    return _records(sys_, "digits\tvalue", args.values,
-                    lambda tok: sys_.value(CoeffFn.parse(tok), args.seq))
+    return _records(sys_, "digits\tvalue", args.values, CoeffFn.parse,
+                    lambda fn: sys_.value(fn, args.seq))
 
 
 def cmd_shift(args, sys_: System, seq) -> int:
     from .integers import shift_value
-    return _records(sys_, "digits\tshifted value", args.values,
-                    lambda tok: shift_value(CoeffFn.parse(tok), seq))
+    return _records(sys_, "digits\tshifted value", args.values, CoeffFn.parse,
+                    lambda fn: shift_value(fn, seq))
 
 
 def cmd_decompose(args, sys_: System, seq) -> int:
     from .blocks import decompose_asc
 
-    def record(tok: str) -> str:
-        dec = decompose_asc(CoeffFn.parse(tok), sys_.family)
+    def record(fn: CoeffFn) -> str:
+        dec = decompose_asc(fn, sys_.family)
         parts = []
         for b in dec.blocks:
             tag = "max" if b.maximal else "proper"
             parts.append(f"[{b.lo},{b.hi}]{tag}")
         return " ".join(parts) if parts else "empty"
 
-    return _records(sys_, "digits\tblocks", args.values, record)
+    return _records(sys_, "digits\tblocks", args.values, CoeffFn.parse, record)
 
 
 def cmd_real_expand(args, sys_: System, seq) -> int:
@@ -137,18 +146,25 @@ def cmd_real_expand(args, sys_: System, seq) -> int:
         raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
     tol = Fraction(1, 10 ** (_precision() // 2))
 
-    def record(tok: str) -> str:
-        res = expand_real(_number(tok), sys_.family, seq, max_blocks=args.max_blocks, residual_tol=tol)
+    def parse(tok: str):
+        if not 0 <= (x := _number(tok)) < 1:
+            raise ValueError(f"need 0 < x < 1, got {x}")
+        if isinstance(seq.value(1), Fraction):  # x is read exactly, the residual printed as a fraction
+            str(Fraction(x))  # so x's own fraction must print
+        return x
+
+    def record(x) -> str:
+        res = expand_real(x, sys_.family, seq, max_blocks=args.max_blocks, residual_tol=tol)
         return f"{res.fn.render()}\t{res.residual}\t{res.exact}"
 
-    return _records(sys_, "x\tdigits\tresidual\texact", args.values, record)
+    return _records(sys_, "x\tdigits\tresidual\texact", args.values, parse, record)
 
 
 def cmd_padic_expand(args, sys_: System, seq) -> int:
     from .padic import decode_padic
     fam = None if args.no_check else sys_.family
-    return _records(sys_, "residue\tdigits", args.values,
-                    lambda tok: decode_padic(int(tok), seq, fam).render())
+    return _records(sys_, "residue\tdigits", args.values, int,
+                    lambda x: decode_padic(x, seq, fam).render())
 
 
 def cmd_enumerate(args, sys_: System, seq) -> int:
@@ -339,9 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotRepresentableError, NotMemberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FamilyError, IndexError, OSError, ValueError) as exc:  # a malformed JSON file raises a ValueError
-        if isinstance(exc, IndexError) and not getattr(exc, "table_end", False):
-            raise  # only a bounded table read past its end is the config's fault
+    except (OSError, ValueError) as exc:  # FamilyError, and a malformed JSON file, raise a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -26,6 +26,10 @@ class FamilyError(ValueError):
     """A family row failed validation (wrong order, bad support, bad digit)."""
 
 
+class TableEndError(FamilyError, IndexError):
+    """A bounded table of sequence terms was read past its end."""
+
+
 class NotMemberError(ValueError):
     """Function not admissible; ``witness`` is the index where the scan failed."""
 

@@ -14,12 +14,12 @@ member in lex order worth the value, bounded by each order's largest value.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
-from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision, order_values
-from .coeff import CoeffFn, NotRepresentableError, basis
+from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision
+from .coeff import CoeffFn, NotRepresentableError, TableEndError, basis
 
 EXTENSION_LIMIT = 10**6
 
@@ -124,9 +124,7 @@ class FundamentalSeq:
             raise FamilyError(f"{self.name}: refusing to extend past {EXTENSION_LIMIT} terms")
         while len(self._vals) < n:
             if self._extend is None:
-                end = IndexError(f"{self.name}: bounded table of {len(self._vals)} terms, index {n}")
-                end.table_end = True  # the command line reports this one as a config error
-                raise end
+                raise TableEndError(f"{self.name}: bounded table of {len(self._vals)} terms, index {n}")
             self._push(self._extend(len(self._vals) + 1, self))
         return self._vals[n - 1]
 
@@ -208,9 +206,13 @@ def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
 
 
 def _shown(v: int) -> str:
-    """``v`` in decimal, or past 40 digits its first 20 and its length."""
-    s = str(v)
-    return s if len(s) <= 40 else f"{s[:20]}... ({len(s):,} digits)"
+    """``v`` in decimal, or past 40 digits its first 20 and its length, without str(v): past Python's limit it fails."""
+    if v < 10**40:
+        return str(v)
+    n = (v.bit_length() - 1) * 30102 // 100000  # digits - 1, or less: log10(2) > 0.30102
+    while 10 ** (n + 1) <= v:
+        n += 1
+    return f"{v // 10 ** (n - 19)}... ({n + 1:,} digits)"
 
 
 class _Bounds:
@@ -364,33 +366,3 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
     trusted = CoeffFn._trusted
     pairs = [(trusted(p), v) for p, v in blocks.order_members(fam, seq.value, seq.find_top(bound), bound)]
     return SubsetReport(bound, pairs, first_collision(pairs))
-
-
-def reconstruct_sequence(
-    fam: PredecessorFamily, value_set: Iterable[int], count: int
-) -> list[int]:
-    """Rebuild a fundamental sequence from the family and the covered set.
-
-    Q'_n is the least element of the value set not reached by any member of
-    order below n (using the already-rebuilt prefix).  When the original
-    sequence is increasing and the system covers the set uniquely, this
-    returns it exactly; it is the converse probe, not a constructor.
-    """
-    values = sorted(set(value_set))
-    rebuilt: list[int] = []
-    used: set[int] = set()
-    i = start = 0  # values[i] is the least value not reached; it only moves up
-    # the values of order < n, one order per step; step n - 1 reads Q'_{n-1}
-    orders = order_values(fam, lambda k: rebuilt[k - 1], count - 1)
-    for n in range(1, count + 1):
-        reached = next(orders)
-        used.update(islice(reached, start, None))
-        start = len(reached)
-        while i < len(values) and values[i] in used:
-            i += 1
-        if i == len(values):
-            raise NotRepresentableError(
-                f"value set exhausted after {n - 1} rebuilt terms"
-            )
-        rebuilt.append(values[i])
-    return rebuilt

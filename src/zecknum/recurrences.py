@@ -274,6 +274,8 @@ def verify_recurrence(
     Coefficients may depend on n.  Returns the mismatches as (n, lhs, rhs);
     empty means the recurrence holds on the whole range.
     """
+    if not coeffs or start > stop:
+        raise ValueError(f"nothing to check: {len(coeffs)} coefficients on [{start}, {stop}]")
     if start <= len(coeffs):
         raise ValueError(f"start must exceed the recurrence depth {len(coeffs)}")
     bad = []

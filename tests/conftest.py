@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, blocks, load_fixture
-from zecknum.blocks import NotMemberError, WalkLimitError, check_horizon, walk_asc
+from zecknum.blocks import NotMemberError, WalkLimitError, _scan_asc, check_horizon, order_values, walk_asc
 from zecknum.coeff import ZERO, CoeffFn, basis
 from zecknum.integers import NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
@@ -277,6 +277,24 @@ def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
             yield trusted(tuple(digits[::-1]))
 
 
+# -- the rescanning lex successor ----------------------------------------------
+# The library's successor_asc is one step of the walker; this one rescans the
+# member and is the walker's independent reference in test_blocks.py.
+
+
+def successor_ref(mu: CoeffFn, fam) -> CoeffFn:
+    """Immediate successor in ascending lex order among members.
+
+    Bottom block maximal (= row(n), support [1, n-1]): clear it and carry one
+    digit into index n.  Otherwise just raise the digit at index 1.
+    """
+    spans = _scan_asc(mu, fam)
+    if spans and spans[-1][2]:
+        n = spans[-1][1] + 1
+        return mu.restrict(n).plus_basis(n)
+    return mu.plus_basis(1)
+
+
 # -- the encoder's bound table, one row at a time ---------------------------
 
 
@@ -300,7 +318,7 @@ def max_below_ref(fam, seq, end: int) -> list[int]:
 # -- decode-per-member references for the order kernel -------------------------
 # Each walks and builds every member and decodes it from scratch, where the
 # probes build values one order at a time; the walk itself is checked against
-# successor_asc in test_blocks.py.
+# successor_ref in test_blocks.py.
 
 
 def count_collisions_ref(pairs, stop: bool = True) -> tuple[int, int, tuple | None, bool]:
@@ -452,3 +470,36 @@ def scan_asc_ref(mu: CoeffFn, fam) -> list[tuple[int, int, bool]]:
                 break
             k -= 1
     return spans
+
+
+# -- the weak converse's rebuild ---------------------------------------------------
+# The slow reference an integer converse probe is to agree with: it rebuilds a
+# sequence from the values a family covers, one order at a time.
+
+
+def reconstruct_sequence(fam, value_set, count: int) -> list[int]:
+    """Rebuild a fundamental sequence from the family and the covered set.
+
+    Q'_n is the least element of the value set not reached by any member of
+    order below n (using the already-rebuilt prefix).  When the original
+    sequence is increasing and the system covers the set uniquely, this
+    returns it exactly; it is the converse probe, not a constructor.
+    """
+    values = sorted(set(value_set))
+    rebuilt: list[int] = []
+    used: set[int] = set()
+    i = start = 0  # values[i] is the least value not reached; it only moves up
+    # the values of order < n, one order per step; step n - 1 reads Q'_{n-1}
+    orders = order_values(fam, lambda k: rebuilt[k - 1], count - 1)
+    for n in range(1, count + 1):
+        reached = next(orders)
+        used.update(islice(reached, start, None))
+        start = len(reached)
+        while i < len(values) and values[i] in used:
+            i += 1
+        if i == len(values):
+            raise NotRepresentableError(
+                f"value set exhausted after {n - 1} rebuilt terms"
+            )
+        rebuilt.append(values[i])
+    return rebuilt

@@ -18,6 +18,7 @@ from conftest import (
     scan_asc_ref,
     scan_desc_ref,
     successor_desc_ref,
+    successor_ref,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -230,13 +231,21 @@ def walked_family(name: str):
 def successor_chain(fam, start, count):
     chain = [start]
     while len(chain) < count:
-        chain.append(successor_asc(chain[-1], fam))
+        chain.append(successor_ref(chain[-1], fam))
     return chain
 
 
+def step_or_error(successor, mu, fam):
+    """successor(mu, fam), or the type and text of the error it raises."""
+    try:
+        return successor(mu, fam)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestWalkerAgainstSuccessor:
-    """enumerate_asc keeps its own block stack; successor_asc rescans each
-    member and is the reference."""
+    """enumerate_asc keeps its own block stack; conftest's successor_ref
+    rescans each member and is the reference."""
 
     @pytest.mark.parametrize("name", WALKED)
     def test_first_members(self, name):
@@ -271,11 +280,30 @@ class TestWalkerAgainstSuccessor:
             cur = ZERO
             while True:
                 yield cur
-                cur = successor_asc(cur, fam)
+                cur = successor_ref(cur, fam)
 
         walked = until_family_error(enumerate_asc(fam))
         assert walked == until_family_error(chain_walk())
         assert walked[-1] == basis(4)
+        # successor_asc, one walker step, raises the rescan's FamilyError at the table's end
+        assert [step_or_error(successor_asc, mu, fam) for mu in walked] == [
+            step_or_error(successor_ref, mu, fam) for mu in walked
+        ]
+        assert step_or_error(successor_asc, basis(4), fam)[0] is FamilyError
+
+    @pytest.mark.parametrize("name", (*INTEGER_FIXTURES, "golden-41", "padic-5-20"))
+    def test_successor_is_one_walker_step(self, name):
+        # each member's successor is the rescan's; a member with one digit
+        # raised is one too or fails the same way, with the same witness
+        fam, rng = get_system(name).family, random.Random(name)
+        non_members = 0
+        for mu in islice(enumerate_asc(fam), 3000):
+            assert successor_asc(mu, fam) == successor_ref(mu, fam)
+            bumped = mu.plus_basis(rng.randint(1, mu.order_asc + 1), rng.randint(1, 3))
+            got = step_or_error(successor_asc, bumped, fam)
+            assert got == step_or_error(successor_ref, bumped, fam)
+            non_members += type(got) is tuple
+        assert non_members > 100
 
     def test_non_member_start(self):
         walk = enumerate_asc(FIB, CoeffFn.parse("1:1,2:1,9:1"))

@@ -268,7 +268,8 @@ class TestDigitLimit:
     def test_names_the_token_and_the_limit(self, capsys, argv, shown):
         rc, lines, err = run(capsys, *argv)
         assert rc == 2
-        headers = 0 if argv[0] == "verify-maximal" else 1  # a value verb prints its header first
+        # tokens are parsed before the header: only decode's parses, its value is what cannot print
+        headers = 1 if argv[0] == "decode" else 0
         assert len(lines) == headers and all(line.startswith("# ") for line in lines)
         limit = sys.get_int_max_str_digits()
         assert err == f"config error: {shown} needs an integer longer than Python's {limit}-digit conversion limit\n"
@@ -416,6 +417,29 @@ class TestErrors:
         assert rc == 1
         assert err == "error: no admissible function of order <= 2094 has value 10000000000000000000... (1,000 digits)\n"
         assert len(err) < 200
+
+
+# each value verb on a fixture of its kind: a good token, then a malformed one
+VALUE_VERBS = [
+    ("encode", "fib", "5", "-5"),
+    ("decode", "fib", "1:1", "1:x"),
+    ("decode", "sevenths", "1:1", "2:1,1:1"),
+    ("shift", "fib", "1:1", "0:1"),
+    ("decompose", "fib", "1:1", "1:1,x"),
+    ("real-expand", "golden-real", "1/2", "1.5"),
+    ("real-expand", "sevenths", "1/2", "1e-20000"),
+    ("padic-expand", "golden-41", "0", "abc"),
+]
+
+
+@pytest.mark.parametrize("verb,fixture,good,bad", VALUE_VERBS, ids=[f"{v}-{f}" for v, f, _, _ in VALUE_VERBS])
+def test_tokens_are_parsed_before_any_output(capsys, verb, fixture, good, bad):
+    rc, lines, err = run(capsys, verb, "-f", fixture, "--", good, bad)
+    assert rc == 2
+    assert lines == []
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    rc, lines, _ = run(capsys, verb, "-f", fixture, "--", good)
+    assert rc == 0 and len(lines) == 2 and lines[1].startswith(f"{good}\t")
 
 
 # every verb bound to a system, run on a fixture of a kind its wiring rejects
@@ -895,6 +919,8 @@ GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_T
     ("converse-probe -f padic-5-20 --cap -1", None),
     ("verify-recurrence -f fib --coeffs 1,x --start 3 --stop 5", None),
     ("verify-recurrence -f fib --coeffs 2,1 --start 3 --stop 5", None),
+    ("verify-recurrence -f fib --coeffs , --start 3 --stop 5", None),
+    ("verify-recurrence -f fib --coeffs 1,1 --start 5 --stop 2", None),
     ("verify-maximal -f golden-real --n 2 --horizon 0", None),
     ("verify-maximal -f sevenths --n 2 --horizon 5 --tol abc", None),
     ("real-expand -f sevenths --max-blocks -1 1/2", None),

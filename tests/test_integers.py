@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecknum import load_fixture
-from zecknum.blocks import FamilyError, is_member_asc
-from zecknum.coeff import ZERO, CoeffFn
+from zecknum import blocks, load_fixture
+from zecknum.blocks import FamilyError, WalkLimitError, is_member_asc
+from zecknum.coeff import ZERO, CoeffFn, TableEndError
 from zecknum.integers import (
     FundamentalSeq,
     NotRepresentableError,
     decode_int,
     encode_int,
     enumerate_subset,
-    reconstruct_sequence,
     shift_value,
 )
 from zecknum.recurrences import pinned_radix_seq
 
-from conftest import INTEGER_FIXTURES, get_system, top_ref
+from conftest import INTEGER_FIXTURES, get_system, reconstruct_sequence, top_ref
 
 # dips longer than 16 terms: Q_22 = 2 after twenty terms of 1000, and a
 # depth-21 recurrence whose last seed Q_21 = 1 follows nineteen of them
@@ -58,6 +57,15 @@ class TestFundamentalSeq:
             seq.value(4)
         with pytest.raises(IndexError):
             seq.value(0)
+
+    def test_table_end_is_its_own_error(self):
+        # a config fault, so a FamilyError; an IndexError still, for the readers that catch one
+        with pytest.raises(TableEndError, match="^Q: bounded table of 3 terms, index 4$") as exc:
+            FundamentalSeq([1, 2, 3]).value(4)
+        assert isinstance(exc.value, FamilyError) and isinstance(exc.value, IndexError)
+        with pytest.raises(IndexError) as exc:
+            FundamentalSeq([1, 2, 3]).value(0)
+        assert not isinstance(exc.value, ValueError)  # an index below 1 is the caller's bug
 
     def test_upto_and_len(self):
         seq = FundamentalSeq([1], lambda n, s: s.value(n - 1) * 2)
@@ -271,6 +279,23 @@ class TestEnumerateSubset:
     def test_bad_bound(self, fib):
         with pytest.raises(ValueError):
             enumerate_subset(fib.family, fib.sequence, -1)
+
+
+class TestLongValues:
+    """Values past Python's int/str conversion limit are named in messages by
+    their first 20 digits and their digit count."""
+
+    def test_refusal_reaches_the_greedy(self, seven_scaled):
+        # the bounded search's refusal names x, then the greedy names its remainder
+        with pytest.raises(NotRepresentableError, match="^4 is below every basis value of Q$"):
+            encode_int(10**5000 + 2, seven_scaled.family, seven_scaled.sequence)
+
+    def test_node_budget_names_a_long_value(self, monkeypatch, mult_2_3):
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 4)
+        with pytest.raises(WalkLimitError) as exc:
+            encode_int(10**5000 + 1, mult_2_3.family, mult_2_3.sequence)
+        msg = str(exc.value)
+        assert len(msg) < 200 and "encoding 10000000000000000000... (5,001 digits) visits" in msg
 
 
 class TestReconstruct:

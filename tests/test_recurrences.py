@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from conftest import maximal_row
 
@@ -233,3 +235,12 @@ class TestVerifyRecurrence:
     def test_start_too_low(self, fib):
         with pytest.raises(ValueError):
             verify_recurrence(fib.sequence, (1, 1), 2, 10)
+
+    def test_nothing_to_check_is_refused(self, fib):
+        # no coefficients would compare every term with 0, and an empty range
+        # would claim the recurrence holds without reading a term
+        with pytest.raises(ValueError, match=re.escape("nothing to check: 0 coefficients on [3, 10]")):
+            verify_recurrence(fib.sequence, (), 3, 10)
+        with pytest.raises(ValueError, match=re.escape("nothing to check: 2 coefficients on [5, 2]")):
+            verify_recurrence(fib.sequence, (1, 1), 5, 2)
+        assert verify_recurrence(fib.sequence, (1, 1), 5, 5) == []

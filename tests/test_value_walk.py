@@ -39,7 +39,7 @@ from zecknum.blocks import (
     successor_asc,
     walk_asc,
 )
-from zecknum.coeff import CoeffFn
+from zecknum.coeff import CoeffFn, TableEndError
 from zecknum.integers import (
     FundamentalSeq,
     NotRepresentableError,
@@ -466,13 +466,13 @@ class TestFailuresAtTheSameMember:
                 check_unique(self.TABLE, self.FIB_Q, 6, stop)
 
     def test_bounded_sequence(self):
-        assert self.both(FIB, self.SHORT_Q, 6)[0] is IndexError
+        assert self.both(FIB, self.SHORT_Q, 6)[0] is TableEndError
         with pytest.raises(IndexError) as ref:
             check_unique_ref(FIB, self.SHORT_Q, 6)
         with pytest.raises(IndexError, match=re.escape(str(ref.value))):
             check_unique(FIB, self.SHORT_Q, 6)
 
-    @pytest.mark.parametrize("limit,error", [(8, WalkLimitError), (9, WalkLimitError), (13, IndexError)])
+    @pytest.mark.parametrize("limit,error", [(8, WalkLimitError), (9, WalkLimitError), (13, TableEndError)])
     def test_member_limit_before_the_value(self, monkeypatch, limit, error):
         # fib has 8 members of order <= 4, then the 5 of order 5 from basis(5):
         # an order past the limit is refused whole, before its missing Q_5 is
