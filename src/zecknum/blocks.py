@@ -317,19 +317,6 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
     return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, start))
 
 
-def _runs(digits: list[tuple[int, int]], n: int, qs: list[int]) -> Iterator[tuple[int, int, int, int]]:
-    """The runs row n+1's members of order n fall into, in lex order: for each
-    pair (k, c) = digits[i] and t < c (t >= 1 at k = n), (i, k, t, shift), the
-    members of order < k under digits[:i] and t at k, worth ``shift`` (by qs)
-    more; last (len(digits), 1, 0, shift), row n+1 over zero."""
-    prefix = 0
-    for i, (k, c) in enumerate(digits):
-        for t in range(k == n, c):
-            yield i, k, t, prefix + t * qs[k]
-        prefix += c * qs[k]
-    yield len(digits), 1, 0, prefix
-
-
 def order_values(
     fam: PredecessorFamily, q: Callable[[int], int], cap: int, modulus: int | None = None
 ) -> Iterator[list[int]]:
@@ -338,9 +325,9 @@ def order_values(
     Yields one list, grown in place: after step n (n = 0..cap) it holds the
     values of the members of order <= n in lex order, index = rank, so order
     n's values are its tail past the previous step's length.  Step n appends,
-    for each of row n+1's runs (_runs), the list's first size[k] values (the
-    members of order < k) plus the run's shift.  Values are reduced mod
-    ``modulus``.
+    for each pair (k, c) of row n+1, top first, and t < c (t >= 1 at k = n),
+    a run: the first size[k] values (order < k) plus the value of the row
+    above k and t at k; then the row's own value, all mod ``modulus``.
 
     Each order is built whole or not at all: its size, the sum of size[k]
     over row n+1's runs, is read off the row's digits before Q_n is read, and
@@ -361,32 +348,45 @@ def order_values(
         size.append(len(values) + 1 + sum((c - (k == n)) * size[k] for k, c in digits))
         if size[-1] > MEMBER_LIMIT:
             raise _limit_error(cap)
-        qn = q(n)
-        qs.append(qn % modulus if modulus else qn)
-        for _, k, _, shift in _runs(digits, n, qs):
-            base = values[: size[k]]
-            values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
+        qs.append(q(n) % modulus if modulus else q(n))
+        prefix = 0
+        for k, c in digits:
+            base, qk = values[: size[k]], qs[k]
+            for t in range(k == n, c):
+                shift = prefix + t * qk
+                values += [(v + shift) % modulus for v in base] if modulus else [v + shift for v in base]
+            prefix += c * qk
+        values.append(prefix % modulus if modulus else prefix)
         yield values
 
 
-def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bound: int) -> list[tuple[tuple, int]]:
-    """(pairs, value) of the members of order <= cap worth at most ``bound``,
-    in lex order, pairs ascending: order_values' runs, each copying only the
-    kept members worth at most bound - shift; shifts grow (every Q_k >= 1), so
-    the first past the bound ends the row.  Every Q_n and row n+1 is read, to
-    fail as the walk does; past MEMBER_LIMIT members kept WalkLimitError."""
-    kept, size, qs = [((), 0)], [0, 1], [0]  # size[k]: kept members of order < k
+def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bound: int) -> list[tuple[CoeffFn, int]]:
+    """(member, value) of the members of order <= cap worth at most ``bound``,
+    in lex order: order_values' runs, each copying the kept members worth at
+    most bound - shift; shifts grow (every Q_k >= 1).  Every Q_n and row n+1
+    is read, to fail as the walk does; past MEMBER_LIMIT kept, WalkLimitError."""
+    trusted = CoeffFn._trusted  # each member built once, from pairs known valid
+    refusal = "more than {:,} members have value <= {}; lower the bound"  # formatted only when raised
+    kept, size, qs = [(ZERO, 0)], [0, 1], [0]  # size[k]: kept members of order < k
     for n in range(1, _check_cap(cap) + 1):
         qs.append(q(n))
-        digits = fam.digits(n + 1)
-        for i, k, t, shift in _runs(digits, n, qs):
-            if shift > bound:
-                break
-            room, above = bound - shift, tuple(digits[:i][::-1])
-            suffix = ((k, t), *above) if t else above
-            kept += [(pairs + suffix, v + shift) for pairs, v in kept[: size[k]] if v <= room]
+        prefix, above = 0, ()  # above: the row's pairs over k, ascending
+        for k, c in fam.digits(n + 1):
+            for t in range(k == n, c):
+                shift = prefix + t * qs[k]
+                if shift > bound:
+                    break
+                room, suffix = bound - shift, ((k, t),) + above if t else above
+                for mu, v in kept[: size[k]]:  # a loop, not a comprehension: most runs are short
+                    if v <= room:
+                        kept.append((trusted(mu._pairs + suffix), v + shift))
+                if len(kept) > MEMBER_LIMIT:  # checked after every run
+                    raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
+            prefix, above = prefix + c * qs[k], ((k, c),) + above
+        if prefix <= bound:  # row n+1 over zero
+            kept.append((trusted(above), prefix))
             if len(kept) > MEMBER_LIMIT:
-                raise WalkLimitError(f"more than {MEMBER_LIMIT:,} members have value <= {bound}; lower the bound")
+                raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
         size.append(len(kept))
     return kept
 

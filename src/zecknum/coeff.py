@@ -70,7 +70,7 @@ class CoeffFn:
 
     def __init__(self, digits: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if type(digits) is tuple and _canonical(digits):
-            object.__setattr__(self, "_pairs", digits)  # kept as given, not copied
+            _set_pairs(self, digits)  # kept as given, not copied
             return
         items = digits.items() if isinstance(digits, Mapping) else digits
         acc: dict[int, int] = {}
@@ -85,14 +85,14 @@ class CoeffFn:
                 acc[i] = acc.get(i, 0) + d
                 if acc[i] >= DIGIT_LIMIT:
                     raise ValueError(f"digit overflow at index {i}")
-        object.__setattr__(self, "_pairs", tuple(sorted(acc.items())))
+        _set_pairs(self, tuple(sorted(acc.items())))
 
     @classmethod
     def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "CoeffFn":
         """Wrap support pairs already known to be valid (ascending indices >= 1,
         digits in [1, DIGIT_LIMIT)) without checking them again."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_pairs", pairs)
+        _set_pairs(self, pairs)
         return self
 
     def __setattr__(self, name, value):
@@ -198,6 +198,7 @@ class CoeffFn:
         return cls(pairs)
 
 
+_set_pairs = CoeffFn._pairs.__set__  # the slot's own setter, past the immutability guard
 ZERO = CoeffFn()
 
 

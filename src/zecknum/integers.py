@@ -363,6 +363,5 @@ def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) ->
     to the last basis index whose value fits under the bound."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    trusted = CoeffFn._trusted
-    pairs = [(trusted(p), v) for p, v in blocks.order_members(fam, seq.value, seq.find_top(bound), bound)]
+    pairs = blocks.order_members(fam, seq.value, seq.find_top(bound), bound)
     return SubsetReport(bound, pairs, first_collision(pairs))

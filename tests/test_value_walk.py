@@ -254,7 +254,7 @@ class TestOrderMembers:
         *_, values = order_values(fam, q, cap)
         kept = order_members(fam, q, cap, max(values))
         assert [v for _, v in kept] == values
-        assert [CoeffFn._trusted(pairs) for pairs, _ in kept] == list(members_upto_order(fam, cap))
+        assert [mu for mu, _ in kept] == list(members_upto_order(fam, cap))
 
     def test_member_limit_counts_the_members_kept(self, monkeypatch):
         s = get_system("mult-11-3")  # 188 members worth at most 200, of 1521 up to order 3
@@ -263,6 +263,25 @@ class TestOrderMembers:
         monkeypatch.setattr(blocks, "MEMBER_LIMIT", 187)
         with pytest.raises(WalkLimitError, match="^more than 187 members have value <= 200; lower the bound$"):
             enumerate_subset(s.family, s.sequence, 200)
+
+    def test_member_limit_counts_the_last_run(self, monkeypatch):
+        # fib's 13 members worth at most 12 end with order 5's last run, row
+        # 6 over zero: 1:1,3:1,5:1 = 12, the one member of that run
+        s = get_system("fib")
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 13)
+        report = enumerate_subset(s.family, s.sequence, 12)
+        assert len(report.pairs) == 13 and report.pairs[-1] == (CoeffFn.parse("1:1,3:1,5:1"), 12)
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 12)
+        with pytest.raises(WalkLimitError, match="^more than 12 members have value <= 12; lower the bound$"):
+            enumerate_subset(s.family, s.sequence, 12)
+
+    @pytest.mark.parametrize("name", ["fib", "pin-3", "mult-11-3", "blocks7"])
+    def test_every_bound(self, name):
+        # every bound up to 200 ends the build at another run of some row
+        s = get_system(name)
+        fam, seq = s.family, s.sequence
+        for bound in range(201):
+            assert enumerate_subset(fam, seq, bound) == enumerate_subset_ref(fam, seq, bound), bound
 
 
 class TestLimitAtLevelBoundaries:
@@ -392,7 +411,7 @@ class TestProbesAgainstReference:
             if xs.step == 1:
                 members = ((mu, decode_int(mu, seq)) for mu in members_upto_order(fam, cap))
             else:
-                members = ((CoeffFn._trusted(pairs), v) for pairs, v in order_members(fam, seq.value, cap, bound))
+                members = order_members(fam, seq.value, cap, bound)
             first = {}
             for mu, v in members:
                 first.setdefault(v, mu)
@@ -543,6 +562,13 @@ class TestWorkCounters:
         assert built["trusted"] + built["init"] <= 2
         assert report.collision == (114, CoeffFn.parse("1:6"), CoeffFn.parse("2:8,3:1"))
         assert report.members_seen == 1521 if not stop else report.members_seen < 1521
+
+    @pytest.mark.parametrize("name,bound,members", [("pin-3", 1000, 998), ("mult-11-3", 200, 188)])
+    def test_subset_builds_each_member_once(self, built, name, bound, members):
+        s = get_system(name)
+        report = enumerate_subset(s.family, s.sequence, bound)
+        assert len(report.pairs) == members
+        assert built["trusted"] <= members and built["init"] == 0
 
     def test_counters_see_the_walk(self, built):
         # the counters are live: a walk that builds its members is counted
