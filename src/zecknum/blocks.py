@@ -40,20 +40,20 @@ class RowShape(NamedTuple):
 class PredecessorFamily:
     """Lazily-validated table n -> immediate predecessor of basis(n), n >= 2.
 
-    Rows come from a RowShape, or from ``row_fn(n)`` wrapped as a shape whose
-    head is the whole row; each is built once, and row n must have order n-1
-    and digits in [0, DIGIT_LIMIT).  Bounded tables raise FamilyError past
-    their last row.
+    Rows come from a RowShape, or from ``row_fn(n)``, row n's (index, digit)
+    pairs, wrapped as a shape whose head is the whole row.  Each is built once
+    and checked there only: order n-1, indices >= 1, int digits in [0,
+    DIGIT_LIMIT).  Bounded tables raise FamilyError past their last row.
     """
 
     def __init__(
         self,
-        row_fn: Callable[[int], CoeffFn] | None = None,
+        row_fn: Callable[[int], Iterable[tuple[int, int]]] | None = None,
         name: str = "family",
         shape: RowShape | None = None,
     ):
         if row_fn is not None:
-            shape = RowShape(lambda j, r: 0, head=lambda n: row_fn(n).items(), top=lambda n: 0)
+            shape = RowShape(lambda j, r: 0, head=row_fn, top=lambda n: 0)
         self.name = name
         self.shape = shape
         self.derived = None  # its derived sequence, kept by integers.FundamentalSeq.from_family
@@ -63,8 +63,8 @@ class PredecessorFamily:
         self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
-        """Row n as a CoeffFn, built from digits(n) on each call."""
-        return CoeffFn(self.digits(n))
+        """Row n as a CoeffFn, wrapped from digits(n) on each call."""
+        return CoeffFn._trusted(tuple(reversed(self.digits(n))))
 
     def digits(self, n: int) -> list[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs, top first, read from parts(n):
@@ -98,14 +98,14 @@ class PredecessorFamily:
         for j in range(len(tail), top + 1):
             tail.append(self._checked(j, s.tail(j, r)))
             nonzero.append(j if tail[j] else nonzero[j - 1])
-        head = {k: self._checked(k, d) for k, d in sorted(s.head(n), reverse=True) if d}
+        head = {k: d for k, d in sorted(s.head(n), reverse=True) if self._checked(k, d)}
         order = next(iter(head), 0) or nonzero[top]
         if order != n - 1:
             raise FamilyError(f"{self.name}: row {n} has order {order}, expected {n - 1}")
         return head, top, tail, r
 
     def _checked(self, k: int, d: int) -> int:
-        if not 0 <= d < DIGIT_LIMIT:
+        if type(d) is not int or not 0 <= d < DIGIT_LIMIT or k < 1:
             raise FamilyError(f"{self.name}: digit {d} at index {k} is out of range")
         return d
 
@@ -147,8 +147,8 @@ class MaximalFamily:
             check_horizon(horizon)
             flip = horizon + 1
 
-            def row(m: int) -> CoeffFn:
-                return CoeffFn((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
+            def row(m: int) -> Iterator[tuple[int, int]]:
+                return ((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
 
             mirror = self._mirrors[horizon] = PredecessorFamily(row, name=f"{self.name}@{horizon}")
         return mirror
@@ -242,13 +242,13 @@ def successor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
 
 
 def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
-    """Inverse of successor_asc; undefined on the zero function."""
+    """Inverse of successor_asc, undefined on zero: the lowest digit of ``mu``,
+    at n, goes down by one and row n's digits fill the indices below it."""
     if not mu:
         raise ValueError("the zero function has no predecessor")
-    if mu.digit(1) >= 1:
-        return mu.minus_basis(1)
-    n = mu.order_desc
-    return fam.row(n) + mu.minus_basis(n)
+    (n, d), above = mu.items()[0], mu.items()[1:]
+    below = tuple(reversed(fam.digits(n))) if n > 1 else ()
+    return CoeffFn._trusted(below + (((n, d - 1),) if d > 1 else ()) + above)
 
 
 # Most members one order-capped build may hold, and most nodes one encode may

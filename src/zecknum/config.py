@@ -48,7 +48,7 @@ class System(NamedTuple):
 
 
 def _ints(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, int) for x in v)
+    return isinstance(v, list) and all(type(x) is int for x in v)  # a JSON true is no integer
 
 
 _KINDS = {  # kind -> (what a value must be, check); kind "int" coerces with int() instead
@@ -95,7 +95,11 @@ def _integer_family(entry: dict):
         blocks = _need(entry, "family", "blocks", "rows")
         return family_from_blocks([tuple(b) for b in blocks], entry.get("name", "blocks")).family, None
     if t == "table":
-        return family_from_table(_need(entry, "family", "rows", "rows")), None
+        rows = _need(entry, "family", "rows", "rows")
+        fam = family_from_table(rows)
+        for n in range(2, len(rows) + 2):  # every row checked at load, before any output
+            fam.parts(n)
+        return fam, None
     if t == "greedy":
         return family_from_sequence(_need(entry, "family", "values")), None
     raise FamilyError(f"unknown family type {t!r}")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import blocks
 from .blocks import PredecessorFamily, FamilyError, WalkLimitError, first_collision
-from .coeff import CoeffFn, NotRepresentableError, TableEndError, basis
+from .coeff import CoeffFn, NotRepresentableError, TableEndError
 
 EXTENSION_LIMIT = 10**6
 
@@ -97,6 +97,8 @@ class FundamentalSeq:
         seq = cls(seeds, ext, name)
         if not cs:  # a table gives fixed terms
             raise FamilyError(f"{name}: a linear sequence needs at least one coefficient")
+        if not any(cs):  # with every c_j >= 0, one positive keeps every term past the seeds positive
+            raise FamilyError(f"{name}: every coefficient is 0; a linear sequence needs a positive one")
         if len(seq) < len(cs):  # Q_{m+1} would read Q_0
             raise FamilyError(f"{name}: {len(seq)} seeds for {len(cs)} coefficients; "
                               "a linear sequence needs a seed per coefficient")

@@ -13,7 +13,6 @@ from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
-from .coeff import CoeffFn
 from .integers import FundamentalSeq
 
 
@@ -31,7 +30,7 @@ class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
         e = tuple(e)
         if not e:
             raise FamilyError("multiplicity list is empty")
-        if any(not isinstance(v, int) or v < 0 for v in e):
+        if any(type(v) is not int or v < 0 for v in e):
             raise FamilyError(f"multiplicity list {e} has a negative or non-integer entry")
         if e[0] < 1 or e[-1] < 1:
             raise FamilyError(f"multiplicity list {e} must start and end positive")
@@ -155,11 +154,10 @@ def family_from_table(rows: Sequence[Sequence[int]], name: str = "table") -> Pre
     """Explicit bounded family: rows[i] is row i+2, dense digits low-to-high."""
     dense = [tuple(r) for r in rows]
 
-    def row(n: int) -> CoeffFn:
-        i = n - 2
-        if i >= len(dense):
+    def row(n: int) -> Iterator[tuple[int, int]]:
+        if n - 2 >= len(dense):
             raise FamilyError(f"{name}: table ends at row {len(dense) + 1}, asked for {n}")
-        return CoeffFn((j + 1, d) for j, d in enumerate(dense[i]) if d)
+        return enumerate(dense[n - 2], 1)
 
     return PredecessorFamily(row, name)
 
@@ -177,7 +175,7 @@ def family_from_sequence(values: Sequence[int], name: str = "greedy") -> Predece
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise FamilyError(f"{name}: sequence must be strictly increasing")
 
-    def row(n: int) -> CoeffFn:
+    def row(n: int) -> list[tuple[int, int]]:
         if not 2 <= n <= len(vals):
             raise FamilyError(f"{name}: no row {n} for a table of {len(vals)} values")
         rem = vals[n - 1] - 1
@@ -186,7 +184,7 @@ def family_from_sequence(values: Sequence[int], name: str = "greedy") -> Predece
             d, rem = divmod(rem, vals[k - 1])
             if d:
                 pairs.append((k, d))
-        return CoeffFn(pairs)
+        return pairs
 
     return PredecessorFamily(row, name)
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import islice, product
+from contextlib import suppress
+from itertools import islice, pairwise, product
 
 import pytest
 from conftest import (
@@ -23,6 +24,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zecknum import load_fixture
 from zecknum.blocks import (
     MEMBER_LIMIT,
     FamilyError,
@@ -40,9 +42,9 @@ from zecknum.blocks import (
     successor_asc,
 )
 from zecknum.coeff import ZERO, CoeffFn, basis, from_dense
-from zecknum.integers import encode_int
+from zecknum.integers import FundamentalSeq, encode_int
 from zecknum.real import harmonic_maximal_family, periodic_maximal_family
-from zecknum.recurrences import MultiplicityList, family_from_table, index_bounded_family
+from zecknum.recurrences import MultiplicityList, family_from_sequence, family_from_table, index_bounded_family
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
 FIB_MAX = MultiplicityList((1, 1)).maximal_family()
@@ -87,6 +89,12 @@ class TestPredecessorFamily:
         bad = PredecessorFamily(lambda n: basis(n), name="bad")
         with pytest.raises(FamilyError):
             bad.row(2)
+
+    def test_plain_pairs_checked(self):
+        # a row function hands over plain pairs; the family checks each index and digit
+        for pairs, witness in [([(2, 1), (0, 1)], "1 at index 0"), ([(2, 1), (1, -1)], "-1 at index 1")]:
+            with pytest.raises(FamilyError, match=f"digit {witness} is out of range"):
+                PredecessorFamily(lambda n: pairs, name="plain").row(3)
 
     def test_rows_memoized(self):
         calls = []
@@ -218,9 +226,8 @@ class TestAscendingOrder:
 
 # rows 2..40 with digits 0..2 below a top digit of 1 or 2: far more members
 # below order 40 than the walks below take
-TABLE = family_from_table(
-    [[(n + 2 * j) % 3 for j in range(1, n - 1)] + [1 + n % 2] for n in range(2, 41)], name="table"
-)
+TABLE_ROWS = [[(n + 2 * j) % 3 for j in range(1, n - 1)] + [1 + n % 2] for n in range(2, 41)]
+TABLE = family_from_table(TABLE_ROWS, name="table")
 WALKED = (*INTEGER_FIXTURES, "golden-41", "padic-5-20", "table")
 
 
@@ -324,6 +331,56 @@ class TestWalkerAgainstSuccessor:
         walk = members_upto_order(get_system("mult-11-3").family, 8)
         with pytest.raises(ValueError, match=f"order cap 8 walks more than {MEMBER_LIMIT:,} members; lower the cap"):
             deque(walk, maxlen=0)
+
+
+ROW_FN_FAMILIES = ("table", "greedy", "sevenths@8", "sevenths@11")
+
+
+def row_fn_family(name: str):
+    """A fresh family whose rows come from a row function (no row built yet),
+    its last row read below (at most 12), and a reference for row n."""
+    if name == "table":
+        return family_from_table(TABLE_ROWS), 12, lambda n: from_dense(TABLE_ROWS[n - 2])
+    if name == "greedy":
+        return family_from_sequence(FundamentalSeq.from_family(FIB).upto(30)), 12, FIB.row
+    horizon, sevenths = int(name.partition("@")[2]), load_fixture("sevenths").family
+
+    def mirrored(m: int) -> CoeffFn:
+        return CoeffFn((horizon + 1 - k, d) for k, d in maximal_row(sevenths, horizon + 2 - m, horizon).items())
+
+    return sevenths.mirror(horizon), min(horizon + 1, 12), mirrored
+
+
+class TestRowFunctionFamilies:
+    """table, greedy and mirrored (0,1) rows are plain pairs checked once, by
+    the family's own digit check; the digit functions built from them are
+    wrapped, not checked again."""
+
+    @pytest.mark.parametrize("name", ROW_FN_FAMILIES)
+    def test_rows_build_no_checked_digit_function(self, monkeypatch, name):
+        fam, last, ref = row_fn_family(name)
+        built, init = [], CoeffFn.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoeffFn, "__init__", counted)
+        rows = [fam.row(n) for n in range(2, last + 1)]
+        assert built == []
+        monkeypatch.undo()
+        assert rows == [ref(n) for n in range(2, last + 1)]
+
+    @pytest.mark.parametrize("name", ROW_FN_FAMILIES)
+    def test_predecessor_inverts_successor(self, name):
+        fam, members = row_fn_family(name)[0], []
+        with suppress(FamilyError):  # sevenths@8 walks its 196 members and basis(9), then runs out of rows
+            members.extend(islice(enumerate_asc(fam), 501))
+        assert len(members) == (197 if name == "sevenths@8" else 501)
+        for mu, following in pairwise(members):
+            nxt = successor_asc(mu, fam)
+            assert nxt == following
+            assert predecessor_asc(nxt, fam) == mu
 
 
 def no_adjacent(bits: list[int]) -> CoeffFn:

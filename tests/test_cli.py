@@ -525,6 +525,34 @@ class TestConfigFile:
         assert lines == []
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize(
+        "key,doc",
+        [
+            ("family.e", {"family": {"type": "multiplicity", "e": [True, True]}}),
+            ("family.c", {"family": {"type": "neg-recurrence", "c": [3, True]}}),
+            ("family.rows", {"family": {"type": "table", "rows": [[True], [False, True]]}}),
+            ("family.rows", {"kind": "real", "family": {"type": "periodic", "rows": [[True, False], [True]]}}),
+            ("family.blocks", {"family": {"type": "blocks", "blocks": [[0, 0], [True, 0]]}}),
+            ("family.values", {"family": {"type": "greedy", "values": [True, 2, 3]}}),
+            ("sequence.seeds", {"sequence": {"type": "linear", "seeds": [True, 2], "coeffs": [1, 1]}}),
+            ("sequence.coeffs", {"sequence": {"type": "linear", "seeds": [1, 2], "coeffs": [True, True]}}),
+            ("sequence.values", {"sequence": {"type": "table", "values": [True, 2, 3]}}),
+        ],
+    )
+    def test_booleans_are_not_integers(self, capsys, tmp_path, key, doc):
+        # JSON true and false parse as Python bools, an int subclass; every
+        # integer list refuses them at load
+        doc = {"kind": "integer", "family": {"type": "multiplicity", "e": [1, 1]}, "sequence": {"type": "derived"}, **doc}
+        if doc["kind"] == "real":
+            doc["sequence"] = {"type": "block-geometric", "seeds": ["1/3", "1/4"], "ratio": "1/9"}
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["real-expand", "1/4"] if doc["kind"] == "real" else ["encode", "7"]
+        rc, lines, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err.count("\n") == 1 and err.startswith(f"config error: {key} must be a list of integer")
+
 
     @pytest.mark.parametrize("verb", [["real-expand", "1/4"], ["enumerate"], ["verify-maximal", "--n", "2", "--horizon", "9"]])
     def test_periodic_own_row_one_all_zeros(self, capsys, tmp_path, verb):
@@ -712,6 +740,28 @@ class TestSequenceGrowth:
         assert rc == 2
         assert lines == []
         assert err == "config error: Q: a linear sequence needs at least one coefficient\n"
+
+    @pytest.mark.parametrize("argv", [["decode", "1:1", "2:1"], ["encode", "1", "2", "3"], ["subset", "--bound", "9"]])
+    def test_linear_with_zero_coefficients(self, capsys, tmp_path, argv):
+        # Q_2 = 0 * Q_1 would be 0: refused at load, not at the first record reading it
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [3], "coeffs": [0]})
+        rc, lines, err = run(capsys, argv[0], "-c", config, *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: Q: every coefficient is 0; a linear sequence needs a positive one\n"
+
+    @pytest.mark.parametrize("argv", [["encode", "1", "2", "3", "4", "5"], ["enumerate", "--count", "12"], ["decode", "1:1"]])
+    def test_malformed_table_refused_at_load(self, capsys, tmp_path, argv):
+        # row 4 has order 2; the walk and the encoder would meet it only after
+        # printing the records and members below it
+        doc = {"kind": "integer", "family": {"type": "table", "rows": [[1], [0, 1], [1, 1, 0]]},
+               "sequence": {"type": "derived"}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: table: row 4 has order 2, expected 3\n"
 
     def test_other_index_errors_keep_their_traceback(self, monkeypatch):
         from zecknum.integers import FundamentalSeq

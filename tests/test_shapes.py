@@ -200,6 +200,8 @@ def test_scan_matches_reference(name):
         ([lambda n: -1], lambda j: 1),
         ([DIGIT_LIMIT], lambda j: 1),
         ([1], lambda j: DIGIT_LIMIT),
+        ([1], lambda j: True),  # a bool is an int subclass, not a digit
+        ([True], lambda j: 1),
     ],
 )
 def test_out_of_range_digit_rejected(head, tail):
