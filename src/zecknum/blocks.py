@@ -10,9 +10,8 @@ whole row ("maximal").
 A *descending system* (for numeration of (0,1)) is determined by a maximal
 family: for every n >= 1 a row of order n with infinite support, the largest
 member starting at index n, given by its nonzero digits.  At a finite horizon
-M it is the ascending system of its mirror, index i read as M+1-i: the same
-scan decides membership and blocks (a block cut by the horizon is the
-mirror's maximal one, flagged as truncated), and the same walker enumerates.
+M it is the ascending system of its mirror, index i read as M+1-i, and the
+same walker enumerates its members.
 """
 
 from __future__ import annotations
@@ -158,34 +157,19 @@ class MaximalFamily:
 
 
 class Block(NamedTuple):
-    """One block of a decomposition: the digits on the indices [lo, hi].
-
-    ``maximal`` marks an ascending bottom block that exhausts a family row;
-    ``truncated`` marks a descending last block cut by the horizon.
-    """
+    """One block of a decomposition: the digits on the indices [lo, hi];
+    ``maximal`` marks a bottom block that exhausts a family row."""
 
     lo: int
     hi: int
     digits: CoeffFn
     maximal: bool = False
-    truncated: bool = False
 
 
 class Decomposition(NamedTuple):
     """Blocks in ascending index order, tiling [1, top] with no gaps."""
 
     blocks: tuple[Block, ...]
-
-
-def _cut(fn: CoeffFn, spans: Iterable[tuple[int, int, bool]], flag: str) -> Decomposition:
-    """``fn`` cut into blocks along ascending spans (lo, hi, ``flag``) that tile
-    its support: one pass over its pairs, each block a slice of them."""
-    pairs, i, blocks = fn.items(), 0, []
-    for lo, hi, f in spans:
-        j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
-        blocks.append(Block(lo, hi, CoeffFn._trusted(pairs[i:j]), **{flag: f}))
-        i = j
-    return Decomposition(tuple(blocks))
 
 
 # -- ascending world ---------------------------------------------------------
@@ -223,8 +207,14 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
 
 
 def decompose_asc(mu: CoeffFn, fam: PredecessorFamily) -> Decomposition:
-    """Unique block decomposition of an ascending member (NotMemberError otherwise)."""
-    return _cut(mu, reversed(_scan_asc(mu, fam)), "maximal")
+    """Unique block decomposition of an ascending member (NotMemberError
+    otherwise): one pass over its pairs, each block a slice of them."""
+    pairs, i, blocks = mu.items(), 0, []
+    for lo, hi, maximal in reversed(_scan_asc(mu, fam)):
+        j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
+        blocks.append(Block(lo, hi, CoeffFn._trusted(pairs[i:j]), maximal))
+        i = j
+    return Decomposition(tuple(blocks))
 
 
 def is_member_asc(mu: CoeffFn, fam: PredecessorFamily) -> bool:
@@ -403,37 +393,6 @@ def first_collision(pairs: Iterable[tuple[object, object]]) -> tuple[object, obj
 
 
 # -- descending world: the ascending one on the mirrored family --------------
-
-
-def _spans_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> list[tuple[int, int, bool]]:
-    """Spans (lo, hi, truncated) of ``eps`` at the horizon, bottom-up: the
-    _scan_asc spans of its mirror read back, after an all-zero singleton for
-    each index below its lowest (the blocks _scan_asc leaves implicit above
-    the order).  A witness is read back too."""
-    check_horizon(horizon)
-    if eps.order_asc > horizon:
-        raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
-    flip = horizon + 1
-    mirrored = CoeffFn._trusted(tuple((flip - i, d) for i, d in reversed(eps.items())))
-    try:
-        spans = _scan_asc(mirrored, fam.mirror(horizon))
-    except NotMemberError as exc:
-        raise NotMemberError(flip - exc.witness) from None
-    zeros = [(i, i, False) for i in range(1, eps.order_desc or flip)]
-    return zeros + [(flip - hi, flip - lo, truncated) for lo, hi, truncated in spans]
-
-
-def decompose_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> Decomposition:
-    """Block decomposition of a horizon-restricted member (NotMemberError otherwise)."""
-    return _cut(eps, _spans_desc(eps, fam, horizon), "truncated")
-
-
-def is_member_desc(eps: CoeffFn, fam: MaximalFamily, horizon: int) -> bool:
-    try:
-        _spans_desc(eps, fam, horizon)
-        return True
-    except NotMemberError:
-        return False
 
 
 def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:

@@ -84,8 +84,9 @@ def cmd_fixtures(args) -> int:
 
 
 def _records(sys_: System, header: str, values: list[str], parse: Callable, record: Callable) -> int:
-    """The value verbs' output: every token parsed (form and range), then a header and one
-    ``token<TAB>record`` line per token; a lone '-' reads the tokens from stdin, one per line."""
+    """The value verbs' output: every token parsed (form, range, and a value that reads the
+    sequence), then a header and one ``token<TAB>record`` line per token; a lone '-' reads the
+    tokens from stdin, one per line."""
     if values == ["-"]:
         values = [line.strip() for line in sys.stdin if line.strip()]
     parsed = []
@@ -115,14 +116,14 @@ def cmd_encode(args, sys_: System, seq) -> int:
 
 
 def cmd_decode(args, sys_: System, seq) -> int:
-    return _records(sys_, "digits\tvalue", args.values, CoeffFn.parse,
-                    lambda fn: sys_.value(fn, args.seq))
+    return _records(sys_, "digits\tvalue", args.values,
+                    lambda tok: sys_.value(CoeffFn.parse(tok), args.seq), str)
 
 
 def cmd_shift(args, sys_: System, seq) -> int:
     from .integers import shift_value
-    return _records(sys_, "digits\tshifted value", args.values, CoeffFn.parse,
-                    lambda fn: shift_value(fn, seq))
+    return _records(sys_, "digits\tshifted value", args.values,
+                    lambda tok: shift_value(CoeffFn.parse(tok), seq), str)
 
 
 def cmd_decompose(args, sys_: System, seq) -> int:

@@ -130,45 +130,21 @@ class CoeffFn:
     def __hash__(self):
         return hash(self._pairs)
 
+    def __add__(self, other: "CoeffFn") -> "CoeffFn":
+        """Digit-wise sum."""
+        if not isinstance(other, CoeffFn):
+            return NotImplemented
+        return CoeffFn(self._pairs + other._pairs)
+
     def __repr__(self) -> str:
         return f"CoeffFn({self.render()!r})"
 
-    # -- orders ------------------------------------------------------------
+    # -- order -------------------------------------------------------------
 
     @property
     def order_asc(self) -> int:
         """Largest support index; 0 for the zero function."""
         return self._pairs[-1][0] if self._pairs else 0
-
-    @property
-    def order_desc(self) -> int | None:
-        """Smallest support index; None for the zero function."""
-        return self._pairs[0][0] if self._pairs else None
-
-    # -- surgery -----------------------------------------------------------
-
-    def restrict(self, lo: int = 1, hi: int | None = None) -> "CoeffFn":
-        """Digits on [lo, hi] (no upper end when hi is None), everything else dropped."""
-        return CoeffFn(
-            (i, d) for i, d in self._pairs if lo <= i and (hi is None or i <= hi)
-        )
-
-    def plus_basis(self, i: int, count: int = 1) -> "CoeffFn":
-        """This function with the digit at ``i`` raised by ``count``."""
-        return CoeffFn(self._pairs + ((i, count),))
-
-    def minus_basis(self, i: int) -> "CoeffFn":
-        d = self.digit(i)
-        if d < 1:
-            raise ValueError(f"digit at index {i} is 0, cannot decrement")
-        return CoeffFn(
-            tuple((j, e) for j, e in self._pairs if j != i) + ((i, d - 1),)
-        )
-
-    def __add__(self, other: "CoeffFn") -> "CoeffFn":
-        if not isinstance(other, CoeffFn):
-            return NotImplemented
-        return CoeffFn(self._pairs + other._pairs)
 
     # -- wire format -------------------------------------------------------
 
@@ -191,6 +167,8 @@ class CoeffFn:
                 i, d = int(i_str), int(d_str)
             except ValueError:
                 raise ValueError(f"bad sparse pair {chunk!r}") from None
+            if i < 1:
+                raise ValueError(f"index {i} < 1 at {chunk!r}")
             if i <= last:
                 raise ValueError(f"indices not strictly increasing at {chunk!r}")
             last = i
@@ -200,11 +178,6 @@ class CoeffFn:
 
 _set_pairs = CoeffFn._pairs.__set__  # the slot's own setter, past the immutability guard
 ZERO = CoeffFn()
-
-
-def basis(i: int) -> CoeffFn:
-    """The function with a single digit 1 at index ``i``."""
-    return CoeffFn(((i, 1),))
 
 
 def from_dense(digits: Iterable[int]) -> CoeffFn:

@@ -52,7 +52,7 @@ class FundamentalSeq:
 
     def _push(self, v: int) -> None:
         vals, n = self._vals, len(self._vals)
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise FamilyError(f"{self.name}: term {n + 1} is {v!r}, need a positive integer")
         if vals and v <= vals[-1]:
             self._increasing = False
@@ -111,10 +111,6 @@ class FundamentalSeq:
     def increasing(self) -> bool:
         """Whether every materialized term so far exceeds the one before it."""
         return self._increasing
-
-    @property
-    def bounded(self) -> bool:
-        return self._extend is None
 
     def __len__(self) -> int:
         return len(self._vals)

@@ -169,7 +169,9 @@ def family_from_sequence(values: Sequence[int], name: str = "greedy") -> Predece
     system represents every natural number below the last value uniquely,
     whatever the sequence.  Bounded: rows exist up to n = len(values).
     """
-    vals = [int(v) for v in values]
+    vals = list(values)
+    if bad := [v for v in vals if type(v) is not int]:
+        raise FamilyError(f"{name}: sequence term {bad[0]!r} is not an integer")
     if not vals or vals[0] != 1:
         raise FamilyError(f"{name}: sequence must start at 1")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -216,7 +218,9 @@ def family_from_blocks(
     values must cover 0..base-1 exactly, and taller rows stack the maximal
     block under a shifted seed row.
     """
-    blk = [tuple(int(d) for d in b) for b in blocks]
+    blk = [tuple(b) for b in blocks]
+    if bad := [d for b in blk for d in b if type(d) is not int]:
+        raise FamilyError(f"{name}: block digit {bad[0]!r} is not an integer")
     if not blk:
         raise FamilyError(f"{name}: no blocks given")
     width = len(blk[0])

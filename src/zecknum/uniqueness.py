@@ -105,8 +105,3 @@ def check_unique_multiplicity(
     seq = FundamentalSeq.from_linear(tuple(seeds), ml.recurrence_coeffs(), name=f"Q{tuple(seeds)}")
     return check_unique(fam, seq, default_order_cap(ml.e, shortcut), stop_at_collision)
 
-
-def count_upto_order(fam: PredecessorFamily, order_cap: int) -> int:
-    """Number of members of order <= order_cap, zero function included: the
-    derived Q_{order_cap+1}."""
-    return FundamentalSeq.from_family(fam).value(blocks._check_cap(order_cap) + 1)

@@ -3,16 +3,24 @@ from __future__ import annotations
 from bisect import bisect_right
 from decimal import Context, localcontext
 from itertools import accumulate, islice, takewhile
-from typing import Iterator
+from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from zecknum import System, blocks, load_fixture
-from zecknum.blocks import NotMemberError, WalkLimitError, _scan_asc, check_horizon, order_values, walk_asc
-from zecknum.coeff import ZERO, CoeffFn, basis
-from zecknum.integers import NotRepresentableError, SubsetReport, _shown, decode_int
+from zecknum.blocks import (
+    Decomposition,
+    NotMemberError,
+    WalkLimitError,
+    _scan_asc,
+    check_horizon,
+    order_values,
+    walk_asc,
+)
+from zecknum.coeff import DIGIT_LIMIT, ZERO, CoeffFn
+from zecknum.integers import FundamentalSeq, NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.uniqueness import UniquenessReport
 
@@ -132,6 +140,38 @@ def padic_5_20() -> System:
     return get_system("padic-5-20")
 
 
+# -- digit-function surgery over the support pairs ----------------------------
+
+
+def basis(i: int) -> CoeffFn:
+    """The function with a single digit 1 at index ``i``."""
+    return CoeffFn(((i, 1),))
+
+
+def restrict(fn: CoeffFn, lo: int = 1, hi: int | None = None) -> CoeffFn:
+    """Digits on [lo, hi] (no upper end when hi is None), everything else dropped."""
+    return CoeffFn((i, d) for i, d in fn.items() if lo <= i and (hi is None or i <= hi))
+
+
+def plus_basis(fn: CoeffFn, i: int, count: int = 1) -> CoeffFn:
+    """``fn`` with the digit at ``i`` raised by ``count``."""
+    return CoeffFn(fn.items() + ((i, count),))
+
+
+def minus_basis(fn: CoeffFn, i: int) -> CoeffFn:
+    """``fn`` with the digit at ``i`` lowered by one; ValueError where it is 0."""
+    d = fn.digit(i)
+    if d < 1:
+        raise ValueError(f"digit at index {i} is 0, cannot decrement")
+    return CoeffFn(tuple((j, e) for j, e in fn.items() if j != i) + ((i, d - 1),))
+
+
+def count_upto_order(fam, order_cap: int) -> int:
+    """Number of members of order <= order_cap, zero function included: the
+    derived Q_{order_cap+1}."""
+    return FundamentalSeq.from_family(fam).value(blocks._check_cap(order_cap) + 1)
+
+
 # -- lexicographic orders, the oracles for the walks' member order -----------
 
 
@@ -159,6 +199,58 @@ def lex_compare_desc(a: CoeffFn, b: CoeffFn) -> int:
         if da != db:
             return -1 if da < db else 1
     return 0
+
+
+# -- the mirror scan read back ---------------------------------------------------
+# A horizon-restricted (0,1) member split by the library's ascending scan on
+# the mirrored family, checked against the hand-written scan below.
+
+
+class DescBlock(NamedTuple):
+    """One block of a descending decomposition; ``truncated`` marks a last
+    block cut by the horizon (the mirror's maximal one)."""
+
+    lo: int
+    hi: int
+    digits: CoeffFn
+    truncated: bool
+
+
+def spans_desc(eps: CoeffFn, fam, horizon: int) -> list[tuple[int, int, bool]]:
+    """Spans (lo, hi, truncated) of ``eps`` at the horizon, bottom-up: the
+    _scan_asc spans of its mirror read back, after an all-zero singleton for
+    each index below its lowest (the blocks _scan_asc leaves implicit above
+    the order).  A witness is read back too."""
+    check_horizon(horizon)
+    if eps.order_asc > horizon:
+        raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
+    flip = horizon + 1
+    mirrored = CoeffFn._trusted(tuple((flip - i, d) for i, d in reversed(eps.items())))
+    try:
+        spans = _scan_asc(mirrored, fam.mirror(horizon))
+    except NotMemberError as exc:
+        raise NotMemberError(flip - exc.witness) from None
+    zeros = [(i, i, False) for i in range(1, eps.items()[0][0] if eps else flip)]
+    return zeros + [(flip - hi, flip - lo, truncated) for lo, hi, truncated in spans]
+
+
+def decompose_desc(eps: CoeffFn, fam, horizon: int) -> Decomposition:
+    """Block decomposition of a horizon-restricted member (NotMemberError
+    otherwise): one pass over its pairs, each block a slice of them."""
+    pairs, i, found = eps.items(), 0, []
+    for lo, hi, truncated in spans_desc(eps, fam, horizon):
+        j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)
+        found.append(DescBlock(lo, hi, CoeffFn._trusted(pairs[i:j]), truncated))
+        i = j
+    return Decomposition(tuple(found))
+
+
+def is_member_desc(eps: CoeffFn, fam, horizon: int) -> bool:
+    try:
+        spans_desc(eps, fam, horizon)
+        return True
+    except NotMemberError:
+        return False
 
 
 # -- the hand-written descending scan and its rescan walk ---------------------
@@ -220,8 +312,8 @@ def successor_desc_ref(eps: CoeffFn, fam, horizon: int) -> CoeffFn:
     if truncated:
         if lo == 1:
             raise AtMaximumError(f"maximum of the system restricted to [1, {horizon}]")
-        return eps.restrict(1, lo - 1).plus_basis(lo - 1)
-    return eps.plus_basis(horizon)
+        return plus_basis(restrict(eps, 1, lo - 1), lo - 1)
+    return plus_basis(eps, horizon)
 
 
 def enumerate_desc_ref(fam, horizon: int) -> Iterator[CoeffFn]:
@@ -291,8 +383,8 @@ def successor_ref(mu: CoeffFn, fam) -> CoeffFn:
     spans = _scan_asc(mu, fam)
     if spans and spans[-1][2]:
         n = spans[-1][1] + 1
-        return mu.restrict(n).plus_basis(n)
-    return mu.plus_basis(1)
+        return plus_basis(restrict(mu, n), n)
+    return plus_basis(mu, 1)
 
 
 # -- the encoder's bound table, one row at a time ---------------------------
@@ -364,11 +456,11 @@ _TOPS: WeakKeyDictionary = WeakKeyDictionary()
 def top_ref(seq, x: int) -> int:
     """Largest n <= TOP_HORIZON with Q_n <= x (0 if none), over every term."""
     if seq not in _TOPS:
-        terms = seq.upto(len(seq) if seq.bounded else TOP_HORIZON)
+        terms = seq.upto(len(seq) if seq._extend is None else TOP_HORIZON)
         ranked = sorted((v, n) for n, v in enumerate(terms, 1))
         _TOPS[seq] = [v for v, _ in ranked], list(accumulate((n for _, n in ranked), max)), terms[-1]
     values, best, last = _TOPS[seq]
-    assert seq.bounded or x < last, f"{seq.name}: Q_{TOP_HORIZON} = {last} does not exceed {x}"
+    assert seq._extend is None or x < last, f"{seq.name}: Q_{TOP_HORIZON} = {last} does not exceed {x}"
     i = bisect_right(values, x)
     return best[i - 1] if i else 0
 

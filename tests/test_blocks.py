@@ -9,13 +9,18 @@ import pytest
 from conftest import (
     INTEGER_FIXTURES,
     AtMaximumError,
+    basis,
     count_collisions_ref,
+    decompose_desc,
     enumerate_desc_ref,
     get_system,
+    is_member_desc,
     lex_compare_asc,
     lex_compare_desc,
     members_upto_order,
     maximal_row,
+    plus_basis,
+    restrict,
     scan_asc_ref,
     scan_desc_ref,
     successor_desc_ref,
@@ -32,16 +37,14 @@ from zecknum.blocks import (
     NotMemberError,
     PredecessorFamily,
     decompose_asc,
-    decompose_desc,
     enumerate_asc,
     enumerate_desc,
     first_collision,
     is_member_asc,
-    is_member_desc,
     predecessor_asc,
     successor_asc,
 )
-from zecknum.coeff import ZERO, CoeffFn, basis, from_dense
+from zecknum.coeff import ZERO, CoeffFn, from_dense
 from zecknum.integers import FundamentalSeq, encode_int
 from zecknum.real import harmonic_maximal_family, periodic_maximal_family
 from zecknum.recurrences import MultiplicityList, family_from_sequence, family_from_table, index_bounded_family
@@ -75,7 +78,7 @@ def assert_tiles(mu, dec):
     for a, b in zip(dec.blocks, dec.blocks[1:]):
         assert b.lo == a.hi + 1
     for b in dec.blocks:
-        assert b.digits == mu.restrict(b.lo, b.hi)
+        assert b.digits == restrict(mu, b.lo, b.hi)
     # only the bottom block of an ascending decomposition may be maximal
     assert all(not b.maximal for b in dec.blocks[1:])
 
@@ -306,7 +309,7 @@ class TestWalkerAgainstSuccessor:
         non_members = 0
         for mu in islice(enumerate_asc(fam), 3000):
             assert successor_asc(mu, fam) == successor_ref(mu, fam)
-            bumped = mu.plus_basis(rng.randint(1, mu.order_asc + 1), rng.randint(1, 3))
+            bumped = plus_basis(mu, rng.randint(1, mu.order_asc + 1), rng.randint(1, 3))
             got = step_or_error(successor_asc, bumped, fam)
             assert got == step_or_error(successor_ref, bumped, fam)
             non_members += type(got) is tuple
@@ -505,7 +508,7 @@ def spans_of(eps, fam, horizon):
         dec = decompose_desc(eps, fam, horizon)
     except NotMemberError as exc:
         return exc.witness
-    assert all(b.digits == eps.restrict(b.lo, b.hi) for b in dec.blocks)
+    assert all(b.digits == restrict(eps, b.lo, b.hi) for b in dec.blocks)
     return [(b.lo, b.hi, b.truncated) for b in dec.blocks]
 
 

@@ -750,6 +750,15 @@ class TestSequenceGrowth:
         assert lines == []
         assert err == "config error: Q: every coefficient is 0; a linear sequence needs a positive one\n"
 
+    @pytest.mark.parametrize("argv", [["decode", "1:1", "3:1"], ["shift", "1:1", "2:1"]])
+    def test_nonpositive_term_refused_before_output(self, capsys, tmp_path, argv):
+        # Q_3 = Q_2 - 3 Q_1 = -1: the second token's value reads it, before the header
+        config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, -3]})
+        rc, lines, err = run(capsys, argv[0], "-c", config, *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: Q: term 3 is -1, need a positive integer\n"
+
     @pytest.mark.parametrize("argv", [["encode", "1", "2", "3", "4", "5"], ["enumerate", "--count", "12"], ["decode", "1:1"]])
     def test_malformed_table_refused_at_load(self, capsys, tmp_path, argv):
         # row 4 has order 2; the walk and the encoder would meet it only after

@@ -48,10 +48,11 @@ class TestFundamentalSeq:
             FundamentalSeq([1, 2.5])  # type: ignore[list-item]
         with pytest.raises(FamilyError):
             FundamentalSeq([])
+        with pytest.raises(FamilyError, match=r"^Q: term 1 is True, need a positive integer$"):
+            FundamentalSeq([True, 2, 3])  # an int subclass, but no term
 
     def test_bounded_table(self):
         seq = FundamentalSeq([1, 2, 3])
-        assert seq.bounded
         assert seq.value(3) == 3
         with pytest.raises(IndexError):
             seq.value(4)

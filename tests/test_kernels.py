@@ -15,10 +15,10 @@ from itertools import islice
 
 import pytest
 
-from conftest import encode_int_ref, get_system, max_below_ref, members_upto_order, scan_asc_ref
+from conftest import basis, encode_int_ref, get_system, is_member_desc, max_below_ref, members_upto_order, scan_asc_ref
 from zecknum import blocks
-from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc, is_member_desc
-from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, basis, from_dense
+from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc
+from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, from_dense
 from zecknum.integers import EXTENSION_LIMIT, FamilyError, FundamentalSeq, decode_int, encode_int
 from zecknum.real import periodic_maximal_family
 from zecknum.recurrences import family_from_sequence, family_from_table
@@ -217,7 +217,7 @@ def test_bound_table_matches_a_naive_one(name):
         fam, seq = get_system(name).family, get_system(name).sequence
     else:
         fam, seq = system(name)
-    end = len(seq) if seq.bounded else 300
+    end = len(seq) if seq._extend is None else 300
     outcome(encode_int, seq.value(end), fam, seq)
     table = seq._bounds[fam].M[1 : end + 1]
     assert len(table) == end

@@ -10,10 +10,10 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import PI_100, maximal_row
+from conftest import PI_100, is_member_desc, maximal_row
 
 import zecknum.real
-from zecknum.blocks import FamilyError, is_member_desc
+from zecknum.blocks import FamilyError
 from zecknum.coeff import CoeffFn
 from zecknum.config import load_fixture
 from zecknum.recurrences import MultiplicityList

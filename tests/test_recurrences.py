@@ -171,6 +171,9 @@ class TestGreedyFamily:
         fam = family_from_sequence([1, 2])
         with pytest.raises(FamilyError):
             fam.row(3)
+        for values, bad in [([True, 2, 4], "True"), ([1, 2.9, 4], "2.9")]:  # not read as 1, 2, 4
+            with pytest.raises(FamilyError, match=f"^greedy: sequence term {bad} is not an integer$"):
+                family_from_sequence(values)
 
 
 BLOCKS7 = [
@@ -215,6 +218,9 @@ class TestFixedBlocks:
             family_from_blocks([(0, 0), (0, 1)])  # nothing with top at position 1
         with pytest.raises(FamilyError):
             family_from_blocks([(0,), (2,)])  # values {0, 2} are not 0..base-1
+        for digit in (1.5, True):  # not read as BLOCKS7's block (1, 0, 0)
+            with pytest.raises(FamilyError, match=f"^blocks: block digit {digit} is not an integer$"):
+                family_from_blocks([(digit, 0, 0) if b == (1, 0, 0) else b for b in BLOCKS7])
 
 
 class TestVerifyRecurrence:

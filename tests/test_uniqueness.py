@@ -1,18 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from conftest import members_upto_order
+from conftest import count_upto_order, members_upto_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecknum.coeff import CoeffFn
 from zecknum.integers import FundamentalSeq, decode_int
 from zecknum.recurrences import MultiplicityList
-from zecknum.uniqueness import (
-    check_unique,
-    check_unique_multiplicity,
-    count_upto_order,
-)
+from zecknum.uniqueness import check_unique, check_unique_multiplicity
 
 
 class TestCheckUnique:

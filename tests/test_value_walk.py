@@ -20,6 +20,7 @@ from conftest import (
     INTEGER_FIXTURES,
     check_unique_padic_ref,
     check_unique_ref,
+    count_upto_order,
     encode_int_ref,
     enumerate_subset_ref,
     get_system,
@@ -50,7 +51,7 @@ from zecknum.integers import (
 )
 from zecknum.padic import check_unique_padic, eval_padic, weak_converse_probe
 from zecknum.recurrences import MultiplicityList, family_from_table
-from zecknum.uniqueness import check_unique, count_upto_order
+from zecknum.uniqueness import check_unique
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
 
