@@ -36,6 +36,9 @@ class RowShape(NamedTuple):
     top: Callable[[int], int] = lambda n: n - 1
 
 
+_NO_HEAD: dict[int, int] = {}  # the head of every row without head digits: no reader mutates a head
+
+
 class PredecessorFamily:
     """Lazily-validated table n -> immediate predecessor of basis(n), n >= 2.
 
@@ -97,7 +100,7 @@ class PredecessorFamily:
         for j in range(len(tail), top + 1):
             tail.append(self._checked(j, s.tail(j, r)))
             nonzero.append(j if tail[j] else nonzero[j - 1])
-        head = {k: d for k, d in sorted(s.head(n), reverse=True) if self._checked(k, d)}
+        head = {k: d for k, d in sorted(s.head(n), reverse=True) if self._checked(k, d)} or _NO_HEAD
         order = next(iter(head), 0) or nonzero[top]
         if order != n - 1:
             raise FamilyError(f"{self.name}: row {n} has order {order}, expected {n - 1}")
@@ -181,7 +184,10 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
     Scanning from the top index n against row(n+1): the first index where mu
     drops below the row closes a block there; exceeding the row anywhere is a
     failure; matching the row all the way down to 1 is the maximal block,
-    necessarily the bottom one.  mu's digits are read from one dense list.
+    necessarily the bottom one.  Row n+1 has a digit at n, so a zero at a
+    block's top is the all-zero singleton (n, n) and reads no row: only the
+    blocks topped by a nonzero digit read one.  mu's digits are read from one
+    dense list.
     """
     spans: list[tuple[int, int, bool]] = []
     n = mu.order_asc
@@ -190,6 +196,10 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
         digits[k] = d
     built, parts = fam._parts, fam.parts  # parts() memoizes into built
     while n >= 1:
+        if not digits[n]:
+            spans.append((n, n, False))
+            n -= 1
+            continue
         head, top, tail, _ = built.get(n + 1) or parts(n + 1)
         k = n  # down to the highest index where mu leaves the row, or 0
         while k > top and digits[k] == head.get(k, 0):

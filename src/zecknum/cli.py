@@ -178,9 +178,10 @@ def cmd_enumerate(args, sys_: System, seq) -> int:
         walk = enumerate_desc(sys_.family, args.horizon)
     else:
         title, walk = f"first {args.count} members, lex order", enumerate_asc(sys_.family)
-    print(f"# {sys_.name}: {title}")
-    for i, fn in enumerate(islice(walk, args.count)):
-        print(f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}")
+    lines = [f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}" for i, fn in enumerate(islice(walk, args.count))]
+    print(f"# {sys_.name}: {title}")  # after the members: a walk or value that fails prints nothing
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -307,17 +307,19 @@ def _search(x: int, fam: PredecessorFamily, seq: FundamentalSeq, top: int, bound
                 k -= 1
                 continue
             q = vals[k - 1]
-            if M is None:  # the greedy: c if rem affords it, else close with what it does
-                if rem >= (t := c * q):
+            if M is None:  # the greedy: c if rem affords it, else close with what it does (0: no arithmetic)
+                if rem >= q and (c == 1 or rem >= (t := c * q)):
                     pairs.append((k, c))
-                    rem -= t
+                    rem -= q if c == 1 else t
                     k -= 1
                     continue
-                lo = hi = rem // q
-                cont = False
-            else:
-                lo, hi, floor = max(floor, int(k == n), (rem - M[k] + q - 1) // q), min(c - 1, rem // q), 0
-                cont = c * q <= rem and rem - c * q <= bounds.below(head, htop, r, k)
+                if rem >= q:
+                    d, rem = divmod(rem, q)
+                    pairs.append((k, d))
+                lim, n, k = k, 0, 0
+                break
+            lo, hi, floor = max(floor, int(k == n), (rem - M[k] + q - 1) // q), min(c - 1, rem // q), 0
+            cont = c * q <= rem and rem - c * q <= bounds.below(head, htop, r, k)
             if lo > hi and not cont:
                 dead = True
                 break
@@ -329,7 +331,7 @@ def _search(x: int, fam: PredecessorFamily, seq: FundamentalSeq, top: int, bound
                 rem -= d * q
             if d < c:  # a short digit closes the block
                 lim, n, k = k, 0, 0
-                if M is not None and rem and not (dead := (rem, lim) in failed):
+                if rem and not (dead := (rem, lim) in failed):
                     stack.append((0, rem, lim, -1, 0, 0))  # popped: no member below it is worth rem
                 break
             k -= 1

@@ -714,6 +714,7 @@ class TestSequenceGrowth:
             timeout=60,
         )
         assert proc.returncode == 2
+        assert proc.stdout == ""
         assert proc.stderr == f"config error: Q: bounded table of 4 terms, index {index}\n"
 
     def test_encode_past_an_increasing_table_reach(self, capsys, tmp_path):
@@ -750,9 +751,12 @@ class TestSequenceGrowth:
         assert lines == []
         assert err == "config error: Q: every coefficient is 0; a linear sequence needs a positive one\n"
 
-    @pytest.mark.parametrize("argv", [["decode", "1:1", "3:1"], ["shift", "1:1", "2:1"]])
+    @pytest.mark.parametrize(
+        "argv", [["decode", "1:1", "3:1"], ["shift", "1:1", "2:1"], ["enumerate", "--count", "10"]]
+    )
     def test_nonpositive_term_refused_before_output(self, capsys, tmp_path, argv):
-        # Q_3 = Q_2 - 3 Q_1 = -1: the second token's value reads it, before the header
+        # Q_3 = Q_2 - 3 Q_1 = -1: the second token's value, or the fourth member's
+        # (3:1), reads it, before the header
         config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, -3]})
         rc, lines, err = run(capsys, argv[0], "-c", config, *argv[1:])
         assert rc == 2

@@ -17,7 +17,8 @@ import pytest
 
 from conftest import basis, encode_int_ref, get_system, is_member_desc, max_below_ref, members_upto_order, scan_asc_ref
 from zecknum import blocks
-from zecknum.blocks import _scan_asc, enumerate_asc, is_member_asc
+from zecknum.blocks import _scan_asc, decompose_asc, enumerate_asc, is_member_asc
+from zecknum.config import load_fixture
 from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, from_dense
 from zecknum.integers import EXTENSION_LIMIT, FamilyError, FundamentalSeq, decode_int, encode_int
 from zecknum.real import periodic_maximal_family
@@ -88,6 +89,25 @@ def test_encode_and_decode_match_references(name, monkeypatch):
     assert seq.increasing
 
 
+@pytest.mark.parametrize("name", ["fib", "blocks7", "rec-8-2-3", "factorial", "index-bounded"])
+def test_greedy_digit_boundaries_match_the_reference(name):
+    """Every digit t <= c_k of row k+1 at its top index k, k <= 120: t Q_k - 1,
+    t Q_k and t Q_k + 1 sit where the greedy's digit at k turns whole, short or
+    0, and Q_{k+1} - 1 is row k+1 itself; each encodes as the reference does."""
+    s = get_system(name)
+    fam, seq = s.family, s.sequence
+    values = set()
+    for k in range(1, 121):
+        (top, c), q = fam.digits(k + 1)[0], seq.value(k)
+        assert top == k
+        values.update(v for t in range(1, c + 1) for v in (t * q - 1, t * q, t * q + 1))
+        values.add(seq.value(k + 1) - 1)
+    for x in sorted(values):
+        mu = encode_int(x, fam, seq)
+        assert mu == encode_int_ref(x, fam, seq), x
+        assert decode_int(mu, seq) == x and is_member_asc(mu, fam), x
+
+
 def random_vectors(rng, count, length, digits):
     return [from_dense(rng.choice(digits) for _ in range(rng.randint(1, length))) for _ in range(count)]
 
@@ -125,6 +145,18 @@ def test_scan_matches_reference(name):
         assert isinstance(got, list) and got == outcome(scan_asc_ref, mu, fam), mu
     for mu in random_vectors(random.Random(name), 3000, length, (0, 0, 0, 1, 1, 2, 3)):
         assert outcome(_scan_asc, mu, fam) == outcome(scan_asc_ref, mu, fam), mu
+
+
+def test_scan_reads_a_row_only_for_a_block_topped_by_a_nonzero_digit():
+    """basis(500) is the block [498, 500] (fib's row 501 is 1 at 500, 498, ...)
+    over 497 zeros: a fresh family builds row 501 alone, and the zeros stay
+    all-zero singletons in the spans."""
+    fam, mu = load_fixture("fib").family, basis(500)
+    assert is_member_asc(mu, fam)
+    assert list(fam._parts) == [501]
+    blocks_ = decompose_asc(mu, fam).blocks
+    assert len(blocks_) == 498 and blocks_[-1].digits == mu
+    assert [(b.lo, b.hi, b.maximal) for b in blocks_] == scan_asc_ref(mu, fam)[::-1]
 
 
 def test_sevenths_mirror_scan_matches_reference():
