@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
 from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values
-from .coeff import CoeffFn, NotRepresentableError
+from .coeff import DIGIT_LIMIT, CoeffFn, NotRepresentableError
 from .uniqueness import UniquenessReport, value_collision
 
 
@@ -47,6 +47,8 @@ class PadicSeq:
     def __init__(self, p: int, prec: int, term_fn: Callable[[int], int], name: str = "Q"):
         if p < 2 or prec < 1:
             raise FamilyError(f"need p >= 2 and prec >= 1, got p={p}, prec={prec}")
+        if p > DIGIT_LIMIT:  # a digit is at most p - 1, so every decoded one fits the wire format
+            raise FamilyError(f"p={p} exceeds the digit bound {DIGIT_LIMIT}")
         self.p = p
         self.prec = prec
         self.name = name
@@ -125,7 +127,7 @@ def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) ->
         raise NotRepresentableError(
             f"residue {r * p**s} left after the last visible term of {seq.name}"
         )
-    fn = CoeffFn(tuple(pairs))
+    fn = CoeffFn._trusted(tuple(pairs))  # ascending indices, digits in [1, p) with p <= DIGIT_LIMIT
     if fam is not None:
         _scan_asc(fn, fam)  # raises NotMemberError with the witness index
     return fn

@@ -95,22 +95,28 @@ class BlockGeometricSeq:
         return f"BlockGeometricSeq({self.seeds}, ratio={self.ratio})"
 
 
+def _first_below(above_x, above: int) -> int:
+    """Smallest n > ``above`` with ``above_x(n)`` false, where ``above_x(n)``
+    says Q_n > x and holds at ``above``: doubling steps past it, then bisection."""
+    lo, hi = above, above + 1
+    while above_x(hi):
+        lo, hi = hi, 2 * hi - above
+    # Q_lo > x >= Q_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above_x(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def find_first_below(seq, x: Numeric, above: int = 0) -> int:
     """Smallest n >= 1 with Q_n <= x, for a decreasing sequence and 0 < x < 1;
     given Q_above > x (Q_0 = 1), that n lies above ``above`` and the search starts there."""
     if not 0 < x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
-    lo, hi = above, above + 1
-    while seq.value(hi) > x:
-        lo, hi = hi, 2 * hi - above
-    # Q_lo > x >= Q_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if seq.value(mid) > x:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _first_below(lambda n: seq.value(n) > x, above)
 
 
 # -- roots of multiplicity polynomials ---------------------------------------
@@ -260,21 +266,21 @@ def expand_real(
     maximal row upward, taking every digit as fully as the remainder affords;
     the first short digit closes the block, and the next block necessarily
     starts strictly above it.  Stops on an exact zero remainder, a remainder
-    at or under residual_tol, after max_blocks blocks, or at a term too small
-    to move the remainder at the working precision.  ``x`` is read
-    exactly on a sequence of fractions, at the precision of a decimal one;
-    x = 0 is the empty expansion, and x outside [0, 1) a ValueError.
+    at or under residual_tol, or after max_blocks blocks; on a decimal
+    sequence also at a term too small to move the remainder at the working
+    precision.  ``x`` is read exactly on a sequence of fractions, at the
+    precision of a decimal one; x = 0 is the empty expansion, and x outside
+    [0, 1) a ValueError.
     """
     if not 0 <= x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
+    if not isinstance(seq.value(1), Decimal):
+        return _expand_rational(x, fam, seq, max_blocks, residual_tol)
     pairs: list[tuple[int, int]] = []
     blocks = above = 0
     exact = False
     with localcontext(getattr(seq, "context", None)):
-        if not isinstance(seq.value(1), Decimal):
-            rem = Fraction(x)
-        else:
-            rem = Decimal(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+        rem = Decimal(x.numerator) / x.denominator if isinstance(x, Fraction) else x
         while True:
             if rem == 0:
                 exact = True
@@ -301,6 +307,37 @@ def expand_real(
             # rem < Q_k after the short digit at k, unless rounding left it a hair over
             above = k if rem < q else 0
     return Expansion(CoeffFn(tuple(pairs)), rem, exact, blocks)
+
+
+def _expand_rational(x, fam: MaximalFamily, seq, max_blocks: int, residual_tol) -> Expansion:
+    """expand_real on a sequence of Fractions, in integers: the remainder is
+    the reduced pair rn/rd and each term is read as its own pair qn/qd."""
+    rn, rd = x.as_integer_ratio()  # in lowest terms for a Fraction, a Decimal or an int
+    if residual_tol is not None:
+        tn, td = residual_tol.as_integer_ratio()
+    value = seq.value
+    pairs: list[tuple[int, int]] = []
+    blocks = above = 0
+
+    def above_rem(n: int) -> bool:
+        qn, qd = value(n).as_integer_ratio()
+        return qn * rd > rn * qd
+
+    while rn and blocks < max_blocks and (residual_tol is None or rn * td > tn * rd):
+        for k, d in fam.support(_first_below(above_rem, above)):
+            qn, qd = value(k).as_integer_ratio()
+            c = min(d, rn * qd // (rd * qn))
+            if c:
+                pairs.append((k, c))
+                rn, rd = rn * qd - c * qn * rd, rd * qd
+                g = gcd(rn, rd)
+                rn, rd = rn // g, rd // g
+            if c < d:
+                break
+        blocks += 1
+        # rem < Q_k after the short digit at k, unless a finite row was taken whole
+        above = k if rn * qd < qn * rd else 0
+    return Expansion(CoeffFn(tuple(pairs)), Fraction(rn, rd), not rn, blocks)
 
 
 def eval_expansion(fn, seq) -> Numeric:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from decimal import Context, localcontext
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from itertools import accumulate, islice, takewhile
 from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
@@ -22,6 +23,7 @@ from zecknum.blocks import (
 from zecknum.coeff import DIGIT_LIMIT, ZERO, CoeffFn
 from zecknum.integers import FundamentalSeq, NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
+from zecknum.real import Expansion, find_first_below
 from zecknum.uniqueness import UniquenessReport
 
 settings.register_profile(
@@ -595,3 +597,44 @@ def reconstruct_sequence(fam, value_set, count: int) -> list[int]:
             )
         rebuilt.append(values[i])
     return rebuilt
+
+
+def expand_real_ref(x, fam, seq, max_blocks: int = 8, residual_tol=Fraction(1, 10**30)) -> Expansion:
+    """``expand_real`` as one loop over both term types: the remainder is a
+    Fraction on a sequence of fractions, a Decimal on a decimal one."""
+    if not 0 <= x < 1:
+        raise ValueError(f"need 0 < x < 1, got {x}")
+    pairs: list[tuple[int, int]] = []
+    blocks = above = 0
+    exact = False
+    with localcontext(getattr(seq, "context", None)):
+        if not isinstance(seq.value(1), Decimal):
+            rem = Fraction(x)
+        else:
+            rem = Decimal(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+        while True:
+            if rem == 0:
+                exact = True
+                break
+            if residual_tol is not None and rem <= residual_tol:
+                break
+            if blocks >= max_blocks:
+                break
+            n = find_first_below(seq, rem, above)
+            for k, d in fam.support(n):
+                q = seq.value(k)
+                c = min(int(rem / q), d)
+                # division may land a hair high at fixed precision
+                while c > 0 and c * q > rem:
+                    c -= 1
+                if c:
+                    if (left := rem - c * q) == rem:  # the term is under the working precision
+                        return Expansion(CoeffFn(tuple(pairs)), rem, False, blocks + 1)
+                    pairs.append((k, c))
+                    rem = left
+                if c < d:
+                    break
+            blocks += 1
+            # rem < Q_k after the short digit at k, unless rounding left it a hair over
+            above = k if rem < q else 0
+    return Expansion(CoeffFn(tuple(pairs)), rem, exact, blocks)

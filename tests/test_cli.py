@@ -241,6 +241,17 @@ class TestRealExpand:
         assert rc == 2
         assert err == f"config error: not a number: {argv[-1]!r}\n"
 
+    def test_harmonic_expansions(self, capsys):
+        # the third value's search climbs to index 928070897443645831695369104
+        rc, lines, err = run(capsys, "real-expand", "-f", "harmonic", "5/6", "0.999", "0.9999999")
+        assert rc == 0 and err == ""
+        assert lines[1:] == [
+            "5/6\t1:1,2:1\t0\tTrue",
+            "0.999\t1:1,2:1,6:1,43:1,12157:1,1404248999:1\t0\tTrue",
+            "0.9999999\t1:1,2:1,6:1,42:1,1806:1,4844376:1,23829471219456:1,928070897443645831695369104:1"
+            "\t43339/38847840525137830654735198527922615796444519629566610000000\tFalse",
+        ]
+
     def test_negative_max_blocks(self, capsys):
         rc, lines, err = run(capsys, "real-expand", "-f", "sevenths", "--max-blocks", "-1", "1/2")
         assert rc == 2 and lines == []
@@ -293,6 +304,15 @@ class TestPadicExpand:
         rc, lines, _ = run(capsys, "padic-expand", "-f", "golden-41", "--no-check", str(x))
         assert rc == 0
         assert lines[1] == f"{x}\t1:2"
+
+
+    @pytest.mark.parametrize("argv", [["9223372036854775812", "5"], ["--no-check", "5", "9223372036854775812"]])
+    def test_p_past_the_digit_bound_refused_before_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "padic.json"
+        path.write_text(json.dumps({**PADIC_POWER, "p": 9223372036854775813, "prec": 2}), encoding="utf-8")
+        rc, lines, err = run(capsys, "padic-expand", "-c", str(path), *argv)
+        assert rc == 2 and lines == []
+        assert err == "config error: p=9223372036854775813 exceeds the digit bound 9223372036854775808\n"
 
 
 class TestDominantCheck:

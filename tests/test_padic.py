@@ -6,7 +6,7 @@ import pytest
 from conftest import members_upto_order
 
 from zecknum.blocks import FamilyError, NotMemberError, _scan_asc, enumerate_asc
-from zecknum.coeff import CoeffFn
+from zecknum.coeff import DIGIT_LIMIT, CoeffFn
 from zecknum.config import build_system
 from zecknum.integers import NotRepresentableError
 from zecknum.padic import (
@@ -132,6 +132,13 @@ class TestPadicSeq:
             seq_from_terms(5, 3, [1, 2])  # valuation does not increase
         with pytest.raises(FamilyError):
             PadicSeq(5, 3, lambda k: 0)  # nothing visible
+
+    def test_p_past_the_digit_bound(self):
+        with pytest.raises(FamilyError, match=f"p={DIGIT_LIMIT + 1} exceeds the digit bound {DIGIT_LIMIT}"):
+            power_padic_seq(DIGIT_LIMIT + 1, 2)
+        seq = power_padic_seq(DIGIT_LIMIT, 2)  # its largest digit, p - 1, still fits
+        top = CoeffFn([(1, DIGIT_LIMIT - 1), (2, DIGIT_LIMIT - 1)])
+        assert decode_padic(eval_padic(top, seq), seq) == top
 
     def test_index_check(self):
         seq = power_padic_seq(5, 4)

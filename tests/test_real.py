@@ -10,12 +10,12 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import PI_100, is_member_desc, maximal_row
+from conftest import PI_100, expand_real_ref, is_member_desc, maximal_row
 
 import zecknum.real
 from zecknum.blocks import FamilyError
 from zecknum.coeff import CoeffFn
-from zecknum.config import load_fixture
+from zecknum.config import build_system, load_fixture
 from zecknum.recurrences import MultiplicityList
 from zecknum.real import (
     TERM_CACHE,
@@ -308,8 +308,9 @@ class TestResumedSearch:
     def test_same_expansion_as_the_search_from_scratch(self, monkeypatch, name, max_blocks, residual_tol):
         fam, seq = self.system(name)
         resumed = [expand_real(x, fam, seq, max_blocks, residual_tol) for x in _inputs(name, 16)]
-        scratch = find_first_below
-        monkeypatch.setattr(zecknum.real, "find_first_below", lambda seq, x, above=0: scratch(seq, x))
+        # both kernels, decimal and rational, search through this one helper
+        scratch = zecknum.real._first_below
+        monkeypatch.setattr(zecknum.real, "_first_below", lambda above_x, above: scratch(above_x, 0))
         fam, seq = self.system(name)
         assert [expand_real(x, fam, seq, max_blocks, residual_tol) for x in _inputs(name, 16)] == resumed
         assert max(r.blocks_used for r in resumed) > 1  # some search did resume
@@ -337,6 +338,48 @@ class TestResumedSearch:
         res = expand_real(Decimal("0.137"), fam, seq, max_blocks=64, residual_tol=None)
         assert res.blocks_used == 64
         assert len(calls) < 700
+
+
+# period 2 with digits above 1: Q = 1/3, 1/15, 1/45, 1/225, ...
+BASE_15 = {
+    "name": "base-15",
+    "kind": "real",
+    "family": {"type": "periodic", "rows": [[2, 4], [4]]},
+    "sequence": {"type": "block-geometric", "seeds": ["1/3", "1/15"], "ratio": "1/15"},
+}
+
+
+class TestAgainstTheReference:
+    """The rational kernel in integers gives every field the one-loop reference gives."""
+
+    @staticmethod
+    def system(name):
+        if name != "base-15":
+            return TestResumedSearch.system(name)
+        s = build_system(BASE_15)
+        return s.family, s.sequence
+
+    @staticmethod
+    def inputs(name: str) -> list:
+        """Seeded points as Fractions, and three-digit ones also as Decimals; each
+        of them ends exactly on harmonic within a few blocks, which keeps its 64 short."""
+        rng = random.Random(name)
+        den = {"harmonic": 60, "sevenths": 343**2, "half": 2**20, "base-15": 15**6}[name]
+        thousandths = [rng.randrange(1, 1000) for _ in range(4)]
+        return ([Fraction(rng.randrange(1, den), den) for _ in range(3)] + [Fraction(0)]
+                + [Fraction(k, 1000) for k in thousandths] + [Decimal(k) / 1000 for k in thousandths])
+
+    @pytest.mark.parametrize("name", ["sevenths", "harmonic", "half", "base-15"])
+    def test_every_field_matches(self, name):
+        fam, seq = self.system(name)
+        assert isinstance(seq.value(1), Fraction)
+        for x in self.inputs(name):
+            for max_blocks in (*range(9), 64):
+                for tol in (None, Fraction(1, 10**12), Decimal("1e-9"), 0):
+                    got = expand_real(x, fam, seq, max_blocks, tol)
+                    want = expand_real_ref(x, fam, seq, max_blocks, tol)
+                    assert got == want, (x, max_blocks, tol)
+                    assert type(got.residual) is Fraction and type(got.exact) is bool
 
 
 class TestTermCache:
