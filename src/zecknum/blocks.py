@@ -46,6 +46,8 @@ class PredecessorFamily:
     pairs, wrapped as a shape whose head is the whole row.  Each is built once
     and checked there only: order n-1, indices >= 1, int digits in [0,
     DIGIT_LIMIT).  Bounded tables raise FamilyError past their last row.
+    ``recurrence``, when a builder states one, is a tuple c with derived terms
+    Q_n = c_1 Q_{n-1} + ... + c_r Q_{n-r} for every n > r; the builder proves it.
     """
 
     def __init__(
@@ -53,11 +55,13 @@ class PredecessorFamily:
         row_fn: Callable[[int], Iterable[tuple[int, int]]] | None = None,
         name: str = "family",
         shape: RowShape | None = None,
+        recurrence: tuple[int, ...] | None = None,
     ):
         if row_fn is not None:
             shape = RowShape(lambda j, r: 0, head=row_fn, top=lambda n: 0)
         self.name = name
         self.shape = shape
+        self.recurrence = recurrence
         self.derived = None  # its derived sequence, kept by integers.FundamentalSeq.from_family
         self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
         self._tails = [[0] for _ in range(shape.period)]
@@ -83,9 +87,9 @@ class PredecessorFamily:
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
         digits (the runs of order_values and order_members), the kernels
-        _scan_asc, walk_asc, integers.encode_int and FundamentalSeq.from_family
-        (the derived sequence, which counts and unranks members) read this
-        inline."""
+        _scan_asc, walk_asc and integers.encode_int read this inline, and
+        FundamentalSeq.from_family sums it for a derived term the family's
+        recurrence does not give."""
         p = self._parts.get(n)
         if p is None:
             p = self._parts[n] = self._make_parts(n)

@@ -28,7 +28,8 @@ class FundamentalSeq:
     """Lazy, memoized sequence of basis values Q_1, Q_2, ...
 
     ``extend`` is called as extend(n, self) for indices past the seed values;
-    passing None makes the sequence a bounded table.  Growth fact: past the
+    passing None makes the sequence a bounded table; it may set ``_extend`` to
+    another for the later terms.  Growth fact: past the
     seeds no term falls below the least of the ``_window`` terms before it (0:
     none).  Constructors derive it; a caller's ``extend`` promises window 1.
     """
@@ -62,13 +63,19 @@ class FundamentalSeq:
 
     @classmethod
     def from_family(cls, fam: PredecessorFamily) -> "FundamentalSeq":
-        """Derived sequence: Q_1 = 1, Q_n = 1 + sum of row(n) digits times Q; the tail
-        part is a running sum per residue, so a term costs O(head) while tops grow.
+        """Derived sequence: Q_1 = 1, Q_n = 1 + sum of row(n) digits times Q.  Past the
+        length r of the family's recurrence, Q_n is that recurrence on the last r terms
+        and reads no row; below it, or with none stated, the row sum's tail part is a
+        running sum per residue, so a term costs O(head) while tops grow.  The
+        recurrence is read per term: family_from_blocks states it after its seed terms.
         Built on the first call and kept on the family: every later call returns it."""
         if fam.derived is None:
             running: dict[int, tuple[int, int]] = {}  # residue -> (top, tail sum)
 
             def ext(n: int, seq: "FundamentalSeq") -> int:
+                if (rec := fam.recurrence) and n > len(rec):  # every later term is the recurrence's
+                    seq._extend = _linear_term(rec)
+                    return seq._extend(n, seq)
                 head, top, tail, r = fam.parts(n)
                 j, acc = running.get(r, (0, 0))
                 if top < j:
@@ -91,8 +98,9 @@ class FundamentalSeq:
         T_i <= 0 and nondecreasing last m seeds give window 1; else there is none."""
         cs = tuple(coeffs)
 
-        def ext(n: int, seq: "FundamentalSeq") -> int:
-            return sum(c * seq.value(n - 1 - j) for j, c in enumerate(cs))
+        def ext(n: int, seq: "FundamentalSeq") -> int:  # the first term past the seeds: cs are checked
+            seq._extend = _linear_term(cs)
+            return seq._extend(n, seq)
 
         seq = cls(seeds, ext, name)
         if not cs:  # a table gives fixed terms
@@ -140,8 +148,12 @@ class FundamentalSeq:
             if not w:
                 raise FamilyError(f"{self.name}: no growth rule: a negative-coefficient recurrence needs "
                                   "coefficient sum >= 1, tail sums <= 0 and nondecreasing last seeds")
-            while (len(vals) - s < w or min(vals[-w:]) <= x) and not (w == 1 and self._drop):
-                self.value(len(vals) + 1)
+            n = len(vals)  # value()'s loop, inline: one push per term
+            while (n - s < w or min(vals[-w:]) <= x) and not (w == 1 and self._drop):
+                if n == EXTENSION_LIMIT:
+                    self.value(n + 1)  # refuses
+                n += 1
+                self._push(self._extend(n, self))
             if w == 1 and (d := self._drop):
                 raise FamilyError(f"{self.name}: past the seeds, term {d} is {vals[d - 1]}, "
                                   f"below term {d - 1} ({vals[d - 2]})")
@@ -161,6 +173,21 @@ class FundamentalSeq:
         head = ", ".join(str(v) for v in self._vals[:6])
         more = ", ..." if self._extend is not None or len(self._vals) > 6 else ""
         return f"FundamentalSeq({self.name}: {head}{more})"
+
+
+def _linear_term(coeffs: tuple[int, ...]) -> Callable[[int, FundamentalSeq], int]:
+    """``extend`` by Q_n = c_1 Q_{n-1} + ... + c_m Q_{n-m}, some c_j nonzero: it is called
+    for n one past the kept terms and reads the last m, with no product where c_j is 1."""
+    (i0, c0), *rest = [(-j, c) for j, c in enumerate(coeffs, 1) if c]
+
+    def ext(n: int, seq: FundamentalSeq) -> int:
+        vals = seq._vals
+        q = vals[i0] if c0 == 1 else c0 * vals[i0]
+        for i, c in rest:
+            q += vals[i] if c == 1 else c * vals[i]
+        return q
+
+    return ext
 
 
 def decode_int(mu: CoeffFn, seq: FundamentalSeq) -> int:

@@ -13,6 +13,7 @@ from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
+from .coeff import DIGIT_LIMIT
 from .integers import FundamentalSeq
 
 
@@ -36,6 +37,8 @@ class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
             raise FamilyError(f"multiplicity list {e} must start and end positive")
         if len(e) == 1 and e[0] < 2:
             raise FamilyError("a single-entry multiplicity list needs e_1 >= 2")
+        if (d := max(e[:-1] + (e[-1] - 1,))) >= DIGIT_LIMIT:  # the largest digit of the reduced list
+            raise FamilyError(f"multiplicity list {e}: digit {d} is not below the digit bound {DIGIT_LIMIT}")
         return super().__new__(cls, e)
 
     @property
@@ -47,10 +50,16 @@ class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
         return self.e[:-1] + (self.e[-1] - 1,)
 
     def predecessor_family(self, name: str | None = None) -> PredecessorFamily:
-        """Rows delta^n: reduced digits repeating downward from index n-1."""
+        """Rows delta^n: reduced digits repeating downward from index n-1.
+
+        States the recurrence e: Q_n = e_1 Q_{n-1} + ... + e_N Q_{n-N} for n > N.
+        Row n has digit ehat_i at n-i for i <= N and repeats row n-N below, so
+        Q_n - Q_{n-N} = ehat_1 Q_{n-1} + ... + ehat_N Q_{n-N}, with ehat_N = e_N - 1;
+        at n = N+1 the row below is that of Q_1 = 1, empty.
+        """
         ehat, N = self.reduced, self.period
         shape = RowShape(lambda j, r: ehat[(r - 1 - j) % N], period=N)
-        return PredecessorFamily(name=name or f"L{self.e}", shape=shape)
+        return PredecessorFamily(name=name or f"L{self.e}", shape=shape, recurrence=self.e)
 
     def maximal_family(self, name: str | None = None) -> MaximalFamily:
         """Rows: reduced digits repeating upward from index n, forever."""
@@ -60,10 +69,6 @@ class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
             return ((k, ehat[(k - n) % N]) for k in count(n) if ehat[(k - n) % N])
 
         return MaximalFamily(support, name=name or f"max-L{self.e}")
-
-    def recurrence_coeffs(self) -> tuple[int, ...]:
-        """Coefficients of Q_n = e_1 Q_{n-1} + ... + e_N Q_{n-N}."""
-        return self.e
 
 
 def family_from_tail_rule(
@@ -100,6 +105,8 @@ def neg_recurrence_params(coeffs: Iterable[int]) -> tuple[tuple[int, ...], int]:
     partial = list(accumulate(c))
     if any(p < 1 for p in partial):
         raise FamilyError(f"partial sums of {c} must stay positive, got {partial}")
+    if (d := max(partial) - 1) >= DIGIT_LIMIT:  # the largest head or tail digit
+        raise FamilyError(f"recurrence {c}: digit {d} is not below the digit bound {DIGIT_LIMIT}")
     return tuple(p - 1 for p in partial[:-1]), partial[-1] - 1
 
 
@@ -109,10 +116,19 @@ def family_from_neg_recurrence(coeffs: Iterable[int]) -> PredecessorFamily:
 
     Rows carry the head digits from the top down, then the tail digit at
     every remaining index; see neg_recurrence_params for the digit values.
+
+    States the recurrence c for n > N+1.  With p_k = c_1 + ... + c_k, row n
+    carries e_k = p_k - 1 at n-k for k <= N and b = p_{N+1} - 1 at every index
+    below.  Once row n-1's head is whole too (n-1 > N), it is row n one index
+    down, so Q_n - Q_{n-1} = e_1 Q_{n-1} + (e_2 - e_1) Q_{n-2} + ... + (e_N -
+    e_{N-1}) Q_{n-N} + (b - e_N) Q_{n-N-1}, where e_1 = c_1 - 1, e_k - e_{k-1}
+    = c_k and b - e_N = c_{N+1}.
     """
     c = tuple(coeffs)
     e, b = neg_recurrence_params(c)
-    return family_from_tail_rule(list(e), lambda j: b, name=f"rec{c}")
+    fam = family_from_tail_rule(list(e), lambda j: b, name=f"rec{c}")
+    fam.recurrence = c
+    return fam
 
 
 def index_bounded_family() -> PredecessorFamily:
@@ -217,6 +233,12 @@ def family_from_blocks(
     on [1, t]; the first N+1 basis values then fix the base, the block
     values must cover 0..base-1 exactly, and taller rows stack the maximal
     block under a shifted seed row.
+
+    States the recurrence (0, ..., 0, base) of length N: Q_n = base Q_{n-N}
+    for n > N.  At n = N+1 it is the definition of base, as Q_1 = 1.  Past it,
+    row n is row n-N shifted up N indices over the maximal block on [1, N],
+    worth base - 1; so if Q_m = base Q_{m-N} for N < m < n, row n's digits
+    above N are worth base (Q_{n-N} - 1) and Q_n = 1 + base - 1 + base (Q_{n-N} - 1).
     """
     blk = [tuple(b) for b in blocks]
     if bad := [d for b in blk for d in b if type(d) is not int]:
@@ -262,6 +284,7 @@ def family_from_blocks(
             f"{name}: block values {got} do not cover 0..{base - 1} exactly"
         )
     b_max = next(b for b, v in vals.items() if v == base - 1)
+    fam.recurrence = (0,) * (width - 1) + (base,)
     return FixedBlockSystem(fam, base, width, tuple(sorted(vals.items(), key=lambda kv: kv[1])))
 
 

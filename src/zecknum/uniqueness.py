@@ -102,6 +102,6 @@ def check_unique_multiplicity(
     grown from ``seeds`` by the list's own linear recurrence."""
     ml = MultiplicityList(tuple(e))
     fam = ml.predecessor_family()
-    seq = FundamentalSeq.from_linear(tuple(seeds), ml.recurrence_coeffs(), name=f"Q{tuple(seeds)}")
+    seq = FundamentalSeq.from_linear(tuple(seeds), fam.recurrence, name=f"Q{tuple(seeds)}")
     return check_unique(fam, seq, default_order_cap(ml.e, shortcut), stop_at_collision)
 

@@ -389,6 +389,25 @@ def successor_ref(mu: CoeffFn, fam) -> CoeffFn:
     return plus_basis(mu, 1)
 
 
+# -- the derived sequence from its rows ----------------------------------------
+# Every term a row sum, whatever recurrence the family states: the reference
+# its recurrence is checked against in test_recurrences.py.
+
+
+def derived_by_row_sums(fam, stop: int) -> list[int]:
+    """Q_1, ..., Q_stop with Q_1 = 1 and Q_n = 1 + row n's digits times Q. Row n's
+    tail part is read off a prefix sum per residue, tail[1] Q_1 + ... + tail[j] Q_j
+    at index j, so a term costs O(head)."""
+    q, prefix = [1], {}
+    for n in range(2, stop + 1):
+        head, top, tail, r = fam.parts(n)
+        sums = prefix.setdefault(r, [0])
+        for j in range(len(sums), top + 1):
+            sums.append(sums[-1] + tail[j] * q[j - 1])
+        q.append(1 + sum(d * q[k - 1] for k, d in head.items()) + sums[top])
+    return q
+
+
 # -- the encoder's bound table, one row at a time ---------------------------
 
 

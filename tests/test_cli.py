@@ -667,6 +667,30 @@ class TestConfigTypes:
         assert rc == 0
         assert lines[1:] == ["1:1,2:1,3:1\t11", "3:1,4:1\t19"]
 
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            # reduced list (2^63, 0): every row carries 2^63 at its top index, and decode 1:1 reads no row
+            ({"type": "multiplicity", "e": [2**63, 1]},
+             "multiplicity list (9223372036854775808, 1): digit 9223372036854775808 is not below the digit bound"),
+            # head digit 2^63, tail digit 0
+            ({"type": "neg-recurrence", "c": [2**63 + 1, -(2**63)]},
+             "recurrence (9223372036854775809, -9223372036854775808): digit 9223372036854775808 is not below "
+             "the digit bound"),
+            # head digit 1, tail digit 2^63: only rows from 3 on carry it
+            ({"type": "neg-recurrence", "c": [2, 2**63 - 1]},
+             "recurrence (2, 9223372036854775807): digit 9223372036854775808 is not below the digit bound"),
+        ],
+        ids=["multiplicity", "neg-recurrence-head", "neg-recurrence-tail"],
+    )
+    @pytest.mark.parametrize("argv", [["encode", "5"], ["decode", "1:1"], ["shift", "1:1"], ["decompose", "1:1"]])
+    def test_digit_past_the_bound_refused_at_load(self, capsys, tmp_path, family, message, argv):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({**INT_DERIVED, "family": family}), encoding="utf-8")
+        rc, lines, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+        assert rc == 2 and lines == []
+        assert err == f"config error: {message} 9223372036854775808\n"
+
 
 class TestSequenceGrowth:
     """Configs whose sequences dip, end or fall past their seeds."""

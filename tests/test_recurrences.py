@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
 import re
+from itertools import accumulate
 
 import pytest
-from conftest import maximal_row
+from conftest import derived_by_row_sums, maximal_row
 
+from zecknum import load_fixture
 from zecknum.blocks import FamilyError
-from zecknum.coeff import CoeffFn
+from zecknum.coeff import DIGIT_LIMIT, CoeffFn
 from zecknum.integers import FundamentalSeq, enumerate_subset
 from zecknum.recurrences import (
     MultiplicityList,
@@ -32,11 +35,18 @@ class TestMultiplicityList:
         MultiplicityList((2,))
         MultiplicityList((1, 0, 3))
 
+    def test_digit_bound(self):
+        # the reduced list's digits are row digits: (e_1, ..., e_N - 1) below DIGIT_LIMIT
+        MultiplicityList((DIGIT_LIMIT - 1, DIGIT_LIMIT))
+        for bad in [(DIGIT_LIMIT, 1), (1, DIGIT_LIMIT + 1), (DIGIT_LIMIT + 1,)]:
+            with pytest.raises(FamilyError, match="is not below the digit bound"):
+                MultiplicityList(bad)
+
     def test_period_and_reduced(self):
         ml = MultiplicityList((2, 3))
         assert ml.period == 2
         assert ml.reduced == (2, 2)
-        assert ml.recurrence_coeffs() == (2, 3)
+        assert ml.predecessor_family().recurrence == (2, 3)
 
     def test_predecessor_rows_frozen(self):
         assert MultiplicityList((1, 1)).predecessor_family().row(6) == CoeffFn(
@@ -56,7 +66,7 @@ class TestMultiplicityList:
     def test_derived_sequence_matches_recurrence(self):
         ml = MultiplicityList((2, 3))
         seq = FundamentalSeq.from_family(ml.predecessor_family())
-        assert verify_recurrence(seq, ml.recurrence_coeffs(), 3, 30) == []
+        assert verify_recurrence(seq, ml.predecessor_family().recurrence, 3, 30) == []
 
 
 class TestTailRule:
@@ -87,6 +97,13 @@ class TestNegRecurrence:
             neg_recurrence_params((1, 1))
         with pytest.raises(FamilyError):
             neg_recurrence_params((2, -3))
+
+    def test_params_digit_bound(self):
+        assert neg_recurrence_params((DIGIT_LIMIT, 1 - DIGIT_LIMIT)) == ((DIGIT_LIMIT - 1,), 0)
+        assert neg_recurrence_params((2, DIGIT_LIMIT - 2)) == ((1,), DIGIT_LIMIT - 1)
+        for bad in [(DIGIT_LIMIT + 1, -DIGIT_LIMIT), (2, DIGIT_LIMIT - 1), (3, DIGIT_LIMIT, -DIGIT_LIMIT)]:
+            with pytest.raises(FamilyError, match="is not below the digit bound"):
+                neg_recurrence_params(bad)
 
     def test_rows_frozen(self):
         fam = family_from_neg_recurrence((3, -1))
@@ -250,3 +267,61 @@ class TestVerifyRecurrence:
         with pytest.raises(ValueError, match=re.escape("nothing to check: 2 coefficients on [5, 2]")):
             verify_recurrence(fib.sequence, (1, 1), 5, 2)
         assert verify_recurrence(fib.sequence, (1, 1), 5, 5) == []
+
+
+def random_multiplicity_lists(count: int) -> list[tuple[int, ...]]:
+    """Distinct valid multiplicity lists, N <= 5 and entries <= 9, from a fixed seed."""
+    rng, found = random.Random(11), []
+    while len(found) < count:
+        e = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 5)))
+        if e[0] and e[-1] and (len(e) > 1 or e[0] >= 2) and e not in found:
+            found.append(e)
+    return found
+
+
+def random_neg_recurrences(count: int) -> list[tuple[int, ...]]:
+    """Distinct valid neg-recurrence coefficients, 2 to 5 of them in [-9, 9], c_1 >= 2
+    and every partial sum positive, from a fixed seed."""
+    rng, found = random.Random(12), []
+    while len(found) < count:
+        c = (rng.randint(2, 9),) + tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+        if min(accumulate(c)) >= 1 and c not in found:
+            found.append(c)
+    return found
+
+
+STATED = {
+    "fib": lambda: load_fixture("fib").family,
+    "mult-2-3": lambda: MultiplicityList((2, 3)).predecessor_family(),
+    "mult-11-3": lambda: MultiplicityList((11, 3)).predecessor_family(),
+    "rec-3-1": lambda: load_fixture("rec-3-1").family,
+    "rec-8-2-3": lambda: load_fixture("rec-8-2-3").family,
+    "blocks7": lambda: load_fixture("blocks7").family,
+    **{f"L{e}": (lambda e=e: MultiplicityList(e).predecessor_family()) for e in random_multiplicity_lists(50)},
+    **{f"rec{c}": (lambda c=c: family_from_neg_recurrence(c)) for c in random_neg_recurrences(50)},
+}
+
+
+class TestStatedRecurrence:
+    """The recurrence a builder states, against every term as its row sum."""
+
+    def test_stated_coefficients(self):
+        assert STATED["fib"]().recurrence == (1, 1)
+        assert STATED["mult-11-3"]().recurrence == (11, 3)
+        assert STATED["rec-8-2-3"]().recurrence == (8, -2, -3)
+        assert STATED["blocks7"]().recurrence == (0, 0, 7)
+        unstated = [factorial_family(), index_bounded_family(), j_plus_family(3), family_from_table([[1], [0, 1]]),
+                    family_from_sequence([1, 2, 4]), family_from_tail_rule([1], lambda j: j % 2)]
+        assert [fam.recurrence for fam in unstated] == [None] * 6
+
+    @pytest.mark.parametrize("name", list(STATED))
+    def test_matches_the_row_sums(self, name):
+        fam = STATED[name]()
+        assert FundamentalSeq.from_family(fam).upto(2000) == derived_by_row_sums(STATED[name](), 2000)
+        # rows 2..r at most: every later term is the recurrence's (blocks: the seed rows 2..N+1)
+        assert len(fam._parts) <= len(fam.recurrence)
+
+    def test_a_cold_term_builds_no_row(self):
+        fam = load_fixture("fib").family
+        FundamentalSeq.from_family(fam).value(2000)
+        assert len(fam._parts) <= 2
