@@ -203,13 +203,9 @@ def cmd_subset(args, sys_: System, seq) -> int:
 
 
 def cmd_verify_unique(args, sys_: System, seq) -> int:
-    from .uniqueness import default_order_cap
-    if sys_.kind == "padic":
-        from .padic import check_unique_padic as check
-    else:
-        from .uniqueness import check_unique as check
+    from .uniqueness import check_unique, default_order_cap
     cap = default_order_cap(sys_.multiplicities, args.shortcut) if args.cap is None else args.cap
-    report = check(sys_.family, seq, cap, stop_at_collision=not args.full)
+    report = check_unique(sys_.family, seq, cap, stop_at_collision=not args.full)
     print(f"# {sys_.name}: members of order <= {cap} under {args.seq}")
     print(f"# seen: {report.members_seen} (nonzero {report.nonzero_members}), distinct values: {report.distinct_values}")
     if report.collision:

@@ -51,11 +51,21 @@ def _ints(v) -> bool:
     return isinstance(v, list) and all(type(x) is int for x in v)  # a JSON true is no integer
 
 
-_KINDS = {  # kind -> (what a value must be, check); kind "int" coerces with int() instead
+def _number(v) -> bool:
+    """A JSON integer, a finite float or a numeric string such as "3/7": what Fraction reads."""
+    from fractions import Fraction
+    try:
+        return type(v) in (int, float, str) and Fraction(v) is not None  # a JSON true or null is no number
+    except (ValueError, ArithmeticError):  # "ab", "1/0", Infinity, NaN
+        return False
+
+
+_KINDS = {  # kind -> (what a value must be, check); kind "int" reads an integer or a numeric string instead
     "ints": ("a list of integers", _ints),
     "rows": ("a list of integer lists", lambda v: isinstance(v, list) and all(map(_ints, v))),
     "object": ("an object", lambda v: isinstance(v, dict)),
-    "any": ("anything", lambda v: True),
+    "number": ("a number", _number),
+    "numbers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
 }
 
 
@@ -67,9 +77,11 @@ def _need(entry: dict, path: str, key: str, kind: str = "ints"):
     v = entry[key]
     if kind == "int":
         try:
-            return int(v)
-        except (TypeError, ValueError, OverflowError):
-            raise FamilyError(f"{where} must be an integer, got {v!r}") from None
+            if type(v) in (int, str):  # a JSON true or 3.7 is no integer; "3" is read as 3
+                return int(v)
+        except ValueError:
+            pass
+        raise FamilyError(f"{where} must be an integer, got {v!r}")
     what, ok = _KINDS[kind]
     if not ok(v):
         raise FamilyError(f"{where} must be {what}, got {v!r}")
@@ -136,19 +148,17 @@ def _integer_seq(entry: dict, path: str, doc: dict, fam, e, precision: int):
 
 
 def _real_seq(entry: dict, path: str, doc: dict, fam, e, precision: int):
-    from fractions import Fraction
     from .real import BlockGeometricSeq, HarmonicSeq, geometric_fundamental
     t = entry.get("type")
     if t == "harmonic":
         return HarmonicSeq()
-    if t == "geometric":
-        ml = tuple(entry.get("e", e or ()))
+    if t == "geometric":  # e defaults to the family's multiplicities
+        ml = tuple(_need(entry, path, "e") if "e" in entry else e or ())
         if not ml:
             raise FamilyError("geometric sequence needs multiplicities")
         return geometric_fundamental(ml, digits=precision)
     if t == "block-geometric":
-        seeds, ratio = _need(entry, path, "seeds", "any"), _need(entry, path, "ratio", "any")
-        return BlockGeometricSeq([Fraction(s) for s in seeds], Fraction(ratio))
+        return BlockGeometricSeq(_need(entry, path, "seeds", "numbers"), _need(entry, path, "ratio", "number"))
     raise FamilyError(f"unknown real sequence type {t!r}")
 
 

@@ -1,11 +1,12 @@
 """Numeration of p-adic integers at finite precision.
 
-Everything is an integer residue mod p**prec.  A p-adic fundamental sequence
-carries strictly increasing valuations, so a value splits into digits one
-valuation layer at a time: compare the remainder's valuation with the next
-term's, emit a digit in 0..p-1 when they meet, and fail honestly when the
-remainder's valuation falls below every remaining term.  Terms whose
-valuation reaches the precision are invisible and are not materialized.
+Everything is an integer residue mod p**prec, and uniqueness.check_unique
+compares members by it.  A p-adic fundamental sequence carries strictly
+increasing valuations, so a value splits into digits one valuation layer at
+a time: compare the remainder's valuation with the next term's, emit a digit
+in 0..p-1 when they meet, and fail honestly when the remainder's valuation
+falls below every remaining term.  Terms whose valuation reaches the
+precision are invisible and are not materialized.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values
 from .coeff import DIGIT_LIMIT, CoeffFn, NotRepresentableError
-from .uniqueness import UniquenessReport, value_collision
+from .uniqueness import UniquenessReport, check_unique
 
 
 def padic_valuation(x: int, p: int, cap: int) -> int:
@@ -134,13 +135,10 @@ def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) ->
 
 
 def check_unique_padic(
-    fam: PredecessorFamily,
-    seq: PadicSeq,
-    order_cap: int,
-    stop_at_collision: bool = True,
+    fam: PredecessorFamily, seq: PadicSeq, order_cap: int, stop_at_collision: bool = True
 ) -> UniquenessReport:
-    """Collision walk over members of order <= order_cap, by residue."""
-    return value_collision(fam, seq.value, order_cap, stop_at_collision, seq.modulus)
+    """uniqueness.check_unique, the one collision check, by residue mod p**prec."""
+    return check_unique(fam, seq, order_cap, stop_at_collision)
 
 
 # -- roots and specific sequences --------------------------------------------

@@ -1,20 +1,20 @@
 """Uniqueness and counting probes.
 
 A family paired with an arbitrary positive sequence need not represent
-values uniquely.  The probe builds the members' values up to an order cap,
-one order at a time in lex order, and reports the first value hit twice;
-the p-adic probe shares it.  Under the family's derived sequence lex order
-is value order (the generalized Zeckendorf theorem): Q_n members have order
-< n, and a member's lex rank is its derived value, so counting and
-unranking read that sequence.  For a multiplicity-list system with the
-matching linear recurrence, a cap of a few periods is the interesting
-regime (four by default, two with the shortcut flag).
+values uniquely.  The one check, check_unique, builds the members' values
+up to an order cap, one order at a time in lex order, and reports the first
+value hit twice: an integer, or a residue mod p**prec on a p-adic sequence.
+Under the family's derived sequence lex order is value order (the
+generalized Zeckendorf theorem): Q_n members have order < n, and a member's
+lex rank is its derived value, so counting and unranking read that sequence.
+With a multiplicity list's own recurrence, a cap of a few periods is the
+interesting regime (four by default, two with the shortcut flag).
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import blocks
 from .blocks import PredecessorFamily, first_collision, order_values
@@ -22,9 +22,12 @@ from .coeff import CoeffFn
 from .integers import FundamentalSeq, encode_int
 from .recurrences import MultiplicityList
 
+if TYPE_CHECKING:
+    from .padic import PadicSeq
+
 
 class UniquenessReport(NamedTuple):
-    """Outcome of a lex-order collision walk.
+    """Outcome of check_unique's lex-order collision walk, on either carrier.
 
     ``members_seen`` counts the zero function; when a collision stops the
     walk early, ``complete`` is False and the counts cover only the prefix
@@ -48,31 +51,22 @@ class UniquenessReport(NamedTuple):
 
 
 def check_unique(
-    fam: PredecessorFamily,
-    seq: FundamentalSeq,
-    order_cap: int,
-    stop_at_collision: bool = True,
+    fam: PredecessorFamily, seq: FundamentalSeq | PadicSeq, order_cap: int, stop_at_collision: bool = True
 ) -> UniquenessReport:
-    """Look for a repeated value among the members of order <= order_cap."""
-    return value_collision(fam, seq.value, order_cap, stop_at_collision)
-
-
-def value_collision(
-    fam: PredecessorFamily, q: Callable[[int], int], cap: int, stop: bool = True, modulus: int | None = None
-) -> UniquenessReport:
-    """The collision report on the members of order <= cap, by their
-    order_values value (mod ``modulus``): a set finds the order holding the
-    first repeat, and first_collision its two ranks.  Without ``stop``, a cap
-    past MEMBER_LIMIT is refused before any value is summed, from the derived
+    """The collision report on the members of order <= order_cap, by their
+    order_values value, mod the sequence's ``modulus`` when it has one (a
+    p-adic sequence): a set finds the order holding the first repeat, and
+    first_collision its two ranks.  Without ``stop_at_collision``, a cap past
+    MEMBER_LIMIT is refused before any value is summed, from the derived
     Q_{cap+1}, the count of the members; its terms increase, so they are read
     only up to the first past the limit.  The two witnesses are encode_int of
     their ranks on the derived sequence."""
-    derived = FundamentalSeq.from_family(fam)
-    if not stop and any(derived.value(n) > blocks.MEMBER_LIMIT for n in range(1, blocks._check_cap(cap) + 2)):
-        raise blocks._limit_error(cap)
+    derived, stop = FundamentalSeq.from_family(fam), stop_at_collision
+    if not stop and any(derived.value(n) > blocks.MEMBER_LIMIT for n in range(1, blocks._check_cap(order_cap) + 2)):
+        raise blocks._limit_error(order_cap)
     seen: set[int] = set()
     repeat, start = None, 0  # start: members of the orders before this step
-    for values in order_values(fam, q, cap, modulus):
+    for values in order_values(fam, seq.value, order_cap, getattr(seq, "modulus", None)):
         seen.update(islice(values, start, None))
         if repeat is None and len(seen) < len(values):  # the first repeat lies past start
             repeat = first_collision(enumerate(values))
@@ -80,10 +74,10 @@ def value_collision(
                 break
         start = len(values)
     if repeat is None:
-        return UniquenessReport(cap, len(values), len(seen), None, True)
+        return UniquenessReport(order_cap, len(values), len(seen), None, True)
     v, i, j = repeat
     collision = (v, encode_int(i, fam, derived), encode_int(j, fam, derived))
-    return UniquenessReport(cap, *((j + 1, j) if stop else (len(values), len(seen))), collision, not stop)
+    return UniquenessReport(order_cap, *((j + 1, j) if stop else (len(values), len(seen))), collision, not stop)
 
 
 def default_order_cap(multiplicities: Sequence[int] | None, shortcut: bool = False) -> int:

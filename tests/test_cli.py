@@ -13,11 +13,16 @@ import subprocess
 import sys
 from decimal import getcontext, localcontext
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from test_blocks import TABLE_ROWS
 
+from zecknum.blocks import enumerate_asc
 from zecknum.cli import build_parser, main
+from zecknum.integers import FundamentalSeq, decode_int
+from zecknum.recurrences import family_from_table
 
 
 def run(capsys, *argv):
@@ -131,6 +136,18 @@ class TestVerifyUnique:
         assert rc == 1
         assert "# seen: 1521 (nonzero 1520), distinct values: 1086" in lines
         assert "# collision at value 114: 1:6 then 2:8,3:1" in lines
+
+    @pytest.mark.parametrize("full,seen", [([], "6 (nonzero 5), distinct values: 5"),
+                                           (["--full"], "9 (nonzero 8), distinct values: 7")], ids=["stop", "full"])
+    def test_padic_residues_that_wrap(self, capsys, tmp_path, full, seen):
+        # terms 1, 6, 4 mod 2^3: the integer sum 2*1 + 6 = 8 is the residue 0, the zero member's value
+        doc = {"kind": "padic", "p": 2, "prec": 3, "family": {"type": "multiplicity", "e": [3]},
+               "sequence": {"type": "power", "unit": 3}}
+        path = tmp_path / "wrap.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, _ = run(capsys, "verify-unique", "-c", str(path), "--cap", "2", *full)
+        assert rc == 1
+        assert lines[1:] == [f"# seen: {seen}", "# collision at value 0: 0 then 1:2,2:1"]
 
 
 class TestConverseProbe:
@@ -654,6 +671,111 @@ class TestConfigTypes:
         assert lines == []
         assert err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "doc,argv,key,value",
+        [
+            ({**INT_DERIVED, "family": {"type": "pin", "j": 3.7}}, ["encode", "4"], "family.j", 3.7),
+            ({**INT_DERIVED, "family": {"type": "pin", "j": True}}, ["encode", "4"], "family.j", True),
+            ({**INT_DERIVED, "family": {"type": "pin", "j": 3},
+              "sequence": {"type": "pinned-radix", "j": 3.0}}, ["encode", "4"], "sequence.j", 3.0),
+            ({**PADIC_POWER, "p": 5.0}, ["padic-expand", "3"], "p", 5.0),
+            ({**PADIC_POWER, "prec": 20.9}, ["padic-expand", "3"], "prec", 20.9),
+            ({**PADIC_POWER, "prec": False}, ["padic-expand", "3"], "prec", False),
+            ({**PADIC_POWER, "sequence": {"type": "power", "unit": True}}, ["padic-expand", "3"], "sequence.unit", True),
+            ({**PADIC_POWER, "sequences": {"main": {"type": "power", "unit": 2.0}}}, ["padic-expand", "3"],
+             "sequences.main.unit", 2.0),
+            ({**PADIC_POWER, "p": 41, "prec": 8, "family": FIB_FAMILY, "sequence": {"type": "golden", "mix": 3.5}},
+             ["padic-expand", "3"], "sequence.mix", 3.5),
+            ({**PADIC_POWER, "p": 41, "prec": 8, "family": FIB_FAMILY, "sequence": {"type": "golden", "seed": True}},
+             ["padic-expand", "3"], "sequence.seed", True),
+        ],
+        ids=["j-float", "j-bool", "pinned-radix-j", "p", "prec-float", "prec-bool", "unit", "labelled-unit", "mix",
+             "seed"],
+    )
+    def test_integer_keys_refuse_booleans_and_floats(self, capsys, tmp_path, doc, argv, key, value):
+        # int() would read 3.7 as 3 and true as 1, building another system
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+        assert rc == 2
+        assert lines == []
+        assert err == f"config error: {key} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "sequence,message",
+        [
+            ({"type": "geometric", "e": "ab"}, "sequence.e must be a list of integers, got 'ab'"),
+            ({"type": "geometric", "e": 5}, "sequence.e must be a list of integers, got 5"),
+            ({"type": "geometric", "e": [1.5, 1]}, "sequence.e must be a list of integers, got [1.5, 1]"),
+            ({"type": "geometric", "e": [True, 1]}, "sequence.e must be a list of integers, got [True, 1]"),
+            ({"type": "block-geometric", "seeds": [[1]], "ratio": "1/9"},
+             "sequence.seeds must be a list of numbers, got [[1]]"),
+            ({"type": "block-geometric", "seeds": 5, "ratio": "1/9"}, "sequence.seeds must be a list of numbers, got 5"),
+            ({"type": "block-geometric", "seeds": [float("inf")], "ratio": "1/9"},
+             "sequence.seeds must be a list of numbers, got [inf]"),
+            ({"type": "block-geometric", "seeds": ["1/3", "1/0"], "ratio": "1/9"},
+             "sequence.seeds must be a list of numbers, got ['1/3', '1/0']"),
+            ({"type": "block-geometric", "seeds": ["1/3", "1/4"], "ratio": None},
+             "sequence.ratio must be a number, got None"),
+            ({"type": "block-geometric", "seeds": ["1/3", "1/4"], "ratio": True},
+             "sequence.ratio must be a number, got True"),
+            ({"type": "block-geometric", "seeds": ["1/3", "1/4"], "ratio": "ab"},
+             "sequence.ratio must be a number, got 'ab'"),
+        ],
+        ids=["e-string", "e-int", "e-float", "e-bool", "seeds-nested", "seeds-int", "seeds-infinity", "seeds-zero-division",
+             "ratio-null", "ratio-bool", "ratio-string"],
+    )
+    def test_real_sequence_keys_typed_at_load(self, capsys, tmp_path, sequence, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"kind": "real", "family": FIB_FAMILY, "sequence": sequence}), encoding="utf-8")
+        rc, lines, err = run(capsys, "real-expand", "-c", str(path), "1/4")
+        assert rc == 2
+        assert lines == []
+        assert err == f"config error: {message}\n"
+
+    def test_labelled_real_sequence_key_names_its_label(self, capsys, tmp_path):
+        doc = {"kind": "real", "family": FIB_FAMILY, "sequences": {"main": {"type": "geometric"},
+                                                                  "alt": {"type": "geometric", "e": [1.0, 1]}}}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, lines, err = run(capsys, "real-expand", "-c", str(path), "1/4")
+        assert rc == 2 and lines == []
+        assert err == "config error: sequences.alt.e must be a list of integers, got [1.0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            {"type": "geometric", "e": [1, 1]},
+            {"type": "block-geometric", "seeds": [0.5, "1/4"], "ratio": "1/9"},
+            {"type": "block-geometric", "seeds": ["1/2", 0.25], "ratio": 0.0625},
+        ],
+        ids=["geometric-e", "seeds-float", "ratio-float"],
+    )
+    def test_real_sequence_keys_accept_numbers(self, capsys, tmp_path, sequence):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"kind": "real", "family": FIB_FAMILY, "sequence": sequence}), encoding="utf-8")
+        rc, lines, _ = run(capsys, "real-expand", "-c", str(path), "1/4")
+        assert rc == 0 and lines[1].startswith("1/4\t")
+
+    def test_table_family_from_a_config(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        doc = {"kind": "integer", "family": {"type": "table", "rows": TABLE_ROWS}, "sequence": {"type": "derived"}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        values = [str(x) for x in range(0, 400, 7)]
+        rc, lines, _ = run(capsys, "encode", "-c", str(path), *values)
+        assert rc == 0
+        encoded = [line.split("\t") for line in lines[1:]]
+        assert [x for x, _ in encoded] == values
+        rc, lines, _ = run(capsys, "decode", "-c", str(path), *(fn for _, fn in encoded))
+        assert rc == 0
+        assert [line.split("\t")[1] for line in lines[1:]] == values
+        fam = family_from_table(TABLE_ROWS)
+        derived = FundamentalSeq.from_family(fam)
+        want = [f"{i}\t{fn.render()}\t{decode_int(fn, derived)}" for i, fn in enumerate(islice(enumerate_asc(fam), 300))]
+        rc, lines, _ = run(capsys, "enumerate", "-c", str(path), "--count", "300")
+        assert rc == 0
+        assert lines[1:] == want
+
     def test_greedy_family_over_its_table(self, capsys, tmp_path):
         values = [1, 3, 7, 12, 20]
         path = tmp_path / "greedy.json"
@@ -821,8 +943,6 @@ class TestSequenceGrowth:
         assert err == "config error: table: row 4 has order 2, expected 3\n"
 
     def test_other_index_errors_keep_their_traceback(self, monkeypatch):
-        from zecknum.integers import FundamentalSeq
-
         monkeypatch.setattr(FundamentalSeq, "value", lambda self, n: [][n])  # a fault in the code, not the config
         with pytest.raises(IndexError, match="list index out of range"):
             main(["decode", "-f", "fib", "3:1"])

@@ -296,6 +296,16 @@ def test_decode_refuses_past_the_extension_limit_without_extending():
     assert len(seq) == 2
 
 
+def test_find_top_refuses_past_the_extension_limit(monkeypatch):
+    # find_top's own extension loop stops at the limit, as value() does
+    monkeypatch.setattr("zecknum.integers.EXTENSION_LIMIT", 40)
+    seq = FundamentalSeq.from_linear([1, 2, 3], [1, 0, 1])  # Q_n = Q_{n-1} + Q_{n-3}, ratio about 1.47
+    assert seq.find_top(seq.value(30)) == 30
+    with pytest.raises(FamilyError, match="refusing to extend past 40 terms$"):
+        seq.find_top(seq.value(40))
+    assert len(seq) == 40
+
+
 def test_repeated_desc_membership_builds_one_mirror(monkeypatch):
     built = []
 

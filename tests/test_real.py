@@ -350,7 +350,8 @@ BASE_15 = {
 
 
 class TestAgainstTheReference:
-    """The rational kernel in integers gives every field the one-loop reference gives."""
+    """Both kernels, the rational one in integers and the decimal loop, give
+    every field the one-loop reference gives."""
 
     @staticmethod
     def system(name):
@@ -360,26 +361,35 @@ class TestAgainstTheReference:
         return s.family, s.sequence
 
     @staticmethod
-    def inputs(name: str) -> list:
+    def inputs(name: str, seq) -> list:
         """Seeded points as Fractions, and three-digit ones also as Decimals; each
-        of them ends exactly on harmonic within a few blocks, which keeps its 64 short."""
+        of them ends exactly on harmonic within a few blocks, which keeps its 64 short.
+        On golden-real, exact sums of its terms, and the terms themselves."""
         rng = random.Random(name)
+        if name == "golden-real":
+            with localcontext(seq.context):
+                return [seq.value(k) for k in (1, 2, 7)] + [
+                    sum(seq.value(k) for k in rng.sample(range(2, 60), 3)) for _ in range(4)]
         den = {"harmonic": 60, "sevenths": 343**2, "half": 2**20, "base-15": 15**6}[name]
         thousandths = [rng.randrange(1, 1000) for _ in range(4)]
         return ([Fraction(rng.randrange(1, den), den) for _ in range(3)] + [Fraction(0)]
                 + [Fraction(k, 1000) for k in thousandths] + [Decimal(k) / 1000 for k in thousandths])
 
-    @pytest.mark.parametrize("name", ["sevenths", "harmonic", "half", "base-15"])
+    @pytest.mark.parametrize("name", ["sevenths", "harmonic", "half", "base-15", "golden-real"])
     def test_every_field_matches(self, name):
         fam, seq = self.system(name)
-        assert isinstance(seq.value(1), Fraction)
-        for x in self.inputs(name):
+        term = type(seq.value(1))
+        assert (term is Decimal) == (name == "golden-real")
+        exact = set()
+        for x in self.inputs(name, seq):
             for max_blocks in (*range(9), 64):
                 for tol in (None, Fraction(1, 10**12), Decimal("1e-9"), 0):
                     got = expand_real(x, fam, seq, max_blocks, tol)
                     want = expand_real_ref(x, fam, seq, max_blocks, tol)
                     assert got == want, (x, max_blocks, tol)
-                    assert type(got.residual) is Fraction and type(got.exact) is bool
+                    assert type(got.residual) is term and type(got.exact) is bool
+                    exact.add(got.exact)
+        assert exact == {True, False}
 
 
 class TestTermCache:

@@ -30,7 +30,7 @@ from conftest import (
 )
 from test_integers import LONG_DIPS
 
-from zecknum import blocks, load_fixture, uniqueness
+from zecknum import blocks, build_system, load_fixture, uniqueness
 from zecknum.blocks import (
     FamilyError,
     WalkLimitError,
@@ -61,6 +61,10 @@ CAPS = {"fib": 16, "index-bounded": 6, "rec-3-1": 8, "rec-8-2-3": 4, "blocks7": 
 PADIC_FIXTURES = ("golden-41", "padic-5-20")
 # the integer fixtures whose sequence is not increasing
 NOT_INCREASING = ("pin-3", "mult-11-3", "mult-2-3")
+# terms 1, 6, 4 mod 2^3, whose residues wrap where the integer sums do not:
+# 2*1 + 6 = 8 is the residue 0
+PADIC_WRAP = build_system({"kind": "padic", "p": 2, "prec": 3, "family": {"type": "multiplicity", "e": [3]},
+                           "sequence": {"type": "power", "unit": 3}})
 
 
 def counts(fam, cap):
@@ -382,13 +386,16 @@ class TestProbesAgainstReference:
         fam, seq, cap = s.family, s.seq(label), CAPS[name]
         assert check_unique(fam, seq, cap, stop) == check_unique_ref(fam, seq, cap, stop)
 
-    @pytest.mark.parametrize("name,label", labelled(["golden-41", "padic-5-20"]))
+    @pytest.mark.parametrize("name,label", [*labelled(["golden-41", "padic-5-20"]), ("padic-wrap", "main")])
     @pytest.mark.parametrize("stop", [True, False])
     def test_check_unique_padic(self, name, label, stop):
-        s = get_system(name)
+        # check_unique reads the residues off the sequence's modulus, as check_unique_padic does
+        s = PADIC_WRAP if name == "padic-wrap" else get_system(name)
         fam, seq = s.family, s.seq(label)
-        for cap in (0, 1, 3, 5):
-            assert check_unique_padic(fam, seq, cap, stop) == check_unique_padic_ref(fam, seq, cap, stop)
+        for cap in (0, 1, 2, 3, 5):
+            want = check_unique_padic_ref(fam, seq, cap, stop)
+            assert check_unique_padic(fam, seq, cap, stop) == want, cap
+            assert check_unique(fam, seq, cap, stop) == want, cap
 
     @pytest.mark.parametrize("name,label", labelled(INTEGER_FIXTURES))
     def test_enumerate_subset(self, name, label):
