@@ -148,8 +148,8 @@ class FundamentalSeq:
             if not w:
                 raise FamilyError(f"{self.name}: no growth rule: a negative-coefficient recurrence needs "
                                   "coefficient sum >= 1, tail sums <= 0 and nondecreasing last seeds")
-            n = len(vals)  # value()'s loop, inline: one push per term
-            while (n - s < w or min(vals[-w:]) <= x) and not (w == 1 and self._drop):
+            n, one = len(vals), w == 1  # value()'s loop, inline: one push per term
+            while (n - s < w or (vals[-1] if one else min(vals[-w:])) <= x) and not (one and self._drop):
                 if n == EXTENSION_LIMIT:
                     self.value(n + 1)  # refuses
                 n += 1

@@ -12,11 +12,13 @@ precision are invisible and are not materialized.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .blocks import FamilyError, PredecessorFamily, _scan_asc, order_values
 from .coeff import DIGIT_LIMIT, CoeffFn, NotRepresentableError
-from .uniqueness import UniquenessReport, check_unique
+
+if TYPE_CHECKING:
+    from .uniqueness import UniquenessReport
 
 
 def padic_valuation(x: int, p: int, cap: int) -> int:
@@ -138,6 +140,8 @@ def check_unique_padic(
     fam: PredecessorFamily, seq: PadicSeq, order_cap: int, stop_at_collision: bool = True
 ) -> UniquenessReport:
     """uniqueness.check_unique, the one collision check, by residue mod p**prec."""
+    from .uniqueness import check_unique  # here: the other p-adic commands never load it
+
     return check_unique(fam, seq, order_cap, stop_at_collision)
 
 

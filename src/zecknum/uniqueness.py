@@ -9,15 +9,21 @@ generalized Zeckendorf theorem): Q_n members have order < n, and a member's
 lex rank is its derived value, so counting and unranking read that sequence.
 With a multiplicity list's own recurrence, a cap of a few periods is the
 interesting regime (four by default, two with the shortcut flag).
+
+A digit box (row n+1 is row n with (n, c_n) on top, row 2 is (1, c_1)) has
+as members every vector with 0 <= a_k <= c_k, and two collide iff some
+nonzero D with |D_k| <= c_k has sum D_k Q_k = 0.  _box_members searches D
+top-down over partial sums s, dropping |s| > sum_{j<k} c_j Q_j (every Q_k is
+positive); when no nonzero D reaches 0, the clean report needs no value.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import blocks
-from .blocks import PredecessorFamily, first_collision, order_values
+from .blocks import FamilyError, PredecessorFamily, first_collision, order_values
 from .coeff import CoeffFn
 from .integers import FundamentalSeq, encode_int
 from .recurrences import MultiplicityList
@@ -60,13 +66,16 @@ def check_unique(
     MEMBER_LIMIT is refused before any value is summed, from the derived
     Q_{cap+1}, the count of the members; its terms increase, so they are read
     only up to the first past the limit.  The two witnesses are encode_int of
-    their ranks on the derived sequence."""
-    derived, stop = FundamentalSeq.from_family(fam), stop_at_collision
+    their ranks on the derived sequence.  A digit box with no collision is
+    answered by _box_members, without building a value."""
+    derived, stop, modulus = FundamentalSeq.from_family(fam), stop_at_collision, getattr(seq, "modulus", None)
     if not stop and any(derived.value(n) > blocks.MEMBER_LIMIT for n in range(1, blocks._check_cap(order_cap) + 2)):
         raise blocks._limit_error(order_cap)
+    if not modulus and (total := _box_members(fam, seq.value, order_cap)):
+        return UniquenessReport(order_cap, total, total, None, True)
     seen: set[int] = set()
     repeat, start = None, 0  # start: members of the orders before this step
-    for values in order_values(fam, seq.value, order_cap, getattr(seq, "modulus", None)):
+    for values in order_values(fam, seq.value, order_cap, modulus):
         seen.update(islice(values, start, None))
         if repeat is None and len(seen) < len(values):  # the first repeat lies past start
             repeat = first_collision(enumerate(values))
@@ -78,6 +87,36 @@ def check_unique(
     v, i, j = repeat
     collision = (v, encode_int(i, fam, derived), encode_int(j, fam, derived))
     return UniquenessReport(order_cap, *((j + 1, j) if stop else (len(values), len(seen))), collision, not stop)
+
+
+def _box_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int) -> int:
+    """prod (c_k + 1), the members of order <= cap, when rows 2..cap+1 form a
+    digit box within MEMBER_LIMIT and the difference search rules out a
+    collision in that many steps; else 0, and the scan answers.  A table's
+    end gives 0 too: the scan meets it there, or an earlier collision."""
+    row, qs, total = [], [], 1
+    try:
+        for n in range(1, blocks._check_cap(cap) + 1):
+            below, row = row, fam.digits(n + 1)  # top first: (n, c_n), then row n's pairs
+            total *= row[0][1] + 1
+            if row[1:] != below or total > blocks.MEMBER_LIMIT:
+                return 0
+            qs.append(q(n))
+    except (FamilyError, IndexError):
+        return 0
+    states, budget, reach = {0: False}, total, sum(c * qk for (_, c), qk in zip(row, reversed(qs)))
+    for (_, c), qk in zip(row, reversed(qs)):  # index cap down to 1
+        reach -= c * qk  # the most the digits below k can add or take away
+        budget -= len(states) * (2 * c + 1)
+        if budget < 0:
+            return 0
+        nxt: dict[int, bool] = {}
+        for s, nonzero in states.items():
+            for d in range(max(-c, -((reach + s) // qk)), min(c, (reach - s) // qk) + 1):  # |s + d Q_k| <= reach
+                t = s + d * qk
+                nxt[t] = nxt.get(t, False) or nonzero or d != 0
+        states = nxt
+    return 0 if states.get(0) else total
 
 
 def default_order_cap(multiplicities: Sequence[int] | None, shortcut: bool = False) -> int:

@@ -1028,6 +1028,8 @@ LOAD_SETS = [
     (["real-expand", "-f", "sevenths", "1/3"], _layers("padic", "uniqueness", "integers")),
     (["fixtures"], set(MODULES) - _layers("cli", "config", "coeff") - {"zecknum"}),
     (["dominant-check", "--multiplicity", "1,1"], _layers("blocks", "integers", "recurrences", "uniqueness", "padic")),
+    (["padic-expand", "-f", "golden-41", "6141377528281"], _layers("uniqueness", "real")),
+    (["converse-probe", "-f", "padic-5-20", "--cap", "4"], _layers("uniqueness", "real")),
 ]
 
 

@@ -50,7 +50,7 @@ from zecknum.integers import (
     enumerate_subset,
 )
 from zecknum.padic import check_unique_padic, eval_padic, weak_converse_probe
-from zecknum.recurrences import MultiplicityList, family_from_table
+from zecknum.recurrences import MultiplicityList, factorial_family, family_from_table
 from zecknum.uniqueness import check_unique
 
 FIB = MultiplicityList((1, 1)).predecessor_family()
@@ -456,6 +456,94 @@ class TestProbesAgainstReference:
                           (pd.family, pd.sequences["alt"], pd.sequences["alt"]),
                           (g.family, g.sequence, g.sequence)):
             assert weak_converse_probe(fam, a, b, cap) == weak_converse_probe_ref(fam, a, b, cap)
+
+
+def _box_cases():
+    """id -> (family, sequence) over digit boxes: every row n+1 is row n with
+    one digit on top, so the members are all digit vectors under the row digits."""
+    cases = {}
+    for e in [(2, 3), (4, 5), (1, 2), (2,), (3,), (5,), (1, 1, 2), (2, 2, 3)]:  # reduced digits all equal
+        fam = MultiplicityList(e).predecessor_family()
+        # seeds (1, 2) on (2, 3) collide: 1:2 and 2:1 are both worth 2
+        for seeds in [(1,) * len(e), (5, 3, 7)[: len(e)], (1, 2, 4)[: len(e)], (3, 1, 1)[: len(e)]]:
+            cases[f"{e}-{seeds}"] = fam, FundamentalSeq.from_linear(seeds, e)
+        cases[f"{e}-derived"] = fam, FundamentalSeq.from_family(fam)
+    fact = factorial_family()
+    cases["factorial-derived"] = fact, FundamentalSeq.from_family(fact)
+    cases["factorial-fib"] = fact, FundamentalSeq.from_linear((1, 2), (1, 1))
+    cases["factorial-powers"] = fact, FundamentalSeq.from_linear((1,), (3,))
+    rnd = random.Random(5)
+    for i in range(6):  # small arbitrary terms: most collide, some only deep down
+        terms = [rnd.randint(1, 60) for _ in range(6)]
+        cases[f"(3,)-random{i}"] = MultiplicityList((3,)).predecessor_family(), FundamentalSeq(terms, name="random")
+    # rows 2..4 of a binary box only: row 5 raises at order 4.  With Fibonacci
+    # terms 1 + 2 = 3 collides at order 3 first; powers of 2 never collide.
+    table = family_from_table([[1], [1, 1], [1, 1, 1]])
+    cases["table-fib"] = table, FundamentalSeq.from_linear((1, 2), (1, 1))
+    cases["table-powers"] = table, FundamentalSeq.from_linear((1,), (2,))
+    cases["short-powers"] = MultiplicityList((2,)).predecessor_family(), FundamentalSeq([1, 2, 4, 8], name="short")
+    return cases
+
+
+BOX = _box_cases()
+
+
+class TestDigitBox:
+    """check_unique's digit-box shortcut answers as the walk-and-decode
+    reference, collisions, refusals and failures included, and it is the
+    path taken where it applies."""
+
+    @pytest.mark.parametrize("fam,seq", BOX.values(), ids=BOX.keys())
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_against_reference(self, fam, seq, stop):
+        for cap in range(7):
+            assert outcome(check_unique, fam, seq, cap, stop) == outcome(check_unique_ref, fam, seq, cap, stop), cap
+
+    def test_cases_reach_what_they_claim(self):
+        # a collision, and one found before the missing row that a full walk meets
+        assert check_unique(*BOX["(2, 3)-(1, 2)"], 4).collision == (2, CoeffFn.parse("1:2"), CoeffFn.parse("2:1"))
+        fam, seq = BOX["table-fib"]
+        assert check_unique(fam, seq, 6).collision[0] == 3
+        with pytest.raises(FamilyError, match="table ends at row 4, asked for 5"):
+            check_unique(fam, seq, 6, stop_at_collision=False)
+
+    @pytest.mark.parametrize("name,cap,members", [("mult-2-3", 8, 3**8), ("factorial", 8, 362_880)])
+    def test_box_builds_no_value(self, monkeypatch, name, cap, members):
+        s = get_system(name)
+        if name == "mult-2-3":
+            want = check_unique_ref(s.family, s.sequence, cap)
+        else:  # the reference walk would decode 9! members: the scan, with the shortcut off
+            monkeypatch.setattr(uniqueness, "_box_members", lambda *args: 0)
+            want = check_unique(s.family, s.sequence, cap)
+            monkeypatch.undo()
+        assert want == uniqueness.UniquenessReport(cap, members, members, None, True)
+
+        def scan(*args):
+            raise AssertionError("a digit box was scanned")
+
+        monkeypatch.setattr(uniqueness, "order_values", scan)
+        for stop in (True, False):
+            assert check_unique(s.family, s.sequence, cap, stop) == want
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_member_limit_read_at_call_time(self, monkeypatch, stop):
+        s = get_system("mult-2-3")  # 3^8 members of order <= 8
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 3**8)
+        assert check_unique(s.family, s.sequence, 8, stop).members_seen == 3**8
+        monkeypatch.setattr(blocks, "MEMBER_LIMIT", 3**8 - 1)
+        with pytest.raises(WalkLimitError, match="^order cap 8 walks more than 6,560 members; lower the cap$"):
+            check_unique(s.family, s.sequence, 8, stop)
+
+    @pytest.mark.parametrize("name", ["mult-11-3", "golden-41", "fib"])  # a collision, a modulus, not a box
+    def test_others_are_scanned(self, monkeypatch, name):
+        s = get_system(name)
+
+        def scan(*args):
+            raise LookupError("scanned")
+
+        monkeypatch.setattr(uniqueness, "order_values", scan)
+        with pytest.raises(LookupError, match="scanned"):
+            check_unique(s.family, s.sequence, 8)
 
 
 def until_error(values):
