@@ -10,6 +10,8 @@ precision for real systems (default 60 digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from itertools import islice
@@ -36,9 +38,9 @@ def _precision() -> int:
 def _system(args) -> System:
     """The system named by -f or -c, if the verb's wiring accepts its kind."""
     if args.fixture:
-        sys_ = load_fixture(args.fixture, precision=_precision())
+        sys_ = load_fixture(args.fixture, precision=args.precision)
     elif args.config:
-        sys_ = load_config(args.config, precision=_precision())
+        sys_ = load_config(args.config, precision=args.precision)
     else:
         raise FamilyError("pass --fixture NAME or --config PATH (see 'zecknum fixtures')")
     if sys_.kind not in args.kinds:
@@ -84,9 +86,8 @@ def cmd_fixtures(args) -> int:
 
 
 def _records(sys_: System, header: str, values: list[str], parse: Callable, record: Callable) -> int:
-    """The value verbs' output: every token parsed (form, range, and a value that reads the
-    sequence), then a header and one ``token<TAB>record`` line per token; a lone '-' reads the
-    tokens from stdin, one per line."""
+    """The value verbs' output: every token parsed (form and range), then a header and one
+    ``token<TAB>record`` line per token; a lone '-' reads the tokens from stdin, one per line."""
     if values == ["-"]:
         values = [line.strip() for line in sys.stdin if line.strip()]
     parsed = []
@@ -104,7 +105,6 @@ def _records(sys_: System, header: str, values: list[str], parse: Callable, reco
 
 def cmd_encode(args, sys_: System, seq) -> int:
     from .integers import encode_int
-    seq.find_top(0)  # a sequence every encode refuses is refused before the header
 
     def parse(tok: str) -> int:
         if (x := int(tok)) < 0:
@@ -116,14 +116,12 @@ def cmd_encode(args, sys_: System, seq) -> int:
 
 
 def cmd_decode(args, sys_: System, seq) -> int:
-    return _records(sys_, "digits\tvalue", args.values,
-                    lambda tok: sys_.value(CoeffFn.parse(tok), args.seq), str)
+    return _records(sys_, "digits\tvalue", args.values, CoeffFn.parse, lambda fn: sys_.value(fn, args.seq))
 
 
 def cmd_shift(args, sys_: System, seq) -> int:
     from .integers import shift_value
-    return _records(sys_, "digits\tshifted value", args.values,
-                    lambda tok: shift_value(CoeffFn.parse(tok), seq), str)
+    return _records(sys_, "digits\tshifted value", args.values, CoeffFn.parse, lambda fn: shift_value(fn, seq))
 
 
 def cmd_decompose(args, sys_: System, seq) -> int:
@@ -145,13 +143,11 @@ def cmd_real_expand(args, sys_: System, seq) -> int:
     from .real import expand_real
     if args.max_blocks < 0:
         raise ValueError(f"--max-blocks must be nonnegative, got {args.max_blocks}")
-    tol = Fraction(1, 10 ** (_precision() // 2))
+    tol = Fraction(1, 10 ** (args.precision // 2))
 
     def parse(tok: str):
         if not 0 <= (x := _number(tok)) < 1:
             raise ValueError(f"need 0 < x < 1, got {x}")
-        if isinstance(seq.value(1), Fraction):  # x is read exactly, the residual printed as a fraction
-            str(Fraction(x))  # so x's own fraction must print
         return x
 
     def record(x) -> str:
@@ -178,10 +174,9 @@ def cmd_enumerate(args, sys_: System, seq) -> int:
         walk = enumerate_desc(sys_.family, args.horizon)
     else:
         title, walk = f"first {args.count} members, lex order", enumerate_asc(sys_.family)
-    lines = [f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}" for i, fn in enumerate(islice(walk, args.count))]
-    print(f"# {sys_.name}: {title}")  # after the members: a walk or value that fails prints nothing
-    for line in lines:
-        print(line)
+    print(f"# {sys_.name}: {title}")
+    for i, fn in enumerate(islice(walk, args.count)):
+        print(f"{i}\t{fn.render()}\t{sys_.value(fn, args.seq)}")
     return 0
 
 
@@ -343,14 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb with its stdout held.  It is written when the verb returns or exits 1, so an
+    exit-1 answer follows the records before it; an exit-2 refusal writes none of it."""
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        _precision()  # a malformed ZECKNUM_PRECISION fails every verb
-        if args.kinds is None:  # fixtures, dominant-check
-            return args.fn(args)
-        sys_ = _system(args)  # an unknown --seq fails before any output
-        return args.fn(args, sys_, sys_.seq(args.seq))
+        args.precision = _precision()  # a malformed ZECKNUM_PRECISION fails every verb
+        with contextlib.redirect_stdout(out):
+            sys_ = args.kinds and _system(args)  # fixtures and dominant-check name no system
+            rc = args.fn(args, sys_, sys_.seq(args.seq)) if sys_ else args.fn(args)
     except (NotRepresentableError, NotMemberError) as exc:
+        sys.stdout.write(out.getvalue())
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # FamilyError, and a malformed JSON file, raise a ValueError
@@ -359,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("config error: out of memory", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return rc
 
 
 if __name__ == "__main__":

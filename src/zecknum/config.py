@@ -105,7 +105,7 @@ def _integer_family(entry: dict):
         return j_plus_family(_need(entry, "family", "j", "int")), None
     if t == "blocks":
         blocks = _need(entry, "family", "blocks", "rows")
-        return family_from_blocks([tuple(b) for b in blocks], entry.get("name", "blocks")).family, None
+        return family_from_blocks([tuple(b) for b in blocks], entry.get("name", "blocks")), None
     if t == "table":
         rows = _need(entry, "family", "rows", "rows")
         fam = family_from_table(rows)

@@ -155,14 +155,6 @@ def _eval_poly(coeffs: Iterable[int], x: int, m: int) -> int:
     return total
 
 
-def _eval_dpoly(coeffs: Iterable[int], x: int, m: int) -> int:
-    cs = tuple(coeffs)
-    total = 0
-    for i in range(len(cs) - 1, 0, -1):
-        total = (total * x + i * cs[i]) % m
-    return total
-
-
 def hensel_root(coeffs: Iterable[int], p: int, seed: int, prec: int) -> int:
     """Lift a simple root of f mod p to a root mod p**prec by Newton steps.
 
@@ -170,17 +162,18 @@ def hensel_root(coeffs: Iterable[int], p: int, seed: int, prec: int) -> int:
     satisfy f(seed) = 0 and f'(seed) != 0 mod p.
     """
     cs = tuple(coeffs)
+    dcs = [i * c for i, c in enumerate(cs)][1:]  # f'
     m = p**prec
     x = seed % p
     if _eval_poly(cs, x, p) != 0:
         raise ValueError(f"{seed} is not a root mod {p}")
-    if _eval_dpoly(cs, x, p) == 0:
+    if _eval_poly(dcs, x, p) == 0:
         raise ValueError(f"derivative vanishes at {seed} mod {p}, root is not simple")
     for _ in range(prec.bit_length() + 2):
         fx = _eval_poly(cs, x, m)
         if fx == 0:
             break
-        x = (x - fx * pow(_eval_dpoly(cs, x, m), -1, m)) % m
+        x = (x - fx * pow(_eval_poly(dcs, x, m), -1, m)) % m
     if _eval_poly(cs, x, m):
         raise ArithmeticError("Newton iteration failed to converge")
     return x

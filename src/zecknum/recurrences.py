@@ -210,22 +210,9 @@ def family_from_sequence(values: Sequence[int], name: str = "greedy") -> Predece
 # -- fixed block systems -----------------------------------------------------
 
 
-class FixedBlockSystem(NamedTuple):
-    """A finite block set realized as an admissibility family.
-
-    ``base`` is one more than the largest block value; block values are a
-    bijection onto 0..base-1, checked at construction.
-    """
-
-    family: PredecessorFamily
-    base: int
-    width: int
-    values: tuple[tuple[tuple[int, ...], int], ...]
-
-
 def family_from_blocks(
     blocks: Iterable[Sequence[int]], name: str = "blocks"
-) -> FixedBlockSystem:
+) -> PredecessorFamily:
     """Build the admissibility family whose members are tilings by ``blocks``.
 
     Each block is a digit tuple (low index first) of a common width N.  The
@@ -285,7 +272,7 @@ def family_from_blocks(
         )
     b_max = next(b for b, v in vals.items() if v == base - 1)
     fam.recurrence = (0,) * (width - 1) + (base,)
-    return FixedBlockSystem(fam, base, width, tuple(sorted(vals.items(), key=lambda kv: kv[1])))
+    return fam
 
 
 def verify_recurrence(

@@ -189,7 +189,7 @@ class TestVerifyRecurrence:
             sys.set_int_max_str_digits(saved)
         assert rc == 2
         assert err == "config error: the mismatch at n=3063 needs an integer longer than Python's 640-digit conversion limit\n"
-        assert [line.split(":")[0] for line in lines] == [f"# mismatch at n={k}" for k in range(2990, 3063)]
+        assert lines == []  # not the 73 mismatch lines before it
 
 
 class TestVerifyMaximal:
@@ -296,9 +296,7 @@ class TestDigitLimit:
     def test_names_the_token_and_the_limit(self, capsys, argv, shown):
         rc, lines, err = run(capsys, *argv)
         assert rc == 2
-        # tokens are parsed before the header: only decode's parses, its value is what cannot print
-        headers = 1 if argv[0] == "decode" else 0
-        assert len(lines) == headers and all(line.startswith("# ") for line in lines)
+        assert lines == []  # no header either, though decode's token parses and only its value cannot print
         limit = sys.get_int_max_str_digits()
         assert err == f"config error: {shown} needs an integer longer than Python's {limit}-digit conversion limit\n"
 
@@ -892,6 +890,14 @@ class TestSequenceGrowth:
         assert lines[1:] == ["6\t1:1,4:1"]
         assert err == "error: no admissible function of order <= 4 has value 100\n"
 
+    def test_extension_refusal_after_a_record_writes_nothing(self, capsys, monkeypatch):
+        # 5 encodes within the first 50 terms; 1000 lies past Q_50 = 188
+        monkeypatch.setattr("zecknum.integers.EXTENSION_LIMIT", 50)
+        rc, lines, err = run(capsys, "encode", "-f", "pin-3", "5", "1000")
+        assert rc == 2
+        assert lines == []
+        assert err == "config error: pin-3-values: refusing to extend past 50 terms\n"
+
     def test_fewer_seeds_than_coefficients(self, capsys, tmp_path):
         config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, 1, -1]})
         rc, lines, err = run(capsys, "decode", "-c", config, "3:1")
@@ -922,7 +928,7 @@ class TestSequenceGrowth:
     )
     def test_nonpositive_term_refused_before_output(self, capsys, tmp_path, argv):
         # Q_3 = Q_2 - 3 Q_1 = -1: the second token's value, or the fourth member's
-        # (3:1), reads it, before the header
+        # (3:1), reads it, and the refusal writes none of the records before it
         config = fib_config(tmp_path, {"type": "linear", "seeds": [1, 2], "coeffs": [1, -3]})
         rc, lines, err = run(capsys, argv[0], "-c", config, *argv[1:])
         assert rc == 2
@@ -955,6 +961,19 @@ def test_installed_entry_point():
     assert "fib" in proc.stdout.split()
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_maps_to_main(capsys):
+    import importlib
+    import tomllib
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["zecknum"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    assert entry(["fixtures"]) == 0
+    assert "fib" in capsys.readouterr().out.split()
+
+
 def test_cold_module_run_matches_readme():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -982,6 +1001,7 @@ def test_out_of_memory_exits_2():
     )
     assert proc.returncode == 2
     assert proc.stderr == "config error: out of memory\n"
+    assert proc.stdout == ""
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -9,8 +9,8 @@ from conftest import derived_by_row_sums, maximal_row
 
 from zecknum import load_fixture
 from zecknum.blocks import FamilyError
-from zecknum.coeff import DIGIT_LIMIT, CoeffFn
-from zecknum.integers import FundamentalSeq, enumerate_subset
+from zecknum.coeff import DIGIT_LIMIT, CoeffFn, from_dense
+from zecknum.integers import FundamentalSeq, decode_int, enumerate_subset
 from zecknum.recurrences import (
     MultiplicityList,
     factorial_family,
@@ -201,14 +201,15 @@ BLOCKS7 = [
 
 class TestFixedBlocks:
     def test_system_shape(self):
-        sysb = family_from_blocks(BLOCKS7)
-        assert sysb.base == 7
-        assert sysb.width == 3
-        assert [v for _, v in sysb.values] == list(range(7))
-        assert dict(sysb.values)[(1, 1, 1)] == 6
+        fam = family_from_blocks(BLOCKS7)
+        assert fam.recurrence[-1] == 7  # the base
+        assert len(fam.recurrence) == 3  # the width
+        values = {b: decode_int(from_dense(b), fam.derived) for b in BLOCKS7}
+        assert sorted(values.values()) == list(range(7))
+        assert values[(1, 1, 1)] == 6
 
     def test_rows_frozen(self):
-        fam = family_from_blocks(BLOCKS7).family
+        fam = family_from_blocks(BLOCKS7)
         assert fam.row(2) == CoeffFn({1: 1})
         assert fam.row(3) == CoeffFn({2: 1})
         assert fam.row(4) == CoeffFn({1: 1, 2: 1, 3: 1})
@@ -217,7 +218,7 @@ class TestFixedBlocks:
         assert fam.row(8) == CoeffFn({1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1})
 
     def test_derived_values_frozen(self):
-        seq = FundamentalSeq.from_family(family_from_blocks(BLOCKS7).family)
+        seq = FundamentalSeq.from_family(family_from_blocks(BLOCKS7))
         assert seq.upto(9) == [1, 2, 3, 7, 14, 21, 49, 98, 147]
 
     def test_validation(self):
