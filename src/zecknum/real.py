@@ -143,26 +143,22 @@ def positive_root(e: Sequence[int], digits: int = 60) -> Decimal:
 
     The polynomial is strictly increasing on [0,1] with a sign change, so
     bisection is safe; work runs at a guard precision and the result is
-    rounded down to the requested one.
+    rounded half-even to the requested one, both in contexts of their own,
+    so the caller's precision, rounding and traps do not apply.
     """
     es = tuple(e)
     if not es or es[0] < 1 or es[-1] < 1 or any(v < 0 for v in es):
         raise FamilyError(f"multiplicities {es} must be nonnegative with positive ends")
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
+    with localcontext(Context(prec=digits + 10)):
         lo, hi = Decimal(0), Decimal(1)
-        steps = int((digits + 10) * 3.33) + 4
-        for _ in range(steps):
+        for _ in range(int((digits + 10) * 3.33) + 4):
             mid = (lo + hi) / 2
             f = sum(ek * mid**k for k, ek in enumerate(es, start=1)) - 1
             if f < 0:
                 lo = mid
             else:
                 hi = mid
-        root = (lo + hi) / 2
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +root
+        return Context(prec=digits).plus((lo + hi) / 2)
 
 
 def geometric_fundamental(e: Sequence[int], digits: int = 60) -> GeometricSeq:
@@ -278,19 +274,10 @@ def expand_real(
         return _expand_rational(x, fam, seq, max_blocks, residual_tol)
     pairs: list[tuple[int, int]] = []
     blocks = above = 0
-    exact = False
     with localcontext(getattr(seq, "context", None)):
         rem = Decimal(x.numerator) / x.denominator if isinstance(x, Fraction) else x
-        while True:
-            if rem == 0:
-                exact = True
-                break
-            if residual_tol is not None and rem <= residual_tol:
-                break
-            if blocks >= max_blocks:
-                break
-            n = find_first_below(seq, rem, above)
-            for k, d in fam.support(n):
+        while rem and blocks < max_blocks and (residual_tol is None or rem > residual_tol):
+            for k, d in fam.support(find_first_below(seq, rem, above)):
                 q = seq.value(k)
                 c = min(int(rem / q), d)
                 # division may land a hair high at fixed precision
@@ -306,7 +293,7 @@ def expand_real(
             blocks += 1
             # rem < Q_k after the short digit at k, unless rounding left it a hair over
             above = k if rem < q else 0
-    return Expansion(CoeffFn(tuple(pairs)), rem, exact, blocks)
+    return Expansion(CoeffFn(tuple(pairs)), rem, not rem, blocks)
 
 
 def _expand_rational(x, fam: MaximalFamily, seq, max_blocks: int, residual_tol) -> Expansion:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from decimal import Context, Decimal, localcontext
+from decimal import (
+    ROUND_05UP, ROUND_DOWN, ROUND_FLOOR, Context, Decimal, Inexact, Rounded, getcontext, localcontext,
+)
 from fractions import Fraction
 from itertools import accumulate, islice, takewhile
 from typing import Iterator, NamedTuple
@@ -40,6 +42,23 @@ def fresh_decimal_context():
     own behind, so no test leans on a precision another test set."""
     with localcontext(Context()):
         yield
+
+
+# settings a caller's decimal context may hold, which no result may depend on:
+# an int is a precision, a string a rounding, a signal one more trap
+AMBIENT = (3, 10, 28, 200, ROUND_DOWN, ROUND_FLOOR, ROUND_05UP, Inexact, Rounded)
+
+
+def ambient_context(setting):
+    """The caller's context with one AMBIENT setting changed, entered with ``with``."""
+    ctx = getcontext().copy()
+    if isinstance(setting, int):
+        ctx.prec = setting
+    elif isinstance(setting, str):
+        ctx.rounding = setting
+    else:
+        ctx.traps[setting] = True
+    return localcontext(ctx)
 
 
 # first 100 decimal digits of pi; enough to make greedy index traces exact

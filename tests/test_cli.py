@@ -11,12 +11,13 @@ import shlex
 import shutil
 import subprocess
 import sys
-from decimal import getcontext, localcontext
+from decimal import getcontext
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
+from conftest import AMBIENT, ambient_context
 from test_blocks import TABLE_ROWS
 
 from zecknum.blocks import enumerate_asc
@@ -205,15 +206,19 @@ class TestVerifyMaximal:
         assert rc == 1
         assert any("FAIL" in line for line in lines)
 
-    @pytest.mark.parametrize("ambient", [10, 28, 200])
+    @pytest.mark.parametrize("ambient", AMBIENT)
     def test_independent_of_the_callers_decimal_context(self, capsys, ambient):
         argv = ["verify-maximal", "-f", "golden-real", "--n", "2", "--horizon", "200", "--tol", "1e-25"]
-        with localcontext() as ctx:
-            ctx.prec = ambient
+        with ambient_context(ambient) as ctx:
+            held = (ctx.prec, ctx.rounding, dict(ctx.traps))
             rc, lines, _ = run(capsys, *argv)
-            assert getcontext().prec == ambient
+            assert getcontext() is ctx and (ctx.prec, ctx.rounding, dict(ctx.traps)) == held
         assert rc == 0
-        assert lines[1].endswith("error=9.85109052017255393E-43")
+        assert lines[1] == (
+            "# lhs=0.618033988749894848204586834365638117720308194696710844880056"
+            "  rhs=0.618033988749894848204586834365638117720309179805762862135449"
+            "  error=9.85109052017255393E-43"
+        )
 
 
 class TestRealExpand:

@@ -4,13 +4,13 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import PI_100, expand_real_ref, is_member_desc, maximal_row
+from conftest import AMBIENT, PI_100, ambient_context, expand_real_ref, is_member_desc, maximal_row
 
 import zecknum.real
 from zecknum.blocks import FamilyError
@@ -117,6 +117,12 @@ class TestRoots:
             ctx.prec = 60
             oracle = (Decimal(5).sqrt() - 1) / 2
         assert abs(root - oracle) < Decimal("1e-45")
+
+    @pytest.mark.parametrize("ambient", AMBIENT)
+    def test_positive_root_ignores_the_callers_context(self, ambient):
+        with ambient_context(ambient):
+            root = positive_root((1, 1), 60)
+        assert str(root) == "0.618033988749894848204586834365638117720309179805762862135449"
 
     def test_positive_root_solves_rational_case(self):
         root = positive_root((1, 2), 30)
@@ -355,6 +361,9 @@ class TestAgainstTheReference:
 
     @staticmethod
     def system(name):
+        if name == "silver":  # Q_n = (sqrt 2 - 1)^n, digits up to 2
+            ml = MultiplicityList((2, 1))
+            return ml.maximal_family(), geometric_fundamental(ml.e)
         if name != "base-15":
             return TestResumedSearch.system(name)
         s = build_system(BASE_15)
@@ -364,22 +373,29 @@ class TestAgainstTheReference:
     def inputs(name: str, seq) -> list:
         """Seeded points as Fractions, and three-digit ones also as Decimals; each
         of them ends exactly on harmonic within a few blocks, which keeps its 64 short.
-        On golden-real, exact sums of its terms, and the terms themselves."""
+        On golden-real, exact sums of its terms, and the terms themselves.  On
+        silver, sums of its terms with digits 1 and 2, and 2 Q_1 - 10^-61: read
+        at 60 digits, that x over Q_1 rounds to 2, and the digit must drop to 1."""
         rng = random.Random(name)
         if name == "golden-real":
             with localcontext(seq.context):
                 return [seq.value(k) for k in (1, 2, 7)] + [
                     sum(seq.value(k) for k in rng.sample(range(2, 60), 3)) for _ in range(4)]
+        if name == "silver":
+            with localcontext(seq.context):
+                return [seq.value(k) for k in (1, 2)] + [
+                    sum(rng.randint(1, 2) * seq.value(k) for k in rng.sample(range(2, 60), 3)) for _ in range(3)
+                ] + [Context(prec=100).fma(2, seq.value(1), Decimal("-1e-61"))]
         den = {"harmonic": 60, "sevenths": 343**2, "half": 2**20, "base-15": 15**6}[name]
         thousandths = [rng.randrange(1, 1000) for _ in range(4)]
         return ([Fraction(rng.randrange(1, den), den) for _ in range(3)] + [Fraction(0)]
                 + [Fraction(k, 1000) for k in thousandths] + [Decimal(k) / 1000 for k in thousandths])
 
-    @pytest.mark.parametrize("name", ["sevenths", "harmonic", "half", "base-15", "golden-real"])
+    @pytest.mark.parametrize("name", ["sevenths", "harmonic", "half", "base-15", "golden-real", "silver"])
     def test_every_field_matches(self, name):
         fam, seq = self.system(name)
         term = type(seq.value(1))
-        assert (term is Decimal) == (name == "golden-real")
+        assert (term is Decimal) == (name in ("golden-real", "silver"))
         exact = set()
         for x in self.inputs(name, seq):
             for max_blocks in (*range(9), 64):
@@ -387,7 +403,7 @@ class TestAgainstTheReference:
                     got = expand_real(x, fam, seq, max_blocks, tol)
                     want = expand_real_ref(x, fam, seq, max_blocks, tol)
                     assert got == want, (x, max_blocks, tol)
-                    assert type(got.residual) is term and type(got.exact) is bool
+                    assert type(got.residual) is term and type(got.exact) is bool and got.residual >= 0
                     exact.add(got.exact)
         assert exact == {True, False}
 

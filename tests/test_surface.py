@@ -8,6 +8,10 @@ with ``ast``: ``Name`` and ``Attribute`` nodes, import aliases, and string
 constants made of dotted identifiers (``config._BY_KIND`` names its
 evaluators as strings, bench/tracing.py the functions it wraps).  Names
 starting with ``_``, dunders included, are out of scope.
+
+The same walk over src/ finds every ``localcontext()`` call made without an
+argument: such a context copies the caller's, whose precision, rounding and
+traps would then reach the result.
 """
 
 from __future__ import annotations
@@ -73,3 +77,25 @@ def test_scan_finds_definitions():
 
 def test_every_public_name_has_a_caller():
     assert unused() == []
+
+
+def bare_localcontexts(tree: ast.Module) -> list[int]:
+    """Lines of the ``localcontext()`` calls in ``tree`` that pass no context."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "localcontext"
+        and not node.args
+        and not node.keywords
+    ]
+
+
+def test_scan_finds_bare_localcontexts():
+    code = "with localcontext(Context(prec=9)):\n    pass\nwith decimal.localcontext() as ctx:\n    pass\n"
+    assert bare_localcontexts(ast.parse(code)) == [3]
+
+
+def test_no_decimal_work_in_a_copy_of_the_callers_context():
+    found = [f"{path.name}:{line}" for path in SRC for line in bare_localcontexts(ast.parse(path.read_text()))]
+    assert found == []
