@@ -185,49 +185,58 @@ class Decomposition(NamedTuple):
 def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]]:
     """Split ``mu`` into spans (lo, hi, maximal), top-down, or raise NotMemberError.
 
-    Scanning from the top index n against row(n+1): the first index where mu
-    drops below the row closes a block there; exceeding the row anywhere is a
-    failure; matching the row all the way down to 1 is the maximal block,
-    necessarily the bottom one.  Row n+1 has a digit at n, so a zero at a
-    block's top is the all-zero singleton (n, n) and reads no row: only the
-    blocks topped by a nonzero digit read one.  mu's digits are read from one
-    dense list.
-    """
+    Scanning from a nonzero digit at n against row(n+1): the first index where
+    mu drops below the row closes a block there; exceeding the row anywhere is
+    a failure; matching the row all the way down to 1 is the maximal block,
+    necessarily the bottom one.  Row n+1 has a digit at n, so every index the
+    spans leave out is an all-zero singleton.  mu's pairs and the row's nonzero
+    digits (head, then tail down the _nonzero chain) are read in lockstep, at
+    O(support + blocks) a call."""
     spans: list[tuple[int, int, bool]] = []
-    n = mu.order_asc
-    digits = [0] * (n + 1)
-    for k, d in mu.items():
-        digits[k] = d
-    built, parts = fam._parts, fam.parts  # parts() memoizes into built
-    while n >= 1:
-        if not digits[n]:
-            spans.append((n, n, False))
-            n -= 1
-            continue
-        head, top, tail, _ = built.get(n + 1) or parts(n + 1)
-        k = n  # down to the highest index where mu leaves the row, or 0
-        while k > top and digits[k] == head.get(k, 0):
-            k -= 1
-        while 0 < k <= top and digits[k] == tail[k]:
-            k -= 1
+    pairs = ((0, -1),) + mu.items()  # (0, -1) below the support: under every digit, tail[0] = 0 included
+    i = len(pairs) - 1
+    built, parts, chains = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
+    while i:
+        m, d = pairs[i]
+        n = k = m  # (k, c): the highest row digit mu does not match
+        head, top, tail, r = built.get(n + 1) or parts(n + 1)  # row n+1 opens with head[n] if n > top
+        c = head[n] if n > top else tail[n]
+        if d == c:  # else the block is (n, n), or n the witness
+            if n > top:
+                for k, c in head.items():
+                    if m != k or d != c:
+                        break
+                    i -= 1
+                    m, d = pairs[i]
+                else:
+                    k = chains[r][top]
+            if k <= top:
+                chain = chains[r]
+                while m == k and d == tail[k]:
+                    i -= 1
+                    m, d = pairs[i]
+                    k = chain[k - 1]
+                c = tail[k]
+        if m > k or m == k and d > c:  # mu's digit at m exceeds the row's there
+            raise NotMemberError(m)
         if not k:
             spans.append((1, n, True))
             break
-        if digits[k] > (tail[k] if k <= top else head.get(k, 0)):
-            raise NotMemberError(k)
+        if m == k:
+            i -= 1
         spans.append((k, n, False))
-        n = k - 1
     return spans
 
 
 def decompose_asc(mu: CoeffFn, fam: PredecessorFamily) -> Decomposition:
     """Unique block decomposition of an ascending member (NotMemberError
     otherwise): one pass over its pairs, each block a slice of them."""
-    pairs, i, blocks = mu.items(), 0, []
+    pairs, i, below, blocks = mu.items(), 0, 1, []
     for lo, hi, maximal in reversed(_scan_asc(mu, fam)):
+        blocks += [Block(k, k, ZERO) for k in range(below, lo)]  # the all-zero singletons the scan leaves out
         j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
         blocks.append(Block(lo, hi, CoeffFn._trusted(pairs[i:j]), maximal))
-        i = j
+        i, below = j, hi + 1
     return Decomposition(tuple(blocks))
 
 
@@ -276,13 +285,13 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[list[tup
 
     The one member walker, amortized O(1) per member: ``start`` is scanned once
     (a non-member is yielded, then NotMemberError raised); then the walker keeps
-    its decomposition's spans [lo, hi, maximal], bar all-zero singletons, and
-    yields ``digits``, the support pairs top first, one list edited in place at
-    its low end.
+    the spans [lo, hi, maximal] of its blocks topped by a nonzero digit, as
+    _scan_asc gives them, and yields ``digits``, the support pairs top first,
+    one list edited in place at its low end.
     """
     digits = list(reversed(start.items()))
     yield digits
-    blocks = [[lo, hi, mx] for lo, hi, mx in _scan_asc(start, fam) if mx or lo < hi or start.digit(lo)]
+    blocks = [list(span) for span in _scan_asc(start, fam)]
     built, parts, nonzero = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
     while True:
         # carry: a maximal bottom block [1, hi] clears into hi + 1, else index 1 goes up

@@ -305,8 +305,8 @@ def _search(x: int, fam: PredecessorFamily, seq: FundamentalSeq, top: int, bound
         if not n:  # the next block's order, below lim
             if not rem:
                 return CoeffFn._trusted(tuple(reversed(pairs)))
-            if M is None:
-                n = bisect_right(vals, rem, 0, lim - 1)
+            if M is None:  # the greedy runs on increasing terms: probe the top below lim first
+                n = lim - 1 if lim > 1 and vals[lim - 2] <= rem else bisect_right(vals, rem, 0, lim - 1)
             else:  # the least that reaches rem and whose Q_m fits; basis(m) before its row is read
                 m = max(k, bisect_left(M, rem) - 1)
                 stop = bisect_right(vals, rem, 0, lim - 1) if seq.increasing else lim - 1

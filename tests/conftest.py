@@ -239,9 +239,9 @@ class DescBlock(NamedTuple):
 
 def spans_desc(eps: CoeffFn, fam, horizon: int) -> list[tuple[int, int, bool]]:
     """Spans (lo, hi, truncated) of ``eps`` at the horizon, bottom-up: the
-    _scan_asc spans of its mirror read back, after an all-zero singleton for
-    each index below its lowest (the blocks _scan_asc leaves implicit above
-    the order).  A witness is read back too."""
+    _scan_asc spans of its mirror read back, with an all-zero singleton at
+    each index they leave out (the blocks _scan_asc leaves implicit: every
+    index of the mirror outside its spans).  A witness is read back too."""
     check_horizon(horizon)
     if eps.order_asc > horizon:
         raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
@@ -251,8 +251,12 @@ def spans_desc(eps: CoeffFn, fam, horizon: int) -> list[tuple[int, int, bool]]:
         spans = _scan_asc(mirrored, fam.mirror(horizon))
     except NotMemberError as exc:
         raise NotMemberError(flip - exc.witness) from None
-    zeros = [(i, i, False) for i in range(1, eps.items()[0][0] if eps else flip)]
-    return zeros + [(flip - hi, flip - lo, truncated) for lo, hi, truncated in spans]
+    found, below = [], 1
+    for lo, hi, truncated in spans:  # top-down in the mirror: bottom-up in eps
+        found += [(i, i, False) for i in range(below, flip - hi)]
+        found.append((flip - hi, flip - lo, truncated))
+        below = flip - lo + 1
+    return found + [(i, i, False) for i in range(below, flip)]
 
 
 def decompose_desc(eps: CoeffFn, fam, horizon: int) -> Decomposition:
@@ -602,6 +606,19 @@ def scan_asc_ref(mu: CoeffFn, fam) -> list[tuple[int, int, bool]]:
                 break
             k -= 1
     return spans
+
+
+def nonzero_topped(mu: CoeffFn, spans: list[tuple[int, int, bool]]) -> list[tuple[int, int, bool]]:
+    """The spans of a full scan whose block has a nonzero digit of ``mu`` at its
+    top: all but the all-zero singletons, which _scan_asc leaves implicit."""
+    return [span for span in spans if mu.digit(span[1])]
+
+
+def perturb(mu: CoeffFn, rng) -> CoeffFn:
+    """``mu`` with the digit at one index at or just above its support moved."""
+    k = rng.randint(1, mu.order_asc + 2)
+    d = max(mu.digit(k) + rng.choice((-1, 1, 2)), 0)
+    return CoeffFn([(i, e) for i, e in mu.items() if i != k] + [(k, d)])
 
 
 # -- the weak converse's rebuild ---------------------------------------------------

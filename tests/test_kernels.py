@@ -15,9 +15,19 @@ from itertools import islice
 
 import pytest
 
-from conftest import basis, encode_int_ref, get_system, is_member_desc, max_below_ref, members_upto_order, scan_asc_ref
+from conftest import (
+    basis,
+    encode_int_ref,
+    get_system,
+    is_member_desc,
+    max_below_ref,
+    members_upto_order,
+    nonzero_topped,
+    perturb,
+    scan_asc_ref,
+)
 from zecknum import blocks
-from zecknum.blocks import _scan_asc, decompose_asc, enumerate_asc, is_member_asc
+from zecknum.blocks import PredecessorFamily, _scan_asc, decompose_asc, enumerate_asc, is_member_asc
 from zecknum.config import load_fixture
 from zecknum.coeff import ZERO, CoeffFn, NotRepresentableError, WalkLimitError, from_dense
 from zecknum.integers import EXTENSION_LIMIT, FamilyError, FundamentalSeq, decode_int, encode_int
@@ -127,6 +137,19 @@ def walked_members(fam, start=ZERO, count=1500):
     return walked
 
 
+def check_scan(mu, fam):
+    """_scan_asc against scan_asc_ref: the same exception, or the reference's
+    spans bar its all-zero singletons; decompose_asc then gives every reference
+    span, the all-zero singletons too.  Returns _scan_asc's outcome."""
+    want, got = outcome(scan_asc_ref, mu, fam), outcome(_scan_asc, mu, fam)
+    if isinstance(want, list):
+        assert got == nonzero_topped(mu, want), mu
+        assert [(b.lo, b.hi, b.maximal) for b in decompose_asc(mu, fam).blocks] == want[::-1], mu
+    else:
+        assert got == want == outcome(decompose_asc, mu, fam), mu
+    return got
+
+
 @pytest.mark.parametrize("name", [*INCREASING, "greedy", "table"])
 def test_scan_matches_reference(name):
     if name == "greedy":
@@ -141,16 +164,15 @@ def test_scan_matches_reference(name):
         walked = walked_members(fam) + walked_members(fam, encode_int(7 * 10**40, fam, sys_.sequence))
     assert len(walked) >= 50
     for mu in walked:
-        got = outcome(_scan_asc, mu, fam)
-        assert isinstance(got, list) and got == outcome(scan_asc_ref, mu, fam), mu
+        assert isinstance(check_scan(mu, fam), list), mu
     for mu in random_vectors(random.Random(name), 3000, length, (0, 0, 0, 1, 1, 2, 3)):
-        assert outcome(_scan_asc, mu, fam) == outcome(scan_asc_ref, mu, fam), mu
+        check_scan(mu, fam)
 
 
 def test_scan_reads_a_row_only_for_a_block_topped_by_a_nonzero_digit():
     """basis(500) is the block [498, 500] (fib's row 501 is 1 at 500, 498, ...)
     over 497 zeros: a fresh family builds row 501 alone, and the zeros stay
-    all-zero singletons in the spans."""
+    all-zero singletons in the decomposition."""
     fam, mu = load_fixture("fib").family, basis(500)
     assert is_member_asc(mu, fam)
     assert list(fam._parts) == [501]
@@ -165,9 +187,35 @@ def test_sevenths_mirror_scan_matches_reference():
     rng = random.Random("sevenths")
     for eps in random_vectors(rng, 3000, horizon, (0, 0, 1, 1, 2)):
         mirrored = CoeffFn((flip - i, d) for i, d in eps.items())
-        want = outcome(scan_asc_ref, mirrored, mirror)
-        assert outcome(_scan_asc, mirrored, mirror) == want, eps
-        assert is_member_desc(eps, fam, horizon) == isinstance(want, list)
+        assert is_member_desc(eps, fam, horizon) == isinstance(check_scan(mirrored, mirror), list)
+
+
+@pytest.mark.parametrize("head_only", [False, True], ids=["pin-3", "pin-3-as-head"])
+def test_scan_across_long_zero_runs_matches_reference(head_only):
+    """pin-3's row n+1 is 1 at n and at 3 (n > 3), so a member's block from n
+    reads the zeros down to 3 inside it; 10^4 members reach order 2,502.  Each
+    is checked with three perturbations in the tail-rule family, and every
+    fifth in one whose rows are the same pairs held as a head alone."""
+    fam = get_system("pin-3").family
+    if head_only:
+        fam = PredecessorFamily(fam.digits, name="pin-3 as a head")
+    rng = random.Random("pin-3")
+    walked = list(islice(enumerate_asc(fam), 10**4))
+    assert walked[-1].order_asc > 2500
+    for mu in walked[:: 5 if head_only else 1]:
+        assert isinstance(check_scan(mu, fam), list), mu
+        for _ in range(3):
+            check_scan(perturb(mu, rng), fam)
+
+
+def test_scan_of_long_fib_members_matches_reference():
+    fib = get_system("fib")
+    fam, q, rng = fib.family, fib.sequence.value, random.Random("fib")
+    for _ in range(5):
+        mu = encode_int(rng.randrange(q(10**4), q(10**4 + 1)), fam, fib.sequence)
+        assert mu.order_asc == 10**4 and isinstance(check_scan(mu, fam), list)
+        for _ in range(20):
+            check_scan(perturb(mu, rng), fam)
 
 
 def test_whole_row_with_a_remainder_has_no_member():
