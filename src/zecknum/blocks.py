@@ -64,6 +64,8 @@ class PredecessorFamily:
         self.recurrence = recurrence
         self.derived = None  # its derived sequence, kept by integers.FundamentalSeq.from_family
         self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
+        self._prefix: list[tuple[tuple[int, int], ...]] = [()]  # its first members, for walk_asc's runs
+        self._fill: Iterator[tuple[tuple[int, int], ...]] | None = None  # the walk that extends them
         self._tails = [[0] for _ in range(shape.period)]
         # beside each tail: _nonzero[r][j] is the largest i <= j with tail[i] != 0, or 0
         self._nonzero = [[0] for _ in range(shape.period)]
@@ -280,26 +282,57 @@ def _limit_error(cap: int) -> WalkLimitError:
     return WalkLimitError(f"order cap {cap} walks more than {MEMBER_LIMIT:,} members; lower the cap")
 
 
-def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[list[tuple[int, int]]]:
-    """The digits of the members from ``start`` on, in ascending lex order.
+# Most of a family's first members kept for walk_asc's runs, as pair tuples (at least 2).
+PREFIX_CAP = 4096
+
+
+def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The support pairs, ascending, of the members from ``start`` on, in
+    ascending lex order.
 
     The one member walker, amortized O(1) per member: ``start`` is scanned once
     (a non-member is yielded, then NotMemberError raised); then the walker keeps
     the spans [lo, hi, maximal] of its blocks topped by a nonzero digit, as
-    _scan_asc gives them, and yields ``digits``, the support pairs top first,
-    one list edited in place at its low end.
+    _scan_asc gives them, and ``digits``, the support pairs top first.  It steps
+    at their low end, except in runs: below a bottom block closed at lo > 1 come
+    the members of order < lo, the first Q_lo - 1 after zero, copied from the
+    family's prefix as they are reached; it keeps at most PREFIX_CAP, and a
+    longer run steps on from the last.
     """
     digits = list(reversed(start.items()))
-    yield digits
+    yield start.items()
     blocks = [list(span) for span in _scan_asc(start, fam)]
-    built, parts, nonzero = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
+    built, parts, nonzero, prefix = fam._parts, fam.parts, fam._nonzero, fam._prefix  # parts() memoizes into built
     while True:
-        # carry: a maximal bottom block [1, hi] clears into hi + 1, else index 1 goes up
+        # carry: a maximal bottom block [1, hi] clears into hi + 1, a run ends
+        # in one at lo - 1 (and pops nothing), else index 1 goes up
         if blocks and blocks[-1][2]:
             hi = blocks.pop()[1]
             while digits and digits[-1][0] <= hi:
                 digits.pop()
             n = hi + 1
+        elif blocks and blocks[-1][0] > 1:  # a run: high + each member of order < n
+            n, high = blocks[-1][0], tuple(reversed(digits))
+            for low in islice(prefix, 1, None):  # the members kept, any appended meanwhile included
+                if low[-1][0] >= n:
+                    break
+                yield low + high
+            else:  # then the members past them, each appended as it is reached
+                for i in range(len(prefix), PREFIX_CAP):
+                    if i == len(prefix):  # else another walk appended it meanwhile
+                        try:  # from a walk from zero, started afresh after it raised, to raise again
+                            fam._fill = fam._fill or islice(walk_asc(fam), i, None)
+                            prefix.append(next(fam._fill))
+                        except BaseException:
+                            fam._fill = None
+                            raise
+                    if (low := prefix[i])[-1][0] >= n:
+                        break
+                    yield low + high
+                else:  # past the cap: the last member yielded, scanned, is stepped from
+                    blocks += [list(span) for span in _scan_asc(CoeffFn._trusted(low), fam)]
+                    digits += reversed(low)
+                    continue
         else:
             n = 1
         # n is the low end of the block above, or an all-zero singleton against row(n+1)
@@ -314,7 +347,7 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[list[tup
         else:
             d = 1
             digits.append((n, 1))
-        yield digits
+        yield tuple(reversed(digits))
         # a digit that reaches its row digit extends the block down to the row's
         # next nonzero index, or, with none left, to 1 as the maximal block
         head, top, tail, r = built.get(block[1] + 1) or parts(block[1] + 1)
@@ -325,9 +358,10 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[list[tup
 
 
 def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[CoeffFn]:
-    """Members from ``start`` on, in ascending lex order (never ends)."""
-    trusted = CoeffFn._trusted  # the walk's digits stay under validated row digits
-    return (trusted(tuple(digits[::-1])) for digits in walk_asc(fam, start))
+    """Members from ``start`` on, in ascending lex order (never ends): walk_asc's
+    pairs wrapped, a run's (the members of order < lo under a block closed at
+    lo > 1) copied from the family's first members, PREFIX_CAP at most kept."""
+    return map(CoeffFn._trusted, walk_asc(fam, start))  # the walk's pairs stay under validated row digits
 
 
 def order_values(
@@ -423,5 +457,5 @@ def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:
     walk of the mirrored family read back, up to its carry into horizon + 1.
     A horizon below 1 is rejected here, before the first member."""
     flip = horizon + 1
-    below = takewhile(lambda digits: not digits or digits[0][0] < flip, walk_asc(fam.mirror(horizon)))
-    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in digits)) for digits in below)
+    below = takewhile(lambda pairs: not pairs or pairs[-1][0] < flip, walk_asc(fam.mirror(horizon)))
+    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in reversed(pairs))) for pairs in below)

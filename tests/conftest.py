@@ -373,10 +373,10 @@ def members_upto_order(fam, k: int) -> Iterator[CoeffFn]:
     return _upto_limit(fam, blocks._check_cap(k))
 
 
-def _order_walk(fam, n: int) -> Iterator[list[tuple[int, int]]]:
+def _order_walk(fam, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The walk of the members of order n, from basis(n) (zero for n = 0) up
     to the first member of a higher order."""
-    return takewhile(lambda digits: (digits[0][0] if digits else 0) == n, walk_asc(fam, basis(n) if n else ZERO))
+    return takewhile(lambda pairs: (pairs[-1][0] if pairs else 0) == n, walk_asc(fam, basis(n) if n else ZERO))
 
 
 def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
@@ -389,9 +389,9 @@ def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
             size = 0
         if size > room:
             raise blocks._limit_error(cap)
-        for digits in _order_walk(fam, n):
+        for pairs in _order_walk(fam, n):
             yielded += 1
-            yield trusted(tuple(digits[::-1]))
+            yield trusted(pairs)
 
 
 # -- the rescanning lex successor ----------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import deque
 from contextlib import suppress
@@ -29,7 +30,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zecknum import load_fixture
+from zecknum import blocks, load_fixture
 from zecknum.blocks import (
     MEMBER_LIMIT,
     FamilyError,
@@ -253,6 +254,24 @@ def step_or_error(successor, mu, fam):
         return type(exc), str(exc)
 
 
+def until_error(walk, most: int = 10**5):
+    """The members a walk yields before it raises, and the error's type and text."""
+    seen = []
+    try:
+        seen.extend(islice(walk, most))
+    except Exception as exc:
+        return seen, (type(exc), str(exc))
+    raise AssertionError(f"no error in {most} members")
+
+
+def chain_ref(fam, start):
+    """successor_ref's chain from ``start``, without end."""
+    cur = start
+    while True:
+        yield cur
+        cur = successor_ref(cur, fam)
+
+
 class TestWalkerAgainstSuccessor:
     """enumerate_asc keeps its own block stack; conftest's successor_ref
     rescans each member and is the reference."""
@@ -279,22 +298,9 @@ class TestWalkerAgainstSuccessor:
     def test_table_end(self):
         # both read row 5 first when stepping past basis(4), the table's last member
         fam = family_from_table([[1], [0, 1], [1, 0, 1]])
-
-        def until_family_error(walk):
-            seen = []
-            with pytest.raises(FamilyError):
-                seen.extend(walk)
-            return seen
-
-        def chain_walk():
-            cur = ZERO
-            while True:
-                yield cur
-                cur = successor_ref(cur, fam)
-
-        walked = until_family_error(enumerate_asc(fam))
-        assert walked == until_family_error(chain_walk())
-        assert walked[-1] == basis(4)
+        walked, error = until_error(enumerate_asc(fam))
+        assert (walked, error) == until_error(chain_ref(fam, ZERO))
+        assert issubclass(error[0], FamilyError) and walked[-1] == basis(4)
         # successor_asc, one walker step, raises the rescan's FamilyError at the table's end
         assert [step_or_error(successor_asc, mu, fam) for mu in walked] == [
             step_or_error(successor_ref, mu, fam) for mu in walked
@@ -334,6 +340,73 @@ class TestWalkerAgainstSuccessor:
         walk = members_upto_order(get_system("mult-11-3").family, 8)
         with pytest.raises(ValueError, match=f"order cap 8 walks more than {MEMBER_LIMIT:,} members; lower the cap"):
             deque(walk, maxlen=0)
+
+
+class TestRunWalker:
+    """Below a block closed at lo > 1, the walker copies the members of order
+    < lo from the family's prefix of first members, at most PREFIX_CAP of
+    them, and steps on past it.  Each case loads a fresh family, so the walks
+    here fill its prefix: 3x the cap from zero and from 20 seeded starts,
+    against successor_ref's chain and the order-capped walk, at the module's
+    cap and at one that most runs outgrow."""
+
+    @pytest.mark.parametrize("cap", [None, 8])
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES)
+    def test_against_successor_chain(self, monkeypatch, name, cap):
+        if cap:
+            monkeypatch.setattr(blocks, "PREFIX_CAP", cap)
+        fam, count, rng = load_fixture(name).family, 3 * blocks.PREFIX_CAP, random.Random(name)
+        chain = successor_chain(fam, ZERO, 2 * count)
+        assert list(islice(enumerate_asc(fam), count)) == chain[:count]
+        for i in sorted(rng.sample(range(count), 20)):
+            assert list(islice(enumerate_asc(fam, chain[i]), count)) == chain[i : i + count]
+        below = chain[count - 1].order_asc - 1  # every order up to this one is whole in the chain
+        assert list(members_upto_order(fam, below)) == [mu for mu in chain if mu.order_asc <= below]
+        # a non-member start is yielded, then refused as the rescan refuses it
+        top = chain[count - 1].order_asc
+        bad = plus_basis(chain[count - 1], top, 10**6)
+        walk = enumerate_asc(fam, bad)
+        assert next(walk) == bad
+        with pytest.raises(NotMemberError) as exc:
+            next(walk)
+        assert (NotMemberError, str(exc.value)) == step_or_error(successor_ref, bad, fam)
+
+    # factorial's runs outgrow the cap, pin-3's hold 4 members
+    @pytest.mark.parametrize("name", ["fib", "factorial", "pin-3", "mult-11-3"])
+    def test_prefix_holds_at_most_the_cap(self, name):
+        fam = load_fixture(name).family
+        walked = [mu.items() for mu in islice(enumerate_asc(fam), 3 * blocks.PREFIX_CAP)]
+        assert 1 < len(fam._prefix) <= blocks.PREFIX_CAP
+        assert fam._prefix == walked[: len(fam._prefix)]
+
+
+def bad_row_family(k: int) -> PredecessorFamily:
+    """TABLE's rows from a row function, with row k's top pair dropped: row k
+    has the wrong order, and reading it raises FamilyError every time."""
+
+    def row(n: int):
+        pairs = from_dense(TABLE_ROWS[n - 2]).items()
+        return pairs[:-1] if n == k else pairs
+
+    return PredecessorFamily(row, name=f"bad-row-{k}")
+
+
+class TestRunWalkerErrors:
+    """A row of the wrong order raises the rescanning chain's FamilyError
+    after its members, whether the walk steps onto the row or the prefix
+    fill meets it first (from basis(12), every run below it copies members
+    from zero), and again on a second walk of the same family: a fill walk
+    that died is started afresh, never seen as a short walk, RuntimeError or
+    StopIteration."""
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_bad_row(self, k):
+        for starts in ((ZERO, basis(12)), (basis(12), ZERO)):
+            fam = bad_row_family(k)
+            for start in starts * 2:
+                want = until_error(chain_ref(bad_row_family(k), start))
+                assert want[1][0] is FamilyError and f"row {k} has order" in want[1][1]
+                assert until_error(enumerate_asc(fam, start)) == want, start
 
 
 ROW_FN_FAMILIES = ("table", "greedy", "sevenths@8", "sevenths@11")
@@ -525,6 +598,24 @@ class TestMirrorAgainstDescendingReference:
     def test_members_and_order(self, name, horizon):
         fam = DESC_FAMILIES[name]
         assert list(enumerate_desc(fam, horizon)) == list(enumerate_desc_ref(fam, horizon))
+
+    # sha256 of the "horizon<TAB>member" lines of horizons 1-17, pinned from
+    # the walker that stepped to every member
+    DESC_DIGESTS = {
+        "sevenths": "f4479521e5054a6584b96339f7a0496f59ffebeef6345ae3bf1a6e6e3f62d277",
+        "golden-real": "23ba0185e62cbec2c29fe76ea5b032146eb7ed8a92e521db1fd68dc23907eca1",
+        "harmonic": "5dbfb464243a634fdfe6a692943b28b793c8f0e004bcb5329eb4e3fbba4fed70",
+    }
+
+    @pytest.mark.parametrize("name", DESC_DIGESTS)
+    def test_real_fixtures_to_horizon_17(self, name):
+        fam, digest = load_fixture(name).family, hashlib.sha256()
+        for horizon in range(1, 18):
+            members = list(enumerate_desc(fam, horizon))
+            if horizon <= 12:
+                assert members == list(enumerate_desc_ref(fam, horizon)), horizon
+            digest.update("".join(f"{horizon}\t{mu.render()}\n" for mu in members).encode())
+        assert digest.hexdigest() == self.DESC_DIGESTS[name]
 
     @pytest.mark.parametrize("horizon", range(1, 8))
     @pytest.mark.parametrize("name", DESC_FAMILIES)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,16 @@ class TestEnumerate:
         rc, lines, _ = run(capsys, "enumerate", "-f", "fib", "--count", "5")
         assert rc == 0
         assert lines[1:] == ["0\t0\t0", "1\t1:1\t1", "2\t2:1\t2", "3\t3:1\t3", "4\t1:1,3:1\t4"]
+
+    # sha256 of the whole stdout, pinned from the walker that stepped to every member
+    @pytest.mark.parametrize("argv,digest", [
+        ("enumerate -f fib --count 10000", "68c5f2590ed1b5a6bb1bc5243400cac04a096af899b17ac853942eec58acb282"),
+        ("enumerate -f sevenths --horizon 14 --count 10000",
+         "2f2199fb18a05ec47a99c0f45d55a634e910a945922dc8a506e3f89863272567"),
+    ])
+    def test_long_walks_are_pinned(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_real(self, capsys):
         rc, lines, _ = run(capsys, "enumerate", "-f", "sevenths",

@@ -85,9 +85,9 @@ def outcome(call, *args):
 
 
 def summed_walk(fam, q, **kwargs):
-    """The walk's (value, digits top first), each value summed here from the
-    digits: Q_n is first read at basis(n), as the kernels read it."""
-    return ((sum(d * q(k) for k, d in digits), digits) for digits in walk_asc(fam, **kwargs))
+    """The walk's (value, ascending pairs), each value summed here from the
+    digits, top first: Q_n is first read at basis(n), as the kernels read it."""
+    return ((sum(d * q(k) for k, d in reversed(pairs)), pairs) for pairs in walk_asc(fam, **kwargs))
 
 
 def summed_members(fam, q, cap):
@@ -107,7 +107,7 @@ class TestCarriedValue:
         for label, seq in s.sequences.items():
             for i in (0, 1234, 5000, 8765):
                 walk = islice(summed_walk(s.family, seq.value, start=members[i]), 10**4 - i)
-                got = [(v, CoeffFn._trusted(tuple(digits[::-1]))) for v, digits in walk]
+                got = [(v, CoeffFn._trusted(pairs)) for v, pairs in walk]
                 assert got == [(decode_int(mu, seq), mu) for mu in members[i:]], (label, i)
 
     @pytest.mark.parametrize("name", ["golden-41", "padic-5-20"])
@@ -665,6 +665,16 @@ class TestWorkCounters:
         report = enumerate_subset(s.family, s.sequence, bound)
         assert len(report.pairs) == members
         assert built["trusted"] <= members and built["init"] == 0
+
+    def test_walk_builds_each_member_once(self, built):
+        # a fresh family: the runs come from the prefix this walk fills, which
+        # keeps pairs, not CoeffFns
+        fib = load_fixture("fib")
+        mu = encode_int(10**9, fib.family, fib.sequence)
+        before = built["trusted"]
+        members = list(islice(enumerate_asc(fib.family, mu), 320))
+        assert built["trusted"] - before == 320 and len(set(members)) == 320
+        assert len(fib.family._prefix) > 1
 
     def test_counters_see_the_walk(self, built):
         # the counters are live: a walk that builds its members is counted
