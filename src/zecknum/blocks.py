@@ -17,7 +17,7 @@ same walker enumerates its members.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice, takewhile
+from itertools import islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError, NotMemberError, WalkLimitError, check_horizon
@@ -72,7 +72,7 @@ class PredecessorFamily:
 
     def row(self, n: int) -> CoeffFn:
         """Row n as a CoeffFn, wrapped from digits(n) on each call."""
-        return CoeffFn._trusted(tuple(reversed(self.digits(n))))
+        return tuple.__new__(CoeffFn, reversed(self.digits(n)))
 
     def digits(self, n: int) -> list[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs, top first, read from parts(n):
@@ -195,7 +195,7 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
     digits (head, then tail down the _nonzero chain) are read in lockstep, at
     O(support + blocks) a call."""
     spans: list[tuple[int, int, bool]] = []
-    pairs = ((0, -1),) + mu.items()  # (0, -1) below the support: under every digit, tail[0] = 0 included
+    pairs = ((0, -1),) + mu  # (0, -1) below the support: under every digit, tail[0] = 0 included
     i = len(pairs) - 1
     built, parts, chains = fam._parts, fam.parts, fam._nonzero  # parts() memoizes into built
     while i:
@@ -233,11 +233,11 @@ def _scan_asc(mu: CoeffFn, fam: PredecessorFamily) -> list[tuple[int, int, bool]
 def decompose_asc(mu: CoeffFn, fam: PredecessorFamily) -> Decomposition:
     """Unique block decomposition of an ascending member (NotMemberError
     otherwise): one pass over its pairs, each block a slice of them."""
-    pairs, i, below, blocks = mu.items(), 0, 1, []
+    i, below, blocks = 0, 1, []
     for lo, hi, maximal in reversed(_scan_asc(mu, fam)):
         blocks += [Block(k, k, ZERO) for k in range(below, lo)]  # the all-zero singletons the scan leaves out
-        j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
-        blocks.append(Block(lo, hi, CoeffFn._trusted(pairs[i:j]), maximal))
+        j = bisect_right(mu, (hi, DIGIT_LIMIT), i)  # past the pairs at indices <= hi
+        blocks.append(Block(lo, hi, tuple.__new__(CoeffFn, mu[i:j]), maximal))
         i, below = j, hi + 1
     return Decomposition(tuple(blocks))
 
@@ -261,9 +261,9 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
     at n, goes down by one and row n's digits fill the indices below it."""
     if not mu:
         raise ValueError("the zero function has no predecessor")
-    (n, d), above = mu.items()[0], mu.items()[1:]
+    (n, d), above = mu[0], mu[1:]
     below = tuple(reversed(fam.digits(n))) if n > 1 else ()
-    return CoeffFn._trusted(below + (((n, d - 1),) if d > 1 else ()) + above)
+    return tuple.__new__(CoeffFn, below + (((n, d - 1),) if d > 1 else ()) + above)
 
 
 # Most members one order-capped build may hold, and most nodes one encode may
@@ -299,8 +299,8 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[tuple[tu
     family's prefix as they are reached; it keeps at most PREFIX_CAP, and a
     longer run steps on from the last.
     """
-    digits = list(reversed(start.items()))
-    yield start.items()
+    digits = list(reversed(start))
+    yield tuple(start)
     blocks = [list(span) for span in _scan_asc(start, fam)]
     built, parts, nonzero, prefix = fam._parts, fam.parts, fam._nonzero, fam._prefix  # parts() memoizes into built
     while True:
@@ -330,7 +330,7 @@ def walk_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[tuple[tu
                         break
                     yield low + high
                 else:  # past the cap: the last member yielded, scanned, is stepped from
-                    blocks += [list(span) for span in _scan_asc(CoeffFn._trusted(low), fam)]
+                    blocks += [list(span) for span in _scan_asc(low, fam)]
                     digits += reversed(low)
                     continue
         else:
@@ -361,7 +361,7 @@ def enumerate_asc(fam: PredecessorFamily, start: CoeffFn = ZERO) -> Iterator[Coe
     """Members from ``start`` on, in ascending lex order (never ends): walk_asc's
     pairs wrapped, a run's (the members of order < lo under a block closed at
     lo > 1) copied from the family's first members, PREFIX_CAP at most kept."""
-    return map(CoeffFn._trusted, walk_asc(fam, start))  # the walk's pairs stay under validated row digits
+    return map(tuple.__new__, repeat(CoeffFn), walk_asc(fam, start))  # the walk's pairs stay under validated row digits
 
 
 def order_values(
@@ -412,7 +412,7 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
     in lex order: order_values' runs, each copying the kept members worth at
     most bound - shift; shifts grow (every Q_k >= 1).  Every Q_n and row n+1
     is read, to fail as the walk does; past MEMBER_LIMIT kept, WalkLimitError."""
-    trusted = CoeffFn._trusted  # each member built once, from pairs known valid
+    new, join = tuple.__new__, tuple.__add__  # each member built once, from pairs known valid
     refusal = "more than {:,} members have value <= {}; lower the bound"  # formatted only when raised
     kept, size, qs = [(ZERO, 0)], [0, 1], [0]  # size[k]: kept members of order < k
     for n in range(1, _check_cap(cap) + 1):
@@ -426,12 +426,12 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
                 room, suffix = bound - shift, ((k, t),) + above if t else above
                 for mu, v in kept[: size[k]]:  # a loop, not a comprehension: most runs are short
                     if v <= room:
-                        kept.append((trusted(mu._pairs + suffix), v + shift))
+                        kept.append((new(CoeffFn, join(mu, suffix)), v + shift))
                 if len(kept) > MEMBER_LIMIT:  # checked after every run
                     raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
             prefix, above = prefix + c * qs[k], ((k, c),) + above
         if prefix <= bound:  # row n+1 over zero
-            kept.append((trusted(above), prefix))
+            kept.append((new(CoeffFn, above), prefix))
             if len(kept) > MEMBER_LIMIT:
                 raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
         size.append(len(kept))
@@ -458,4 +458,4 @@ def enumerate_desc(fam: MaximalFamily, horizon: int) -> Iterator[CoeffFn]:
     A horizon below 1 is rejected here, before the first member."""
     flip = horizon + 1
     below = takewhile(lambda pairs: not pairs or pairs[-1][0] < flip, walk_asc(fam.mirror(horizon)))
-    return (CoeffFn._trusted(tuple((flip - j, d) for j, d in reversed(pairs))) for pairs in below)
+    return (tuple.__new__(CoeffFn, [(flip - j, d) for j, d in reversed(pairs)]) for pairs in below)

@@ -13,7 +13,8 @@ of these maps and two lexicographic orders on them:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from bisect import bisect_left
+from typing import Iterable, Mapping
 
 # Digits must fit a signed 64-bit word so the textual wire format stays
 # portable; anything at or above this bound is rejected at construction.
@@ -59,19 +60,21 @@ def _canonical(pairs: tuple) -> bool:
     return True
 
 
-class CoeffFn:
-    """Immutable finitely-supported index -> digit map.
+class CoeffFn(tuple):
+    """Immutable finitely-supported index -> digit map: the tuple of its
+    support pairs (index, digit), indices ascending, every digit >= 1.
 
-    Only indices with digit >= 1 are stored; ``digit(i)`` returns 0 off the
-    support.  Instances hash and compare by their support pairs.
+    ``digit(i)`` returns 0 off the support.  Instances hash as their pairs and
+    equal only other CoeffFns with the same pairs.  The constructor checks its
+    input; ``tuple.__new__(CoeffFn, pairs)`` wraps pairs already known valid
+    (ascending indices >= 1, digits in [1, DIGIT_LIMIT)) without a check, in C.
     """
 
-    __slots__ = ("_pairs", "_map")
+    __slots__ = ()
 
-    def __init__(self, digits: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __new__(cls, digits: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if type(digits) is tuple and _canonical(digits):
-            _set_pairs(self, digits)  # kept as given, not copied
-            return
+            return tuple.__new__(cls, digits)
         items = digits.items() if isinstance(digits, Mapping) else digits
         acc: dict[int, int] = {}
         for i, d in items:
@@ -85,56 +88,44 @@ class CoeffFn:
                 acc[i] = acc.get(i, 0) + d
                 if acc[i] >= DIGIT_LIMIT:
                     raise ValueError(f"digit overflow at index {i}")
-        _set_pairs(self, tuple(sorted(acc.items())))
+        return tuple.__new__(cls, sorted(acc.items()))
 
-    @classmethod
-    def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "CoeffFn":
-        """Wrap support pairs already known to be valid (ascending indices >= 1,
-        digits in [1, DIGIT_LIMIT)) without checking them again."""
-        self = object.__new__(cls)
-        _set_pairs(self, pairs)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffFn is immutable")
+    def __init__(self, digits=()):
+        """Nothing: __new__ builds the instance.  Defined so that a wrapper
+        around __init__ (a call counter) has one to call."""
 
     # -- basic access ------------------------------------------------------
 
     def digit(self, i: int) -> int:
-        try:
-            return self._map.get(i, 0)
-        except AttributeError:  # built on first use: most are only read through items()
-            object.__setattr__(self, "_map", dict(self._pairs))
-            return self._map.get(i, 0)
+        j = bisect_left(self, (i,))  # (i,) sorts just below (i, d)
+        return self[j][1] if j < len(self) and self[j][0] == i else 0
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        """Support pairs (index, digit) in ascending index order."""
-        return self._pairs
+        """Support pairs (index, digit) in ascending index order, as a plain tuple."""
+        return tuple(self)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
+        return tuple(i for i, _ in self)
 
     def __eq__(self, other):
-        return isinstance(other, CoeffFn) and self._pairs == other._pairs
+        return isinstance(other, CoeffFn) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._pairs)
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("CoeffFns are not ordered: tuple order is neither lex order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __add__(self, other: "CoeffFn") -> "CoeffFn":
         """Digit-wise sum."""
-        if not isinstance(other, CoeffFn):
-            return NotImplemented
-        return CoeffFn(self._pairs + other._pairs)
+        if not isinstance(other, CoeffFn):  # raised, not NotImplemented: tuple's + would join the pairs
+            raise TypeError(f"a CoeffFn adds only to a CoeffFn, not {type(other).__name__}")
+        return CoeffFn(tuple.__add__(self, other))
 
     def __repr__(self) -> str:
         return f"CoeffFn({self.render()!r})"
@@ -144,15 +135,15 @@ class CoeffFn:
     @property
     def order_asc(self) -> int:
         """Largest support index; 0 for the zero function."""
-        return self._pairs[-1][0] if self._pairs else 0
+        return self[-1][0] if self else 0
 
     # -- wire format -------------------------------------------------------
 
     def render(self) -> str:
         """Sparse text form ``i1:d1,i2:d2,...`` with ascending indices; zero is ``0``."""
-        if not self._pairs:
+        if not self:
             return "0"
-        return ",".join(f"{i}:{d}" for i, d in self._pairs)
+        return ",".join(f"{i}:{d}" for i, d in self)
 
     @classmethod
     def parse(cls, text: str) -> "CoeffFn":
@@ -176,7 +167,6 @@ class CoeffFn:
         return cls(pairs)
 
 
-_set_pairs = CoeffFn._pairs.__set__  # the slot's own setter, past the immutability guard
 ZERO = CoeffFn()
 
 
@@ -187,8 +177,8 @@ def from_dense(digits: Iterable[int]) -> CoeffFn:
 
 def to_dense(f: CoeffFn, length: int | None = None) -> tuple[int, ...]:
     """Dense low-to-high digit tuple, padded/truncated to ``length`` if given."""
-    n = f.order_asc if length is None else length
-    return tuple(f.digit(i) for i in range(1, n + 1))
+    n, digits = f.order_asc if length is None else length, dict(f)
+    return tuple(digits.get(i, 0) for i in range(1, n + 1))
 
 
 def check_horizon(horizon: int) -> None:

@@ -195,14 +195,14 @@ def decode_int(mu: CoeffFn, seq: FundamentalSeq) -> int:
     try:
         seq.value(mu.order_asc)  # materializes every term the sum reads
     except IndexError:  # zero, or past a bounded table: the lowest index past it is named
-        return sum(d * seq.value(k) for k, d in mu.items())
+        return sum(d * seq.value(k) for k, d in mu)
     vals = seq._vals
-    return sum(d * vals[k - 1] for k, d in mu.items())
+    return sum(d * vals[k - 1] for k, d in mu)
 
 
 def shift_value(eps: CoeffFn, seq: FundamentalSeq) -> int:
     """Value with every index shifted up one slot: sum of digit times Q_{k+1}."""
-    return sum(d * seq.value(k + 1) for k, d in eps.items())
+    return sum(d * seq.value(k + 1) for k, d in eps)
 
 
 def encode_int(x: int, fam: PredecessorFamily, seq: FundamentalSeq) -> CoeffFn:
@@ -304,7 +304,7 @@ def _search(x: int, fam: PredecessorFamily, seq: FundamentalSeq, top: int, bound
             dead = False
         if not n:  # the next block's order, below lim
             if not rem:
-                return CoeffFn._trusted(tuple(reversed(pairs)))
+                return tuple.__new__(CoeffFn, reversed(pairs))
             if M is None:  # the greedy runs on increasing terms: probe the top below lim first
                 n = lim - 1 if lim > 1 and vals[lim - 2] <= rem else bisect_right(vals, rem, 0, lim - 1)
             else:  # the least that reaches rem and whose Q_m fits; basis(m) before its row is read

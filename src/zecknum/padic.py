@@ -98,7 +98,7 @@ def eval_padic(fn: CoeffFn, seq: PadicSeq) -> int:
     """Residue of the digit function's value; indices past the visible terms
     contribute nothing."""
     terms, n = seq.terms, len(seq.terms)
-    return sum(d * terms[k - 1] for k, d in fn.items() if k <= n) % seq.modulus
+    return sum(d * terms[k - 1] for k, d in fn if k <= n) % seq.modulus
 
 
 def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) -> CoeffFn:
@@ -130,7 +130,7 @@ def decode_padic(x: int, seq: PadicSeq, fam: PredecessorFamily | None = None) ->
         raise NotRepresentableError(
             f"residue {r * p**s} left after the last visible term of {seq.name}"
         )
-    fn = CoeffFn._trusted(tuple(pairs))  # ascending indices, digits in [1, p) with p <= DIGIT_LIMIT
+    fn = tuple.__new__(CoeffFn, pairs)  # ascending indices, digits in [1, p) with p <= DIGIT_LIMIT
     if fam is not None:
         _scan_asc(fn, fam)  # raises NotMemberError with the witness index
     return fn

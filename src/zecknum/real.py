@@ -331,7 +331,7 @@ def eval_expansion(fn, seq) -> Numeric:
     """Value of a digit function against a decreasing sequence."""
     with localcontext(getattr(seq, "context", None)):
         total = seq.value(1) * 0
-        for k, d in fn.items():
+        for k, d in fn:
             total += d * seq.value(k)
     return total
 

@@ -246,7 +246,7 @@ def spans_desc(eps: CoeffFn, fam, horizon: int) -> list[tuple[int, int, bool]]:
     if eps.order_asc > horizon:
         raise ValueError(f"support reaches {eps.order_asc}, beyond horizon {horizon}")
     flip = horizon + 1
-    mirrored = CoeffFn._trusted(tuple((flip - i, d) for i, d in reversed(eps.items())))
+    mirrored = tuple.__new__(CoeffFn, [(flip - i, d) for i, d in reversed(eps)])
     try:
         spans = _scan_asc(mirrored, fam.mirror(horizon))
     except NotMemberError as exc:
@@ -265,7 +265,7 @@ def decompose_desc(eps: CoeffFn, fam, horizon: int) -> Decomposition:
     pairs, i, found = eps.items(), 0, []
     for lo, hi, truncated in spans_desc(eps, fam, horizon):
         j = bisect_right(pairs, (hi, DIGIT_LIMIT), i)
-        found.append(DescBlock(lo, hi, CoeffFn._trusted(pairs[i:j]), truncated))
+        found.append(DescBlock(lo, hi, tuple.__new__(CoeffFn, pairs[i:j]), truncated))
         i = j
     return Decomposition(tuple(found))
 
@@ -380,7 +380,7 @@ def _order_walk(fam, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
-    trusted, yielded = CoeffFn._trusted, 0
+    yielded = 0
     for n in range(cap + 1):
         room = blocks.MEMBER_LIMIT - yielded
         try:
@@ -391,7 +391,7 @@ def _upto_limit(fam, cap: int) -> Iterator[CoeffFn]:
             raise blocks._limit_error(cap)
         for pairs in _order_walk(fam, n):
             yielded += 1
-            yield trusted(pairs)
+            yield tuple.__new__(CoeffFn, pairs)
 
 
 # -- the rescanning lex successor ----------------------------------------------

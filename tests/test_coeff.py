@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import random
 from functools import cmp_to_key
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import basis, lex_compare_asc, lex_compare_desc, minus_basis, plus_basis, restrict
+from conftest import (
+    INTEGER_FIXTURES,
+    basis,
+    get_system,
+    lex_compare_asc,
+    lex_compare_desc,
+    minus_basis,
+    plus_basis,
+    restrict,
+)
+from zecknum.blocks import enumerate_asc
 from zecknum.coeff import (
     DIGIT_LIMIT,
     ZERO,
@@ -14,6 +26,7 @@ from zecknum.coeff import (
     from_dense,
     to_dense,
 )
+from zecknum.integers import FundamentalSeq, encode_int
 
 fns = st.builds(
     CoeffFn,
@@ -64,6 +77,54 @@ class TestConstruction:
         assert basis(3) != "3:1"
 
 
+class TestAsTuple:
+    """A CoeffFn is the tuple of its pairs, but compares, orders and adds as
+    a digit function: it equals no plain tuple, has no < order (tuple order
+    is neither lex order) and + is the digit-wise sum."""
+
+    F, T = CoeffFn(((1, 1), (3, 2))), ((1, 1), (3, 2))
+
+    def test_eq_and_ne_against_a_plain_tuple(self):
+        f, t = self.F, self.T
+        assert not f == t and not t == f
+        assert f != t and t != f
+        assert f == CoeffFn(t) and not f != CoeffFn(t)
+        assert f != CoeffFn(((1, 1),)) and not f == CoeffFn(((1, 1),))
+
+    @pytest.mark.parametrize("other", [F, T, ((1, 1),), ()])
+    def test_orderings_refused(self, other):
+        f = self.F
+        for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                compare(f, other)
+            with pytest.raises(TypeError):
+                compare(other, f)
+        with pytest.raises(TypeError):
+            sorted([f, CoeffFn({2: 1})])
+
+    @given(fns)
+    def test_hash_is_the_pairs_hash(self, f):
+        assert hash(f) == hash(tuple(f)) == hash(f.items())
+        assert type(f.items()) is tuple and f.items() == tuple(f)
+
+    def test_add_is_the_digitwise_sum(self):
+        f = self.F + CoeffFn({1: 2, 2: 1})
+        assert type(f) is CoeffFn and f == CoeffFn({1: 3, 2: 1, 3: 2})
+        assert self.F + ZERO == self.F
+        for other in (self.T, 1):  # a plain tuple is not a digit function
+            with pytest.raises(TypeError, match="adds only to a CoeffFn"):
+                self.F + other
+
+    def test_slices_and_repeats_are_plain_tuples(self):
+        f = self.F
+        assert type(f[:]) is tuple and f[:] == self.T
+        assert type(f[1:]) is tuple and f[1:] == ((3, 2),)
+        assert type(f * 2) is tuple and f * 2 == self.T * 2
+        assert type(2 * f) is tuple and type(f * 1) is tuple
+        assert f[0] == (1, 1) and f[-1] == (3, 2)
+        assert type(((0, -1),) + f) is tuple and ((0, -1),) + f == ((0, -1),) + self.T  # the scan's join
+
+
 def _built(digits):
     """CoeffFn's pairs, or the exception class and message it raised."""
     try:
@@ -73,13 +134,14 @@ def _built(digits):
 
 
 class TestCanonicalTuple:
-    """A tuple already in support form is kept; every other tuple goes the
-    general way, with the same pairs or the same error."""
+    """A tuple already in support form is taken as the pairs; every other
+    tuple goes the general way, with the same pairs or the same error."""
 
     @pytest.mark.parametrize("t", [(), ((1, 1),), ((1, 4), (2, 1), (300, DIGIT_LIMIT - 1))])
     def test_kept_as_given(self, t):
         f = CoeffFn(t)
-        assert f.items() is t
+        assert type(f) is CoeffFn and tuple(f) == t and f.items() == t
+        assert not hasattr(f, "__dict__")  # one object: the pairs, nothing beside them
         assert f == CoeffFn(list(t)) and f.digit(2) == CoeffFn(list(t)).digit(2)
 
     @pytest.mark.parametrize("t", [
@@ -135,11 +197,12 @@ def _digits_agree(f):
 
 
 class TestLazyMap:
-    """``digit`` builds its index map on first use; ``items`` never needs it."""
+    """However a CoeffFn is built, ``digit`` (a bisect over the pairs),
+    ``items``, hash and equality agree."""
 
     BUILT = {
         "init": lambda: CoeffFn({7: 2, 1: 3, 4: 1}),
-        "trusted": lambda: CoeffFn._trusted(((1, 3), (4, 1), (7, 2))),
+        "trusted": lambda: tuple.__new__(CoeffFn, ((1, 3), (4, 1), (7, 2))),
         "parse": lambda: CoeffFn.parse("1:3,4:1,7:2"),
         "plus_basis": lambda: plus_basis(CoeffFn({1: 3, 7: 2}), 4),
     }
@@ -149,7 +212,6 @@ class TestLazyMap:
         f = self.BUILT[how]()
         assert f.items() == ((1, 3), (4, 1), (7, 2))
         assert _digits_agree(f)
-        assert _digits_agree(f)  # again, with the map built
 
     @pytest.mark.parametrize("how", sorted(BUILT))
     def test_hash_and_eq_before_and_after_digit(self, how):
@@ -162,8 +224,24 @@ class TestLazyMap:
     @given(fns)
     def test_digit_agrees_after_hash(self, f):
         hash(f)
-        assert f == CoeffFn._trusted(f.items())
+        assert f == tuple.__new__(CoeffFn, f.items())
         assert _digits_agree(f)
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES)
+    def test_walked_members_match_built_ones(self, name):
+        # the walk wraps its pairs unchecked: each member is a CoeffFn like
+        # one the checking constructor builds, from zero and from 10 seeded
+        # starts, 2,000 members each
+        fam, rng = get_system(name).family, random.Random(name)
+        derived = FundamentalSeq.from_family(fam)
+        starts = [ZERO, *(encode_int(rng.randrange(10**3, 10**5), fam, derived) for _ in range(10))]
+        for start in starts:
+            for m in islice(enumerate_asc(fam, start), 2000):
+                built = CoeffFn(list(m))
+                assert type(m) is CoeffFn and m == built and hash(m) == hash(built)
+                assert m.render() == built.render()
+                near = {1, *(i + e for i, _ in built for e in (-1, 0, 1))}  # pin-3 reaches order 20,476
+                assert all(m.digit(i) == built.digit(i) for i in near)
 
     def test_map_stays_private_and_immutable(self):
         f = CoeffFn({2: 5})
