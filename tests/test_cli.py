@@ -1206,6 +1206,10 @@ GOLDEN = [(command.removeprefix("zecknum "), None) for command, _, _ in README_T
     ("--help", None),
     *((f"{verb} --help", None) for verb in _verb_kinds()),
     ("nope", None),
+    # arguments no verb takes: the usage line names every verb
+    ("encode -f fib 5 --bogus", None),
+    ("fixtures extra", None),
+    ("decode -f fib --bogus 1:1", None),
 ]
 
 
