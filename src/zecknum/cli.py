@@ -266,81 +266,81 @@ def cmd_dominant_check(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
+    return names, kw
+
+
+# verb: (handler, summary, the system kinds it accepts, its own arguments); a verb
+# wired with kinds names its system by -f or -c, the others name none
+VERBS = {
+    "fixtures": (cmd_fixtures, "list bundled fixtures", None),
+    "encode": (cmd_encode, "integer values to digit functions", ("integer",),
+               _arg("values", nargs="+", help="integers, or - for stdin")),
+    "decode": (cmd_decode, "digit functions to values", ("integer", "padic", "real"),
+               _arg("values", nargs="+", help="digit functions like 1:1,3:2, or - for stdin")),
+    "shift": (cmd_shift, "value of digits moved up one index", ("integer",), _arg("values", nargs="+")),
+    "enumerate": (cmd_enumerate, "members in order", ("integer", "padic", "real"),
+                  _arg("--count", type=int, default=20),
+                  _arg("--horizon", type=int, default=6, help="index cap for real systems")),
+    "decompose": (cmd_decompose, "split digit functions into blocks", ("integer", "padic"),
+                  _arg("values", nargs="+")),
+    "subset": (cmd_subset, "members under a value bound, with collision check", ("integer",),
+               _arg("--bound", type=int, required=True),
+               _arg("--list", action="store_true", help="print every member")),
+    "verify-unique": (cmd_verify_unique, "walk members looking for a repeated value", ("integer", "padic"),
+                      _arg("--cap", type=int, default=None, help="order cap (default: 4 periods)"),
+                      _arg("--shortcut", action="store_true", help="2 periods instead of 4"),
+                      _arg("--full", action="store_true", help="keep walking past a collision")),
+    "converse-probe": (cmd_converse_probe, "compare two sequences through one family", ("padic",),
+                       _arg("--other", default="alt", help="second sequence label (default: alt)"),
+                       _arg("--cap", type=int, required=True)),
+    "verify-recurrence": (cmd_verify_recurrence, "check Q against a linear recurrence", ("integer",),
+                          _arg("--coeffs", required=True, help="comma-separated, may be negative"),
+                          _arg("--start", type=int, required=True),
+                          _arg("--stop", type=int, required=True)),
+    "verify-maximal": (cmd_verify_maximal, "maximal row mass against Q_{n-1}", ("real",),
+                       _arg("--n", type=int, required=True),
+                       _arg("--horizon", type=int, required=True),
+                       _arg("--tol", default="1e-30")),
+    "real-expand": (cmd_real_expand, "greedy expansion of numbers in (0,1)", ("real",),
+                    _arg("--max-blocks", type=int, default=8),
+                    _arg("values", nargs="+", help="decimals or fractions, or - for stdin")),
+    "padic-expand": (cmd_padic_expand, "digit extraction for residues", ("padic",),
+                     _arg("--no-check", action="store_true", help="skip the family membership check"),
+                     _arg("values", nargs="+", help="integer residues, or - for stdin")),
+    "dominant-check": (cmd_dominant_check, "root dominance tests", None,
+                       _arg("--coeffs", help="a0,...,an of a_n z^n - ... - a_0"),
+                       _arg("--multiplicity", help="e1,...,eN")),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``verb`` alone, or for every verb when ``verb`` names none: a command
+    builds only the subparser it runs, and its usage line still lists every verb."""
     top = argparse.ArgumentParser(prog="zecknum", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    def verb(name: str, fn, summary: str, kinds: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
-        """A verb's parser; one wired with ``kinds`` names its system by -f or -c."""
+    names = [verb] if verb in VERBS else list(VERBS)
+    # the full build leaves the metavar unset: argparse names the verb in its invalid-choice error
+    usage = {} if len(names) > 1 else {"metavar": "{" + ",".join(VERBS) + "}"}
+    sub = top.add_subparsers(dest="verb", required=True, **usage)
+    for name in names:
+        fn, summary, kinds, *args = VERBS[name]
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn, kinds=kinds)
         if kinds:
             p.add_argument("-f", "--fixture", help="bundled fixture name")
             p.add_argument("-c", "--config", help="path to a system JSON file")
             p.add_argument("--seq", default="main", help="sequence label (default: main)")
-        return p
-
-    verb("fixtures", cmd_fixtures, "list bundled fixtures")
-
-    p = verb("encode", cmd_encode, "integer values to digit functions", ("integer",))
-    p.add_argument("values", nargs="+", help="integers, or - for stdin")
-
-    p = verb("decode", cmd_decode, "digit functions to values", ("integer", "padic", "real"))
-    p.add_argument("values", nargs="+", help="digit functions like 1:1,3:2, or - for stdin")
-
-    p = verb("shift", cmd_shift, "value of digits moved up one index", ("integer",))
-    p.add_argument("values", nargs="+")
-
-    p = verb("enumerate", cmd_enumerate, "members in order", ("integer", "padic", "real"))
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--horizon", type=int, default=6, help="index cap for real systems")
-
-    p = verb("decompose", cmd_decompose, "split digit functions into blocks", ("integer", "padic"))
-    p.add_argument("values", nargs="+")
-
-    p = verb("subset", cmd_subset, "members under a value bound, with collision check", ("integer",))
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--list", action="store_true", help="print every member")
-
-    p = verb("verify-unique", cmd_verify_unique, "walk members looking for a repeated value", ("integer", "padic"))
-    p.add_argument("--cap", type=int, default=None, help="order cap (default: 4 periods)")
-    p.add_argument("--shortcut", action="store_true", help="2 periods instead of 4")
-    p.add_argument("--full", action="store_true", help="keep walking past a collision")
-
-    p = verb("converse-probe", cmd_converse_probe, "compare two sequences through one family", ("padic",))
-    p.add_argument("--other", default="alt", help="second sequence label (default: alt)")
-    p.add_argument("--cap", type=int, required=True)
-
-    p = verb("verify-recurrence", cmd_verify_recurrence, "check Q against a linear recurrence", ("integer",))
-    p.add_argument("--coeffs", required=True, help="comma-separated, may be negative")
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--stop", type=int, required=True)
-
-    p = verb("verify-maximal", cmd_verify_maximal, "maximal row mass against Q_{n-1}", ("real",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--tol", default="1e-30")
-
-    p = verb("real-expand", cmd_real_expand, "greedy expansion of numbers in (0,1)", ("real",))
-    p.add_argument("--max-blocks", type=int, default=8)
-    p.add_argument("values", nargs="+", help="decimals or fractions, or - for stdin")
-
-    p = verb("padic-expand", cmd_padic_expand, "digit extraction for residues", ("padic",))
-    p.add_argument("--no-check", action="store_true", help="skip the family membership check")
-    p.add_argument("values", nargs="+", help="integer residues, or - for stdin")
-
-    p = verb("dominant-check", cmd_dominant_check, "root dominance tests")
-    p.add_argument("--coeffs", help="a0,...,an of a_n z^n - ... - a_0")
-    p.add_argument("--multiplicity", help="e1,...,eN")
-
+        for flags, kw in args:
+            p.add_argument(*flags, **kw)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one verb with its stdout held.  It is written when the verb returns or exits 1, so an
     exit-1 answer follows the records before it; an exit-2 refusal writes none of it."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = io.StringIO()
     try:
         args.precision = _precision()  # a malformed ZECKNUM_PRECISION fails every verb

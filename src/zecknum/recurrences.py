@@ -10,11 +10,13 @@ digits of Q_n - 1.
 from __future__ import annotations
 
 from itertools import accumulate, count
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import FamilyError, MaximalFamily, PredecessorFamily, RowShape
 from .coeff import DIGIT_LIMIT
-from .integers import FundamentalSeq
+
+if TYPE_CHECKING:  # imported where used: the p-adic and (0,1) systems never load integers
+    from .integers import FundamentalSeq
 
 
 class MultiplicityList(NamedTuple("MultiplicityList", [("e", tuple)])):
@@ -160,6 +162,7 @@ def pinned_radix_seq(j: int) -> FundamentalSeq:
     Q_k = j+1+k up to k = j, then Q_n = (j+1)(n-j) from the last seed Q_{j+1} on:
     non-monotone on purpose, the low indices carry the residues the radix part skips.
     """
+    from .integers import FundamentalSeq
     if j < 1:
         raise FamilyError(f"pinned index must be positive, got {j}")
     low = [j + 1 + k for k in range(1, j + 1)] + [j + 1]
@@ -227,6 +230,7 @@ def family_from_blocks(
     worth base - 1; so if Q_m = base Q_{m-N} for N < m < n, row n's digits
     above N are worth base (Q_{n-N} - 1) and Q_n = 1 + base - 1 + base (Q_{n-N} - 1).
     """
+    from .integers import FundamentalSeq
     blk = [tuple(b) for b in blocks]
     if bad := [d for b in blk for d in b if type(d) is not int]:
         raise FamilyError(f"{name}: block digit {bad[0]!r} is not an integer")

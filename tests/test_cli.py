@@ -22,7 +22,7 @@ from conftest import AMBIENT, ambient_context
 from test_blocks import TABLE_ROWS
 
 from zecknum.blocks import enumerate_asc
-from zecknum.cli import build_parser, main
+from zecknum.cli import VERBS, build_parser, main
 from zecknum.integers import FundamentalSeq, decode_int
 from zecknum.recurrences import family_from_table
 
@@ -1064,8 +1064,9 @@ LOAD_SETS = [
     (["real-expand", "-f", "sevenths", "1/3"], _layers("padic", "uniqueness", "integers")),
     (["fixtures"], set(MODULES) - _layers("cli", "config", "coeff") - {"zecknum"}),
     (["dominant-check", "--multiplicity", "1,1"], _layers("blocks", "integers", "recurrences", "uniqueness", "padic")),
-    (["padic-expand", "-f", "golden-41", "6141377528281"], _layers("uniqueness", "real")),
-    (["converse-probe", "-f", "padic-5-20", "--cap", "4"], _layers("uniqueness", "real")),
+    (["padic-expand", "-f", "golden-41", "6141377528281"], _layers("uniqueness", "real", "integers")),
+    (["converse-probe", "-f", "padic-5-20", "--cap", "4"], _layers("uniqueness", "real", "integers")),
+    (["verify-maximal", "-f", "golden-real", "--n", "2", "--horizon", "200"], _layers("padic", "uniqueness", "integers")),
 ]
 
 
@@ -1078,6 +1079,35 @@ def test_command_loads_only_its_layers(argv, absent):
         f"print(rc, sorted(set(sys.modules).intersection({sorted(absent)!r})))"
     )
     assert fresh_python(probe) == "0 []\n"
+
+
+@pytest.mark.parametrize("argv,parsers", [(["encode", "-f", "fib", "5"], 2), (["--help"], 15)])
+def test_command_builds_only_its_verbs_parser(argv, parsers):
+    """A command naming a verb builds the top-level parser and that verb's;
+    one naming none, such as --help, builds all of them."""
+    probe = (
+        "import argparse, contextlib, io\n"
+        "from zecknum.cli import main\n"
+        "calls, init = [], argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: calls.append(1) or init(self, *a, **k)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    main({argv!r})\n"
+        "print(len(calls))"
+    )
+    assert fresh_python(probe) == f"{parsers}\n"
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_one_verb_parser_help_matches_full(monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for parser in (build_parser(verb), build_parser()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args([verb, "--help"])
+        pages.append(out.getvalue())
+    assert pages[0] == pages[1]
+    assert pages[0].startswith(f"usage: zecknum {verb} [-h]")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
