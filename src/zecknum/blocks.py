@@ -64,6 +64,7 @@ class PredecessorFamily:
         self.recurrence = recurrence
         self.derived = None  # its derived sequence, kept by integers.FundamentalSeq.from_family
         self._parts: dict[int, tuple[dict[int, int], int, list[int], int]] = {}
+        self._rows: dict[int, CoeffFn] = {}
         self._prefix: list[tuple[tuple[int, int], ...]] = [()]  # its first members, for walk_asc's runs
         self._fill: Iterator[tuple[tuple[int, int], ...]] | None = None  # the walk that extends them
         self._tails = [[0] for _ in range(shape.period)]
@@ -71,24 +72,23 @@ class PredecessorFamily:
         self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
-        """Row n as a CoeffFn, wrapped from digits(n) on each call."""
-        return tuple.__new__(CoeffFn, reversed(self.digits(n)))
-
-    def digits(self, n: int) -> list[tuple[int, int]]:
-        """Row n's nonzero (index, digit) pairs, top first, read from parts(n):
-        the head, then the tail's nonzero digits down the _nonzero chain."""
-        head, top, tail, r = self.parts(n)
-        pairs, nonzero, j = list(head.items()), self._nonzero[r], top
-        while j := nonzero[j]:
-            pairs.append((j, tail[j]))
-            j -= 1
-        return pairs
+        """Row n as a CoeffFn, memoized: built once from parts(n), the head and
+        then the tail's nonzero digits down the _nonzero chain, and kept."""
+        row = self._rows.get(n)
+        if row is None:
+            head, top, tail, r = self.parts(n)
+            pairs, nonzero, j = list(head.items()), self._nonzero[r], top
+            while j := nonzero[j]:
+                pairs.append((j, tail[j]))
+                j -= 1
+            row = self._rows[n] = tuple.__new__(CoeffFn, reversed(pairs))
+        return row
 
     def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
         index order; tail is shared by the rows of residue n % period.  Besides
-        digits (the runs of order_values and order_members), the kernels
+        row (the runs of order_values and order_members), the kernels
         _scan_asc, walk_asc and integers.encode_int read this inline, and
         FundamentalSeq.from_family sums it for a derived term the family's
         recurrence does not give."""
@@ -132,7 +132,7 @@ class MaximalFamily:
         self._support_fn = support_fn
         self.name = name
         self._checked: set[int] = set()
-        self._mirrors: dict[int, PredecessorFamily] = {}  # horizon -> mirror(horizon)
+        self._mirror: tuple[int, PredecessorFamily | None] = (0, None)  # (horizon, mirror(horizon)), the latest
 
     def support(self, n: int) -> Iterator[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs, ascending, never ending; row n
@@ -150,15 +150,18 @@ class MaximalFamily:
         of the result, 2 <= m <= horizon + 1, is row horizon + 2 - m flipped.
         Descending lex order at the horizon is ascending lex order there, a
         truncated block is a maximal one, and the carry into horizon + 1 steps
-        past the maximum.  Built once per horizon, its rows with it."""
-        if (mirror := self._mirrors.get(horizon)) is None:
+        past the maximum.  Built with its rows once per horizon, and kept only
+        for the latest horizon asked for."""
+        held, mirror = self._mirror
+        if held != horizon:
             check_horizon(horizon)
             flip = horizon + 1
 
             def row(m: int) -> Iterator[tuple[int, int]]:
                 return ((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
 
-            mirror = self._mirrors[horizon] = PredecessorFamily(row, name=f"{self.name}@{horizon}")
+            mirror = PredecessorFamily(row, name=f"{self.name}@{horizon}")
+            self._mirror = (horizon, mirror)
         return mirror
 
     def __repr__(self) -> str:
@@ -262,8 +265,8 @@ def predecessor_asc(mu: CoeffFn, fam: PredecessorFamily) -> CoeffFn:
     if not mu:
         raise ValueError("the zero function has no predecessor")
     (n, d), above = mu[0], mu[1:]
-    below = tuple(reversed(fam.digits(n))) if n > 1 else ()
-    return tuple.__new__(CoeffFn, below + (((n, d - 1),) if d > 1 else ()) + above)
+    below = fam.row(n) if n > 1 else ()
+    return tuple.__new__(CoeffFn, tuple.__add__(below, ((n, d - 1),) if d > 1 else ()) + above)
 
 
 # Most members one order-capped build may hold, and most nodes one encode may
@@ -387,17 +390,17 @@ def order_values(
     yield values
     for n in range(1, cap + 1):
         try:
-            digits = fam.digits(n + 1)
+            row = fam.row(n + 1)[::-1]  # top first
         except Exception:  # whatever the row raises, the walk meets basis(n) first
             values.append(q(n) % modulus if modulus else q(n))
             yield values
             raise
-        size.append(len(values) + 1 + sum((c - (k == n)) * size[k] for k, c in digits))
+        size.append(len(values) + 1 + sum((c - (k == n)) * size[k] for k, c in row))
         if size[-1] > MEMBER_LIMIT:
             raise _limit_error(cap)
         qs.append(q(n) % modulus if modulus else q(n))
         prefix = 0
-        for k, c in digits:
+        for k, c in row:
             base, qk = values[: size[k]], qs[k]
             for t in range(k == n, c):
                 shift = prefix + t * qk
@@ -411,15 +414,17 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
     """(member, value) of the members of order <= cap worth at most ``bound``,
     in lex order: order_values' runs, each copying the kept members worth at
     most bound - shift; shifts grow (every Q_k >= 1).  Every Q_n and row n+1
-    is read, to fail as the walk does; past MEMBER_LIMIT kept, WalkLimitError."""
+    is read, to fail as the walk does, and row n+1's member is the family's
+    memoized row itself; past MEMBER_LIMIT kept, WalkLimitError."""
     new, join = tuple.__new__, tuple.__add__  # each member built once, from pairs known valid
     refusal = "more than {:,} members have value <= {}; lower the bound"  # formatted only when raised
     kept, size, qs = [(ZERO, 0)], [0, 1], [0]  # size[k]: kept members of order < k
     for n in range(1, _check_cap(cap) + 1):
         qs.append(q(n))
-        prefix, above = 0, ()  # above: the row's pairs over k, ascending
-        for k, c in fam.digits(n + 1):
-            for t in range(k == n, c):
+        row, prefix, above = fam.row(n + 1), 0, ()  # above: the row's pairs over k, ascending
+        for k, c in row[::-1]:
+            t = int(k == n)
+            while t < c:
                 shift = prefix + t * qs[k]
                 if shift > bound:
                     break
@@ -429,9 +434,10 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
                         kept.append((new(CoeffFn, join(mu, suffix)), v + shift))
                 if len(kept) > MEMBER_LIMIT:  # checked after every run
                     raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
+                t += 1
             prefix, above = prefix + c * qs[k], ((k, c),) + above
         if prefix <= bound:  # row n+1 over zero
-            kept.append((new(CoeffFn, above), prefix))
+            kept.append((row, prefix))
             if len(kept) > MEMBER_LIMIT:
                 raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
         size.append(len(kept))

@@ -387,8 +387,10 @@ class SubsetReport(NamedTuple):
 
 def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) -> SubsetReport:
     """All members with value <= bound, in lex order, built (order_members) up
-    to the last basis index whose value fits under the bound."""
+    to the last basis index whose value fits under the bound; distinct values,
+    counted by a set, need no repeat scan."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     pairs = blocks.order_members(fam, seq.value, seq.find_top(bound), bound)
-    return SubsetReport(bound, pairs, first_collision(pairs))
+    distinct = len({v for _, v in pairs}) == len(pairs)
+    return SubsetReport(bound, pairs, None if distinct else first_collision(pairs))

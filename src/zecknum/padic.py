@@ -242,7 +242,7 @@ def weak_converse_probe(
         raise FamilyError("sequences live at different p or precision")
     vals_a, vals_b = (_value_set(fam, seq, order_cap) for seq in (seq_a, seq_b))
     # rows 2..cap+1 are members of order <= cap, and every member's digits lie under its rows'
-    max_digit = max((d for n in range(2, order_cap + 2) for _, d in fam.digits(n)), default=0)
+    max_digit = max((d for n in range(2, order_cap + 2) for _, d in fam.row(n)), default=0)
     terms = range(1, max(len(seq_a), len(seq_b)) + 1)
     diff = next((k for k in terms if seq_a.value(k) != seq_b.value(k)), None)
     return ConverseProbe(vals_a == vals_b, diff, max_digit, weak_converse_digit_bound(seq_a.p))

@@ -94,10 +94,10 @@ def _box_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int) -> i
     digit box within MEMBER_LIMIT and the difference search rules out a
     collision in that many steps; else 0, and the scan answers.  A table's
     end gives 0 too: the scan meets it there, or an earlier collision."""
-    row, qs, total = [], [], 1
+    row, qs, total = (), [], 1
     try:
         for n in range(1, blocks._check_cap(cap) + 1):
-            below, row = row, fam.digits(n + 1)  # top first: (n, c_n), then row n's pairs
+            below, row = row, fam.row(n + 1)[::-1]  # top first: (n, c_n), then row n's pairs
             total *= row[0][1] + 1
             if row[1:] != below or total > blocks.MEMBER_LIMIT:
                 return 0

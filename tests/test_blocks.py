@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import weakref
 from collections import deque
 from contextlib import suppress
 from itertools import islice, pairwise, product
@@ -118,6 +120,22 @@ class TestPredecessorFamily:
         assert FIB.row(4) == CoeffFn({1: 1, 3: 1})
         assert FIB.row(5) == CoeffFn({2: 1, 4: 1})
         assert FIB.row(6) == CoeffFn({1: 1, 3: 1, 5: 1})
+
+    @pytest.mark.parametrize("name", INTEGER_FIXTURES)
+    def test_memoized_rows_match_their_parts(self, name):
+        """Row n, n <= 40 or up to a table's end, is its parts read densely on
+        a fresh family, and every later call returns the same object."""
+        fam, fresh = load_fixture(name).family, load_fixture(name).family
+        for n in range(2, 41):
+            try:
+                head, top, tail, _ = fresh.parts(n)
+            except FamilyError:  # past a table's end the memo builds nothing
+                with pytest.raises(FamilyError):
+                    fam.row(n)
+                break
+            row = fam.row(n)
+            assert row == CoeffFn({**dict(enumerate(tail[1 : top + 1], 1)), **head}), (name, n)
+            assert fam.row(n) is row
 
 
 class TestAscendingScan:
@@ -510,6 +528,25 @@ class TestMaximalFamily:
             mirror = ml.maximal_family().mirror(horizon)
             for m in range(2, horizon + 2):
                 assert mirror.row(m) == pred.row(m), (horizon, m)
+
+
+    def test_one_mirror_kept(self, monkeypatch):
+        """Walks at horizons 1-50 leave at most one mirror alive, and walking a
+        horizon again, after the others, yields what the reference does."""
+        built = []
+
+        class Counted(PredecessorFamily):
+            def __init__(self, *args, **kwargs):
+                built.append(weakref.ref(self))
+                super().__init__(*args, **kwargs)
+
+        fam = load_fixture("sevenths").family
+        monkeypatch.setattr(blocks, "PredecessorFamily", Counted)
+        walked = {h: list(islice(enumerate_desc(fam, h), 50)) for h in range(1, 51)}
+        gc.collect()
+        assert len(built) == 50 and sum(ref() is not None for ref in built) <= 1
+        for h in (1, 7, 50, 23):
+            assert list(islice(enumerate_desc(fam, h), 50)) == walked[h] == list(islice(enumerate_desc_ref(fam, h), 50))
 
 
 class TestDescendingScan:

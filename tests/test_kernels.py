@@ -108,7 +108,7 @@ def test_greedy_digit_boundaries_match_the_reference(name):
     fam, seq = s.family, s.sequence
     values = set()
     for k in range(1, 121):
-        (top, c), q = fam.digits(k + 1)[0], seq.value(k)
+        (top, c), q = fam.row(k + 1)[-1], seq.value(k)
         assert top == k
         values.update(v for t in range(1, c + 1) for v in (t * q - 1, t * q, t * q + 1))
         values.add(seq.value(k + 1) - 1)
@@ -198,7 +198,7 @@ def test_scan_across_long_zero_runs_matches_reference(head_only):
     fifth in one whose rows are the same pairs held as a head alone."""
     fam = get_system("pin-3").family
     if head_only:
-        fam = PredecessorFamily(fam.digits, name="pin-3 as a head")
+        fam = PredecessorFamily(fam.row, name="pin-3 as a head")
     rng = random.Random("pin-3")
     walked = list(islice(enumerate_asc(fam), 10**4))
     assert walked[-1].order_asc > 2500

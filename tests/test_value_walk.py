@@ -280,6 +280,19 @@ class TestOrderMembers:
         with pytest.raises(WalkLimitError, match="^more than 12 members have value <= 12; lower the bound$"):
             enumerate_subset(s.family, s.sequence, 12)
 
+    @pytest.mark.parametrize("bound", [1000, 5000])
+    def test_row_members_are_the_memoized_rows(self, bound):
+        """Each row member a subset keeps is the family's row object itself,
+        so the memo and the subset share one object per row."""
+        s = load_fixture("pin-3")
+        fam, seq = s.family, s.sequence
+        pairs = enumerate_subset(fam, seq, bound).pairs
+        rows = [fam.row(n + 1) for n in range(1, seq.find_top(bound) + 1)]
+        row_set = set(rows)
+        kept, below = [mu for mu, _ in pairs if mu in row_set], [r for r in rows if decode_int(r, seq) <= bound]
+        assert len(kept) == len(below) > 200
+        assert all(mu is fam.row(mu.order_asc + 1) for mu in kept)
+
     @pytest.mark.parametrize("name", ["fib", "pin-3", "mult-11-3", "blocks7"])
     def test_every_bound(self, name):
         # every bound up to 200 ends the build at another run of some row
