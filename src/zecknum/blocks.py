@@ -422,7 +422,8 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
     for n in range(1, _check_cap(cap) + 1):
         qs.append(q(n))
         row, prefix, above = fam.row(n + 1), 0, ()  # above: the row's pairs over k, ascending
-        for k, c in row[::-1]:
+        for pair in row[::-1]:
+            k, c = pair
             t = int(k == n)
             while t < c:
                 shift = prefix + t * qs[k]
@@ -435,7 +436,7 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
                 if len(kept) > MEMBER_LIMIT:  # checked after every run
                     raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
                 t += 1
-            prefix, above = prefix + c * qs[k], ((k, c),) + above
+            prefix, above = prefix + c * qs[k], (pair,) + above  # the row's own pairs, shared by its runs
         if prefix <= bound:  # row n+1 over zero
             kept.append((row, prefix))
             if len(kept) > MEMBER_LIMIT:
