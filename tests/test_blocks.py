@@ -529,7 +529,6 @@ class TestMaximalFamily:
             for m in range(2, horizon + 2):
                 assert mirror.row(m) == pred.row(m), (horizon, m)
 
-
     def test_one_mirror_kept(self, monkeypatch):
         """Walks at horizons 1-50 leave at most one mirror alive, and walking a
         horizon again, after the others, yields what the reference does."""
