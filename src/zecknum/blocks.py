@@ -132,7 +132,7 @@ class MaximalFamily:
         self._support_fn = support_fn
         self.name = name
         self._checked: set[int] = set()
-        self._mirror: tuple[int, PredecessorFamily | None] = (0, None)  # (horizon, mirror(horizon)), the latest
+        self._mirror: tuple[int, PredecessorFamily] | None = None  # (horizon, mirror(horizon)), the latest
 
     def support(self, n: int) -> Iterator[tuple[int, int]]:
         """Row n's nonzero (index, digit) pairs, ascending, never ending; row n
@@ -152,17 +152,15 @@ class MaximalFamily:
         truncated block is a maximal one, and the carry into horizon + 1 steps
         past the maximum.  Built with its rows once per horizon, and kept only
         for the latest horizon asked for."""
-        held, mirror = self._mirror
-        if held != horizon:
+        if self._mirror is None or self._mirror[0] != horizon:
             check_horizon(horizon)
             flip = horizon + 1
 
             def row(m: int) -> Iterator[tuple[int, int]]:
                 return ((flip - k, d) for k, d in takewhile(lambda p: p[0] <= horizon, self.support(flip + 1 - m)))
 
-            mirror = PredecessorFamily(row, name=f"{self.name}@{horizon}")
-            self._mirror = (horizon, mirror)
-        return mirror
+            self._mirror = (horizon, PredecessorFamily(row, name=f"{self.name}@{horizon}"))
+        return self._mirror[1]
 
     def __repr__(self) -> str:
         return f"MaximalFamily({self.name!r})"
@@ -424,8 +422,7 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
         row, prefix, above = fam.row(n + 1), 0, ()  # above: the row's pairs over k, ascending
         for pair in row[::-1]:
             k, c = pair
-            t = int(k == n)
-            while t < c:
+            for t in range(k == n, c):
                 shift = prefix + t * qs[k]
                 if shift > bound:
                     break
@@ -435,7 +432,6 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
                         kept.append((new(CoeffFn, join(mu, suffix)), v + shift))
                 if len(kept) > MEMBER_LIMIT:  # checked after every run
                     raise WalkLimitError(refusal.format(MEMBER_LIMIT, bound))
-                t += 1
             prefix, above = prefix + c * qs[k], (pair,) + above  # the row's own pairs, shared by its runs
         if prefix <= bound:  # row n+1 over zero
             kept.append((row, prefix))
@@ -447,7 +443,9 @@ def order_members(fam: PredecessorFamily, q: Callable[[int], int], cap: int, bou
 
 def first_collision(pairs: Iterable[tuple[object, object]]) -> tuple[object, object, object] | None:
     """The first repeat (value, earlier key, later key) in a stream of (key,
-    value) pairs, or None."""
+    value) pairs, or None.  A caller holding every value counts them with a
+    set first (enumerate_subset, check_unique): distinct values need no scan,
+    and this one only places a repeat the set has found."""
     first_by_value: dict[object, object] = {}
     for key, v in pairs:
         earlier = first_by_value.setdefault(v, key)

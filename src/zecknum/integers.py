@@ -387,8 +387,8 @@ class SubsetReport(NamedTuple):
 
 def enumerate_subset(fam: PredecessorFamily, seq: FundamentalSeq, bound: int) -> SubsetReport:
     """All members with value <= bound, in lex order, built (order_members) up
-    to the last basis index whose value fits under the bound; distinct values,
-    counted by a set, need no repeat scan."""
+    to the last basis index whose value fits under the bound; first_collision
+    runs only when a set of the values is shorter than the pairs."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     pairs = blocks.order_members(fam, seq.value, seq.find_top(bound), bound)

@@ -547,6 +547,16 @@ class TestMaximalFamily:
         for h in (1, 7, 50, 23):
             assert list(islice(enumerate_desc(fam, h), 50)) == walked[h] == list(islice(enumerate_desc_ref(fam, h), 50))
 
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_fresh_family_rejects_horizon_below_one(self, horizon):
+        """A family that holds no mirror yet still checks the horizon: no
+        value of it stands in for 'none built'."""
+        fam = MultiplicityList((2, 3)).maximal_family()
+        with pytest.raises(ValueError, match=f"horizon must be positive, got {horizon}"):
+            enumerate_desc(fam, horizon)
+        with pytest.raises(ValueError, match=f"horizon must be positive, got {horizon}"):
+            fam.mirror(horizon)
+
 
 class TestDescendingScan:
     def test_enumeration_frozen(self):
