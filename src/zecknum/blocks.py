@@ -72,11 +72,11 @@ class PredecessorFamily:
         self._nonzero = [[0] for _ in range(shape.period)]
 
     def row(self, n: int) -> CoeffFn:
-        """Row n as a CoeffFn, memoized: built once from parts(n), the head and
-        then the tail's nonzero digits down the _nonzero chain, and kept."""
+        """Row n as a CoeffFn, memoized: built once from its parts, read but not
+        kept, as the head and then the tail's nonzero digits down the _nonzero chain."""
         row = self._rows.get(n)
         if row is None:
-            head, top, tail, r = self.parts(n)
+            head, top, tail, r = self._parts.get(n) or self._make_parts(n)
             pairs, nonzero, j = list(head.items()), self._nonzero[r], top
             while j := nonzero[j]:
                 pairs.append((j, tail[j]))
@@ -87,11 +87,10 @@ class PredecessorFamily:
     def parts(self, n: int) -> tuple[dict[int, int], int, list[int], int]:
         """Row n as (head, top, tail, residue), memoized: digit k is tail[k] for
         k <= top, else head.get(k, 0).  head keeps nonzero digits in descending
-        index order; tail is shared by the rows of residue n % period.  Besides
-        row (the runs of order_values and order_members), the kernels
-        _scan_asc, walk_asc and integers.encode_int read this inline, and
-        FundamentalSeq.from_family sums it for a derived term the family's
-        recurrence does not give."""
+        index order; tail is shared by the rows of residue n % period.  The
+        kernels _scan_asc, walk_asc and integers.encode_int read this inline,
+        and FundamentalSeq.from_family sums it for a derived term the family's
+        recurrence does not give; row() reads parts without keeping them."""
         p = self._parts.get(n)
         if p is None:
             p = self._parts[n] = self._make_parts(n)

@@ -187,8 +187,7 @@ def cmd_subset(args, sys_: System, seq) -> int:
     if args.list:
         for mu, v in report.pairs:
             print(f"{mu.render()}\t{v}")
-    vals = report.values()
-    print(f"# members: {len(report.pairs)}, distinct values: {len(set(vals))}")
+    print(f"# members: {len(report.pairs)}, distinct values: {len({v for _, v in report.pairs})}")
     if report.collision:
         v, a, b = report.collision
         print(f"# collision: {a.render()} and {b.render()} both reach {v}")

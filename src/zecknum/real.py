@@ -95,16 +95,16 @@ class BlockGeometricSeq:
         return f"BlockGeometricSeq({self.seeds}, ratio={self.ratio})"
 
 
-def _first_below(above_x, above: int) -> int:
-    """Smallest n > ``above`` with ``above_x(n)`` false, where ``above_x(n)``
-    says Q_n > x and holds at ``above``: doubling steps past it, then bisection."""
+def _first_below(holds, above: int) -> int:
+    """Smallest n > ``above`` with ``holds(n)`` false, for a test that holds at
+    ``above`` and, once false, stays false: doubling steps past it, then bisection."""
     lo, hi = above, above + 1
-    while above_x(hi):
+    while holds(hi):
         lo, hi = hi, 2 * hi - above
-    # Q_lo > x >= Q_hi
+    # holds(lo) and not holds(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if above_x(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid
@@ -123,48 +123,41 @@ def find_first_below(seq, x: Numeric, above: int = 0) -> int:
 
 
 def rational_root(e: Sequence[int]) -> Fraction | None:
-    """Exact root in (0,1) of sum e_k x^k = 1 when one exists.
+    """The root in (0,1) of sum e_k x^k = 1 when it is rational, for a list
+    positive_root accepts: only 1/q can be (rational root theorem), q the first
+    with e_1 q^(N-1) + ... + e_N <= q^N, and it is the root if the two are equal."""
 
-    Any rational root is 1/q with q dividing the top multiplicity, so the
-    candidate list is short.
-    """
-    top = e[-1]
-    for q in range(2, top + 1):
-        if top % q:
-            continue
-        x = Fraction(1, q)
-        if sum(ek * x**k for k, ek in enumerate(e, start=1)) == 1:
-            return x
-    return None
+    def excess(q: int) -> int:
+        return sum(ek * q ** (len(e) - k) for k, ek in enumerate(e, start=1)) - q ** len(e)
+
+    q = _first_below(lambda q: excess(q) > 0, 1)
+    return None if excess(q) else Fraction(1, q)
 
 
 def positive_root(e: Sequence[int], digits: int = 60) -> Decimal:
-    """The root in (0,1) of sum e_k x^k = 1, by bisection, to ``digits`` digits.
-
-    The polynomial is strictly increasing on [0,1] with a sign change, so
-    bisection is safe; work runs at a guard precision and the result is
-    rounded half-even to the requested one, both in contexts of their own,
-    so the caller's precision, rounding and traps do not apply.
-    """
+    """The root in (0,1) of sum e_k x^k = 1 to ``digits`` digits: m/p, p =
+    10^(digits+10), for the first integer m with sum e_k m^k p^(N-k) >= p^N,
+    rounded half-even in a context of its own, so the caller's precision,
+    rounding and traps do not apply."""
     es = tuple(e)
     if not es or es[0] < 1 or es[-1] < 1 or any(v < 0 for v in es):
         raise FamilyError(f"multiplicities {es} must be nonnegative with positive ends")
-    with localcontext(Context(prec=digits + 10)):
-        lo, hi = Decimal(0), Decimal(1)
-        for _ in range(int((digits + 10) * 3.33) + 4):
-            mid = (lo + hi) / 2
-            f = sum(ek * mid**k for k, ek in enumerate(es, start=1)) - 1
-            if f < 0:
-                lo = mid
-            else:
-                hi = mid
-        return Context(prec=digits).plus((lo + hi) / 2)
+    p, N = 10 ** (digits + 10), len(es)
+    cs, one = [ek * p ** (N - k) for k, ek in enumerate(es, start=1)][::-1], p**N
+
+    def below(m: int) -> bool:  # by Horner's rule
+        acc = 0
+        for c in cs:
+            acc = (acc + c) * m
+        return acc < one
+
+    return Context(prec=digits).plus(Decimal(f"{_first_below(below, 0)}e-{digits + 10}"))
 
 
 def geometric_fundamental(e: Sequence[int], digits: int = 60) -> GeometricSeq:
     """Geometric sequence on the positive root, exact when the root is rational."""
-    r = rational_root(e)
-    return GeometricSeq(r if r is not None else positive_root(e, digits), digits)
+    root = positive_root(e, digits)  # checks e
+    return GeometricSeq(rational_root(e) or root, digits)
 
 
 # -- root dominance ----------------------------------------------------------
@@ -190,13 +183,9 @@ def dominance_criterion(coeffs: Sequence[int]) -> DominanceResult:
     n = len(a) - 1
     if n < 1 or a[0] < 1 or a[n] < 1 or any(v < 0 for v in a):
         raise ValueError(f"need nonnegative coefficients with positive ends, got {a}")
-    for m in range(1, n):
-        if not a[m]:
-            continue
-        for l in range(m + 1, n):
-            if a[l] and gcd(m, l) == 1:
-                return DominanceResult(True, (m, l))
-    return DominanceResult(None, None)
+    pairs = ((m, l) for m in range(1, n) if a[m] for l in range(m + 1, n) if a[l] and gcd(m, l) == 1)
+    pair = next(pairs, None)  # the first in lex order, as the witness
+    return DominanceResult(True if pair else None, pair)
 
 
 def multiplicity_list_dominant(e: Sequence[int]) -> DominanceResult:

@@ -22,7 +22,7 @@ from zecknum.blocks import (
     order_values,
     walk_asc,
 )
-from zecknum.coeff import DIGIT_LIMIT, ZERO, CoeffFn
+from zecknum.coeff import DIGIT_LIMIT, ZERO, CoeffFn, FamilyError
 from zecknum.integers import FundamentalSeq, NotRepresentableError, SubsetReport, _shown, decode_int
 from zecknum.padic import ConverseProbe, eval_padic, weak_converse_digit_bound
 from zecknum.real import Expansion, find_first_below
@@ -693,3 +693,40 @@ def expand_real_ref(x, fam, seq, max_blocks: int = 8, residual_tol=Fraction(1, 1
             # rem < Q_k after the short digit at k, unless rounding left it a hair over
             above = k if rem < q else 0
     return Expansion(CoeffFn(tuple(pairs)), rem, exact, blocks)
+
+
+# -- the root finders before they searched in integers --------------------------
+# A divisor scan and a Decimal bisection: the references the integer searches
+# in real.rational_root and real.positive_root must agree with string for string.
+
+
+def rational_root_ref(e) -> Fraction | None:
+    """Exact root in (0,1) of sum e_k x^k = 1, tried at every 1/q with q
+    dividing the top multiplicity."""
+    top = e[-1]
+    for q in range(2, top + 1):
+        if top % q:
+            continue
+        x = Fraction(1, q)
+        if sum(ek * x**k for k, ek in enumerate(e, start=1)) == 1:
+            return x
+    return None
+
+
+def positive_root_ref(e, digits: int = 60) -> Decimal:
+    """The root in (0,1) of sum e_k x^k = 1 by Decimal bisection at a guard
+    precision, rounded half-even to ``digits`` digits, both in contexts of
+    their own."""
+    es = tuple(e)
+    if not es or es[0] < 1 or es[-1] < 1 or any(v < 0 for v in es):
+        raise FamilyError(f"multiplicities {es} must be nonnegative with positive ends")
+    with localcontext(Context(prec=digits + 10)):
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(int((digits + 10) * 3.33) + 4):
+            mid = (lo + hi) / 2
+            f = sum(ek * mid**k for k, ek in enumerate(es, start=1)) - 1
+            if f < 0:
+                lo = mid
+            else:
+                hi = mid
+        return Context(prec=digits).plus((lo + hi) / 2)

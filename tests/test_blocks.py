@@ -48,7 +48,7 @@ from zecknum.blocks import (
     successor_asc,
 )
 from zecknum.coeff import ZERO, CoeffFn, from_dense
-from zecknum.integers import FundamentalSeq, encode_int
+from zecknum.integers import FundamentalSeq, encode_int, enumerate_subset
 from zecknum.real import harmonic_maximal_family, periodic_maximal_family
 from zecknum.recurrences import MultiplicityList, family_from_sequence, family_from_table, index_bounded_family
 
@@ -136,6 +136,15 @@ class TestPredecessorFamily:
             row = fam.row(n)
             assert row == CoeffFn({**dict(enumerate(tail[1 : top + 1], 1)), **head}), (name, n)
             assert fam.row(n) is row
+
+    def test_rows_keep_no_parts(self):
+        """A subset reads its rows through row() alone: the memoized CoeffFn is
+        the only copy of each, and no parts are kept beside it."""
+        s = load_fixture("pin-3")
+        fam = s.family
+        enumerate_subset(fam, s.sequence, 5000)
+        assert len(fam._rows) > 1000 and not fam._parts
+        assert all(fam.row(n) is fam.row(n) for n in fam._rows)
 
 
 class TestAscendingScan:

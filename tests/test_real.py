@@ -4,13 +4,23 @@ import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import AMBIENT, PI_100, ambient_context, expand_real_ref, is_member_desc, maximal_row
+from conftest import (
+    AMBIENT,
+    PI_100,
+    ambient_context,
+    expand_real_ref,
+    is_member_desc,
+    maximal_row,
+    positive_root_ref,
+    rational_root_ref,
+)
 
 import zecknum.real
 from zecknum.blocks import FamilyError
@@ -22,6 +32,7 @@ from zecknum.real import (
     BlockGeometricSeq,
     GeometricSeq,
     HarmonicSeq,
+    _first_below,
     dominance_criterion,
     eval_expansion,
     expand_real,
@@ -101,6 +112,26 @@ class TestFindFirstBelow:
             assert find_first_below(seq, q30) == 30
 
 
+class TestFirstBelowHelper:
+    @pytest.mark.parametrize(
+        "above, answer",
+        [(0, 1), (7, 8), (0, 2**20), (0, 2**20 + 1), (5, 5 + 2**20 + 1), (0, 10**70), (0, 10**70 + 1), (3, 10**70 - 1)],
+    )
+    def test_answer_and_its_cost(self, above, answer):
+        """The first n past ``above`` where the test fails, at one more than
+        ``above``, at and just past a power of two, and near 10^70, in at most
+        two evaluations per bit of the distance."""
+        calls = []
+
+        def holds(n):
+            calls.append(n)
+            return n < answer
+
+        assert _first_below(holds, above) == answer
+        assert len(calls) <= 2 * (answer - above).bit_length() + 1
+        assert all(n > above for n in calls)
+
+
 class TestRoots:
     def test_rational_root(self):
         assert rational_root((1, 2)) == Fraction(1, 2)
@@ -139,6 +170,45 @@ class TestRoots:
         assert seq.omega == Fraction(1, 2)
         seq2 = geometric_fundamental((1, 1), digits=20)
         assert isinstance(seq2.omega, Decimal)
+
+    # lists with entries 0-3 and positive ends, lengths 1-6, at every precision below
+    DIGITS = (5, 10, 28, 60, 100)
+
+    @staticmethod
+    def lists(rng, count):
+        found = []
+        while len(found) < count:
+            e = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
+            if e[0] and e[-1]:
+                found.append(tuple(e))
+        return found
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_roots_match_the_bisection_and_divisor_scan(self, digits):
+        """Both integer searches give the reference's exact strings on 62
+        seeded lists per precision, 310 cases in all."""
+        for e in self.lists(random.Random(digits), 62):
+            assert str(positive_root(e, digits)) == str(positive_root_ref(e, digits)), (e, digits)
+            assert rational_root(e) == rational_root_ref(e), e
+
+    @pytest.mark.parametrize("digits", [5, 25, 45, 50, 60])
+    def test_golden_root_matches_the_bisection(self, digits):
+        assert str(positive_root((1, 1), digits)) == str(positive_root_ref((1, 1), digits))
+
+    def test_golden_real_loads_the_reference_root(self, golden_real):
+        assert str(golden_real.sequence.omega) == str(positive_root_ref((1, 1), 60))
+
+    @pytest.mark.parametrize("e, q", [((1, 999000), 1000), ((2, 4), None), ((1, 2), 2), ((3,), 3), ((1,), None)])
+    def test_rational_root_read_off_one_candidate(self, e, q):
+        assert rational_root(e) == (q and Fraction(1, q)) == rational_root_ref(e)
+
+    def test_a_large_top_multiplicity_loads_at_once(self):
+        """The only rational candidate is found by bisection, not by trying
+        every q up to e_N: 10^9 + 7 took about 45 s that way."""
+        start = time.perf_counter()
+        seq = geometric_fundamental((1, 10**9 + 7))
+        assert time.perf_counter() - start < 1
+        assert str(seq.omega) == str(positive_root_ref((1, 10**9 + 7), 60))
 
 
 class TestDominance:
@@ -276,6 +346,17 @@ class TestExpand:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "(77, 79, 81) 2.825E-14 False 11\n"
+
+    def test_an_endless_block_ends_under_the_precision(self):
+        # every row is all ones and sums to about 0.434 on omega = 0.3028 (3x + x^2 = 1),
+        # so from 0.9 the first block takes every digit and closes only at the
+        # first term that no longer moves the remainder at 60 digits
+        seq = geometric_fundamental((3, 1))
+        res = expand_real(Decimal("0.9"), periodic_maximal_family([[1]]), seq, residual_tol=None)
+        assert (res.blocks_used, res.exact) == (1, False)
+        assert res.fn == CoeffFn((k, 1) for k in range(1, 117))
+        with localcontext(seq.context):
+            assert res.residual - seq.value(117) == res.residual
 
 
 def _inputs(name: str, seed: int, count: int = 6) -> list:
